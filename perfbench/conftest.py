@@ -1,0 +1,10 @@
+"""Puts the checkout's sources and the benchmark's modules on the path, so
+`python3 -m pytest perfbench` runs the benchmark's own tests."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE.parent / "src", HERE):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
