@@ -13,7 +13,7 @@ checked and raises :class:`NonFiniteError` on the first NaN/inf.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -435,14 +435,3 @@ def softmax_last(t: Tensor) -> Tensor:
     shift = np.max(t.data, axis=-1, keepdims=True)
     e = (t - constant(shift)).exp()
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def parameters_grad(loss: Tensor, params: Iterable[Tensor]) -> list[np.ndarray]:
-    """Backprop `loss` and return one gradient array per parameter.
-
-    Parameters not reached by the graph get zeros.
-    """
-    for p in params:
-        p.zero_grad()
-    loss.backward()
-    return [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]

@@ -151,49 +151,60 @@ def cate_bounds(
     model: Stage0Model,
     prop_x: PropensityModel,
     prop_phi: PropensityModel,
-    gamma_field: GammaField,
+    gamma_fields: Sequence[GammaField],
     flow: ConditionalFlow,
     k: int,
     rng: np.random.Generator,
     *,
-    gamma_override: np.ndarray | None = None,
+    gamma_override: Sequence[np.ndarray] | None = None,
     chunk: int = 128,
-) -> CateBounds:
-    """Interval bounds on the representation-level CATE at each row of `x`.
+) -> list[CateBounds]:
+    """Interval bounds on the representation-level CATE at each row of `x`,
+    one CateBounds per field of `gamma_fields`, in order.
 
-    Per point: read the representation, look up Gamma from the field (own
+    Per point: read the representation, look up Gamma from each field (own
     pointwise value included), sample k outcomes per arm from the flow, and
-    combine the per-arm extremal means. `gamma_override` replaces the field
-    lookup (used for the Gamma = 1 collapse check).
+    combine the per-arm extremal means. The outcome samples do not depend on
+    Gamma, so each chunk is drawn once (treated arm, then control arm) and
+    bounded under every field's Gamma: the result for a field equals a
+    single-field call with the generator in the same state. `gamma_override`,
+    one per-point array per field, replaces the field lookups (used for the
+    Gamma = 1 collapse check).
     """
     if k < 1:
         raise ValueError("k must be positive")
+    if not gamma_fields:
+        raise ValueError("need at least one gamma field")
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
     phi = representation(model, x)
     point = predict_point_cate(model, x)
     pi1_phi = prop_phi.predict(phi)
     if gamma_override is not None:
-        gamma = np.broadcast_to(np.asarray(gamma_override, dtype=np.float64),
-                                (n,)).copy()
+        if len(gamma_override) != len(gamma_fields):
+            raise ValueError("need one gamma_override array per gamma field")
+        gammas = [np.broadcast_to(np.asarray(g, dtype=np.float64), (n,)).copy()
+                  for g in gamma_override]
     else:
-        pi1_x = prop_x.predict(x)
-        gamma = gamma_field.at(phi, gamma_pointwise(pi1_x, pi1_phi))
+        own = gamma_pointwise(prop_x.predict(x), pi1_phi)
+        gammas = [field.at(phi, own) for field in gamma_fields]
 
-    lower = np.empty(n)
-    upper = np.empty(n)
+    lowers = [np.empty(n) for _ in gammas]
+    uppers = [np.empty(n) for _ in gammas]
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        g = gamma[lo:hi]
         p1 = pi1_phi[lo:hi]
         s1 = flow.sample(np.ones(hi - lo), phi[lo:hi], k, rng)
-        mu1_lo, mu1_hi = cvar_mu_bounds(s1, g, p1)
         s0 = flow.sample(np.zeros(hi - lo), phi[lo:hi], k, rng)
-        mu0_lo, mu0_hi = cvar_mu_bounds(s0, g, 1.0 - p1)
-        lower[lo:hi] = mu1_lo - mu0_hi
-        upper[lo:hi] = mu1_hi - mu0_lo
-    return CateBounds(point=point, lower=lower, upper=upper, gamma=gamma,
-                      pi1_phi=pi1_phi, k=k)
+        for gamma, lower, upper in zip(gammas, lowers, uppers):
+            g = gamma[lo:hi]
+            mu1_lo, mu1_hi = cvar_mu_bounds(s1, g, p1)
+            mu0_lo, mu0_hi = cvar_mu_bounds(s0, g, 1.0 - p1)
+            lower[lo:hi] = mu1_lo - mu0_hi
+            upper[lo:hi] = mu1_hi - mu0_lo
+    return [CateBounds(point=point, lower=lower, upper=upper, gamma=gamma,
+                       pi1_phi=pi1_phi, k=k)
+            for gamma, lower, upper in zip(gammas, lowers, uppers)]
 
 
 def read_bounds_csv(path: str | Path) -> CateBounds:

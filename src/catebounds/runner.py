@@ -535,8 +535,8 @@ def _seed_dir(config: ExperimentConfig, seed: int) -> Path:
 
 
 def _save_checkpoint(path: Path, payload: dict) -> None:
-    with path.open("w") as fh:
-        json.dump(payload, fh, sort_keys=True)
+    # json.dumps encodes in C; json.dump streams through the Python encoder
+    path.write_text(json.dumps(payload, sort_keys=True))
 
 
 def _write_train_tau(path: Path, tau: np.ndarray) -> None:
@@ -597,22 +597,25 @@ def refute_seed(config: ExperimentConfig, train: Dataset, test: Dataset,
     _write_train_tau(sdir / "train_tau.csv",
                      predict_point_cate(model, train.x))
 
+    fields = []
     for delta in config.deltas:
         gamma_field = build_gamma_field(phi_tr, pi1_x_tr, pi1_phi_tr, delta)
         write_gamma_csv(sdir / f"gamma_{delta!r}.csv", phi_tr, pi1_x_tr,
                         pi1_phi_tr, gamma_field.train_gamma_points,
                         gamma_field.train_gamma_hat)
-        # a fresh generator per delta replays identical outcome samples, so
-        # interval growth across deltas reflects Gamma alone
-        rng = np.random.default_rng(seeds["bounds"])
-        bounds = cate_bounds(test.x, model, prop_x, prop_phi, gamma_field,
-                             flow, config.k, rng)
+        fields.append(gamma_field)
+    # the outcome samples are drawn once and bounded under every delta's
+    # Gamma, so interval growth across deltas reflects Gamma alone
+    rng = np.random.default_rng(seeds["bounds"])
+    per_delta = cate_bounds(test.x, model, prop_x, prop_phi, fields, flow,
+                            config.k, rng)
+    for delta, bounds in zip(config.deltas, per_delta):
         write_bounds_csv(sdir / _delta_file(delta), bounds,
                          [d.value for d in bounds_policy(bounds)])
 
     if config.grid_resolution > 0 and config.dataset.kind == "synthetic":
         _emit_decision_grid(config, sdir, model, prop_x, prop_phi, flow,
-                            phi_tr, pi1_x_tr, pi1_phi_tr, seeds["bounds"])
+                            fields[0], seeds["bounds"])
 
 
 def _read_tau_csv(path: Path) -> np.ndarray:
@@ -675,14 +678,14 @@ def run_pipeline(config: ExperimentConfig, train: Dataset, test: Dataset,
     return record
 
 
-def _emit_decision_grid(config, sdir, model, prop_x, prop_phi, flow, phi_tr,
-                        pi1_x_tr, pi1_phi_tr, bounds_seed) -> None:
+def _emit_decision_grid(config, sdir, model, prop_x, prop_phi, flow,
+                        gamma_field, bounds_seed) -> None:
+    """Bounds and decisions over a covariate grid, under the first delta's
+    field."""
     grid = make_grid(resolution=config.grid_resolution)
-    gamma_field = build_gamma_field(phi_tr, pi1_x_tr, pi1_phi_tr,
-                                    config.deltas[0])
     rng = np.random.default_rng(bounds_seed)
-    bounds = cate_bounds(grid, model, prop_x, prop_phi, gamma_field, flow,
-                         config.k, rng)
+    [bounds] = cate_bounds(grid, model, prop_x, prop_phi, [gamma_field], flow,
+                           config.k, rng)
     write_decision_grid_csv(sdir / "decision_grid.csv", grid,
                             synthetic_tau(grid), bounds.point,
                             bounds_policy(bounds))

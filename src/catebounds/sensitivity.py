@@ -237,7 +237,7 @@ def write_gamma_csv(path: str | Path, phis: np.ndarray, pi1_x: np.ndarray,
         writer.writerow(header)
         for i in range(len(phis)):
             writer.writerow(
-                [i] + [repr(v) for v in phis[i]]
+                [i] + [repr(float(v)) for v in phis[i]]
                 + [repr(float(pi1_x[i])), repr(float(pi1_phi[i])),
                    repr(float(gamma_points[i])), repr(float(gamma_hat[i]))]
             )

@@ -138,9 +138,9 @@ def test_criterion_01_gamma_one_collapse():
     for i in range(100):
         model, prop_x, prop_phi, flow, field = _fit_toy_pipeline(i)
         x = np.random.default_rng(9000 + i).normal(size=(4, 2))
-        b = cate_bounds(x, model, prop_x, prop_phi, field, flow, k=10_000,
-                        rng=np.random.default_rng(100 + i),
-                        gamma_override=np.ones(4))
+        [b] = cate_bounds(x, model, prop_x, prop_phi, [field], flow, k=10_000,
+                          rng=np.random.default_rng(100 + i),
+                          gamma_override=[np.ones(4)])
         max_width = max(max_width, float(np.max(b.upper - b.lower)))
         # Monte-Carlo SE of the flow mean at the first test point, arm 1
         phi1 = representation(model, x[:1])
@@ -245,8 +245,8 @@ def test_criterion_04_sandwich_and_monotonicity():
         assert np.all(cur >= prev)
         n_gamma += len(cur)
 
-    # (c) width weakly increasing in delta on a fitted pipeline, with the
-    # sampling generator replayed per delta as the runner does
+    # (c) width weakly increasing in delta on a fitted pipeline, with one
+    # set of outcome samples shared by every delta as the runner does
     data = gen_synthetic(120, seed=11)
     test = gen_synthetic(80, seed=11, split="test")
     run = TrainRun(batch_size=40, learning_rate=0.01, n_iter=150)
@@ -263,10 +263,9 @@ def test_criterion_04_sandwich_and_monotonicity():
     px, pp = prop_x.predict(data.x), prop_phi.predict(phi)
     prev_width = None
     n_delta = 0
-    for delta in DELTA_PRESETS:
-        field = build_gamma_field(phi, px, pp, delta)
-        b = cate_bounds(test.x, model, prop_x, prop_phi, field, flow,
-                        k=1500, rng=np.random.default_rng(99))
+    fields = [build_gamma_field(phi, px, pp, delta) for delta in DELTA_PRESETS]
+    for b in cate_bounds(test.x, model, prop_x, prop_phi, fields, flow,
+                         k=1500, rng=np.random.default_rng(99)):
         width = b.upper - b.lower
         if prev_width is not None:
             assert np.all(width >= prev_width)

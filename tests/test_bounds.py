@@ -178,83 +178,93 @@ class FakeProp:
         return np.full(len(np.atleast_2d(inputs)), self.value)
 
 
+def make_pipeline(seed=0, d_phi=1, deltas=(0.001,)):
+    """A small stage-0 model, a flow with a non-trivial context net, and one
+    gamma field per delta over a random training cloud."""
+    from catebounds.estimators import (EstimatorConfig, EstimatorKind,
+                                       build_stage0)
+    from catebounds.sensitivity import build_gamma_field
+
+    model = build_stage0(EstimatorConfig(
+        kind=EstimatorKind.TARNET, d_x=2, d_phi=d_phi, rep_hidden=4,
+        head_hidden=4, seed=seed))
+    flow = ConditionalFlow(FlowConfig(context_dim=1 + d_phi, hidden_units=6,
+                                      seed=seed))
+    rng = np.random.default_rng(seed)
+    flow.context_net.w2.data[:] = 0.4 * rng.normal(
+        size=flow.context_net.w2.data.shape)
+    phis = rng.normal(size=(50, d_phi))
+    px = rng.uniform(0.3, 0.7, size=50)
+    pp = rng.uniform(0.3, 0.7, size=50)
+    fields = [build_gamma_field(phis, px, pp, delta=d) for d in deltas]
+    return model, flow, fields
+
+
 class TestCateBounds:
-    def make_pipeline(self, seed=0, d_phi=1):
-        from catebounds.balancing import BalancingConfig
-        from catebounds.estimators import (EstimatorConfig, EstimatorKind,
-                                           build_stage0)
-        from catebounds.sensitivity import build_gamma_field
-
-        model = build_stage0(EstimatorConfig(
-            kind=EstimatorKind.TARNET, d_x=2, d_phi=d_phi, rep_hidden=4,
-            head_hidden=4, seed=seed))
-        flow = ConditionalFlow(FlowConfig(context_dim=1 + d_phi, hidden_units=6,
-                                          seed=seed))
-        rng = np.random.default_rng(seed)
-        flow.context_net.w2.data[:] = 0.4 * rng.normal(
-            size=flow.context_net.w2.data.shape)
-        phis = rng.normal(size=(50, d_phi))
-        px = rng.uniform(0.3, 0.7, size=50)
-        pp = rng.uniform(0.3, 0.7, size=50)
-        field = build_gamma_field(phis, px, pp, delta=0.001)
-        return model, flow, field
-
     def test_gamma_one_override_collapses_interval(self):
-        model, flow, field = self.make_pipeline(seed=6)
+        model, flow, [field] = make_pipeline(seed=6)
         x = np.random.default_rng(7).normal(size=(20, 2))
-        b = cate_bounds(x, model, FakeProp(0.5), FakeProp(0.5), field, flow,
-                        k=500, rng=np.random.default_rng(8),
-                        gamma_override=np.ones(20))
+        [b] = cate_bounds(x, model, FakeProp(0.5), FakeProp(0.5), [field], flow,
+                          k=500, rng=np.random.default_rng(8),
+                          gamma_override=[np.ones(20)])
         assert np.array_equal(b.lower, b.upper)
 
     def test_interval_contains_flow_mean_cate(self):
-        model, flow, field = self.make_pipeline(seed=9)
+        model, flow, [field] = make_pipeline(seed=9)
         x = np.random.default_rng(10).normal(size=(15, 2))
-        b = cate_bounds(x, model, FakeProp(0.6), FakeProp(0.5), field, flow,
-                        k=2000, rng=np.random.default_rng(11))
-        collapse = cate_bounds(x, model, FakeProp(0.6), FakeProp(0.5), field, flow,
-                               k=2000, rng=np.random.default_rng(11),
-                               gamma_override=np.ones(15))
+        [b] = cate_bounds(x, model, FakeProp(0.6), FakeProp(0.5), [field], flow,
+                          k=2000, rng=np.random.default_rng(11))
+        [collapse] = cate_bounds(x, model, FakeProp(0.6), FakeProp(0.5), [field],
+                                 flow, k=2000, rng=np.random.default_rng(11),
+                                 gamma_override=[np.ones(15)])
         assert np.all(b.lower <= collapse.lower + 1e-9)
         assert np.all(b.upper >= collapse.upper - 1e-9)
 
     def test_wider_gamma_widens_interval_everywhere(self):
-        model, flow, field = self.make_pipeline(seed=12)
+        model, flow, [field] = make_pipeline(seed=12)
         x = np.random.default_rng(13).normal(size=(10, 2))
-        common = dict(k=1000)
-        b1 = cate_bounds(x, model, FakeProp(0.6), FakeProp(0.5), field, flow,
-                         rng=np.random.default_rng(14),
-                         gamma_override=np.full(10, 1.5), **common)
-        b2 = cate_bounds(x, model, FakeProp(0.6), FakeProp(0.5), field, flow,
-                         rng=np.random.default_rng(14),
-                         gamma_override=np.full(10, 3.0), **common)
+        b1, b2 = cate_bounds(x, model, FakeProp(0.6), FakeProp(0.5),
+                             [field, field], flow, k=1000,
+                             rng=np.random.default_rng(14),
+                             gamma_override=[np.full(10, 1.5),
+                                             np.full(10, 3.0)])
         assert np.all(b2.lower <= b1.lower + 1e-12)
         assert np.all(b2.upper >= b1.upper - 1e-12)
 
     def test_deterministic_given_rng_seed(self):
-        model, flow, field = self.make_pipeline(seed=15)
+        model, flow, [field] = make_pipeline(seed=15)
         x = np.random.default_rng(16).normal(size=(9, 2))
-        b1 = cate_bounds(x, model, FakeProp(0.55), FakeProp(0.5), field, flow,
-                         k=300, rng=np.random.default_rng(17))
-        b2 = cate_bounds(x, model, FakeProp(0.55), FakeProp(0.5), field, flow,
-                         k=300, rng=np.random.default_rng(17))
+        [b1] = cate_bounds(x, model, FakeProp(0.55), FakeProp(0.5), [field],
+                           flow, k=300, rng=np.random.default_rng(17))
+        [b2] = cate_bounds(x, model, FakeProp(0.55), FakeProp(0.5), [field],
+                           flow, k=300, rng=np.random.default_rng(17))
         assert np.array_equal(b1.lower, b2.lower)
         assert np.array_equal(b1.upper, b2.upper)
 
     def test_point_prediction_comes_from_heads(self):
         from catebounds.estimators import predict_point_cate
 
-        model, flow, field = self.make_pipeline(seed=18)
+        model, flow, [field] = make_pipeline(seed=18)
         x = np.random.default_rng(19).normal(size=(6, 2))
-        b = cate_bounds(x, model, FakeProp(0.5), FakeProp(0.5), field, flow,
-                        k=100, rng=np.random.default_rng(20))
+        [b] = cate_bounds(x, model, FakeProp(0.5), FakeProp(0.5), [field], flow,
+                          k=100, rng=np.random.default_rng(20))
         assert np.array_equal(b.point, predict_point_cate(model, x))
 
     def test_invalid_k(self):
-        model, flow, field = self.make_pipeline(seed=21)
+        model, flow, [field] = make_pipeline(seed=21)
         with pytest.raises(ValueError):
             cate_bounds(np.zeros((2, 2)), model, FakeProp(0.5), FakeProp(0.5),
-                        field, flow, k=0, rng=np.random.default_rng(0))
+                        [field], flow, k=0, rng=np.random.default_rng(0))
+
+    def test_needs_fields_and_one_override_per_field(self):
+        model, flow, [field] = make_pipeline(seed=22)
+        with pytest.raises(ValueError, match="at least one"):
+            cate_bounds(np.zeros((2, 2)), model, FakeProp(0.5), FakeProp(0.5),
+                        [], flow, k=10, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="per gamma field"):
+            cate_bounds(np.zeros((2, 2)), model, FakeProp(0.5), FakeProp(0.5),
+                        [field, field], flow, k=10, rng=np.random.default_rng(0),
+                        gamma_override=[np.ones(2)])
 
     def test_csv_export(self, tmp_path):
         b = CateBounds(point=np.array([0.5]), lower=np.array([-0.1]),
@@ -265,3 +275,54 @@ class TestCateBounds:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "id,tau_hat,lower,upper,gamma,pi1_phi,decision"
         assert lines[1].endswith("defer")
+
+
+class TestOnePass:
+    """Bounding several fields in one call against the per-field replay it
+    replaces: a single-field call with a freshly seeded generator."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 40), chunk=st.integers(1, 16),
+           k=st.integers(1, 50),
+           deltas=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=4),
+           override=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_single_field_calls_bit_for_bit(self, n, chunk, k, deltas,
+                                                    override, seed):
+        model, flow, fields = make_pipeline(seed=seed % 97, deltas=deltas)
+        x = np.random.default_rng(seed).normal(size=(n, 2))
+        gammas = ([np.full(n, 1.0 + d) for d in deltas] if override
+                  else None)
+        common = dict(k=k, chunk=chunk)
+        together = cate_bounds(x, model, FakeProp(0.6), FakeProp(0.45), fields,
+                               flow, rng=np.random.default_rng(seed),
+                               gamma_override=gammas, **common)
+        assert len(together) == len(fields)
+        for i, (field, got) in enumerate(zip(fields, together)):
+            [alone] = cate_bounds(
+                x, model, FakeProp(0.6), FakeProp(0.45), [field], flow,
+                rng=np.random.default_rng(seed),
+                gamma_override=None if gammas is None else [gammas[i]],
+                **common)
+            for name in ("point", "lower", "upper", "gamma", "pi1_phi"):
+                assert np.array_equal(getattr(got, name), getattr(alone, name))
+            assert got.k == alone.k == k
+
+    @pytest.mark.parametrize("n,chunk", [(1, 128), (37, 8), (64, 16), (65, 16)])
+    @pytest.mark.parametrize("n_fields", [1, 4])
+    def test_samples_each_chunk_once_per_arm(self, monkeypatch, n, chunk,
+                                             n_fields):
+        model, flow, fields = make_pipeline(
+            seed=23, deltas=[0.1 * i for i in range(n_fields)])
+        calls = []
+        original = ConditionalFlow.sample
+
+        def counted(self, a, phi, k, rng, *args, **kwargs):
+            calls.append(len(a))
+            return original(self, a, phi, k, rng, *args, **kwargs)
+
+        monkeypatch.setattr(ConditionalFlow, "sample", counted)
+        x = np.random.default_rng(24).normal(size=(n, 2))
+        cate_bounds(x, model, FakeProp(0.6), FakeProp(0.5), fields, flow, k=20,
+                    rng=np.random.default_rng(25), chunk=chunk)
+        assert len(calls) == 2 * -(-n // chunk)
+        assert sum(calls) == 2 * n

@@ -197,3 +197,6 @@ class TestCsvExport:
         assert len(lines) == 3
         first = lines[1].split(",")
         assert first[0] == "0" and float(first[-1]) == 1.5
+        # every cell reads back as a plain number, the phi cells exactly
+        rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+        assert np.array_equal(np.array(rows)[:, 1:3], phis)
