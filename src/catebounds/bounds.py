@@ -68,19 +68,19 @@ def shift_coefficients(gamma: float, pi: float) -> ShiftCoefficients:
     return ShiftCoefficients(s_minus, s_plus, c_minus, c_plus)
 
 
-def _partial_mean(sorted_samples: np.ndarray, cut: np.ndarray,
+def _partial_mean(sorted_samples: np.ndarray, csum: np.ndarray, cut: np.ndarray,
                   low_w: np.ndarray, high_w: np.ndarray) -> np.ndarray:
     """Row-wise weighted mean with the low/high split at fractional rank `cut`.
 
-    sorted_samples: (n, k) ascending rows. cut = k*c in [0, k]; the boundary
-    order statistic is split between blocks by cut's fractional part. low_w and
-    high_w are the per-row block weights (1/s values).
+    sorted_samples: (n, k) ascending rows, csum their row-wise prefix sums.
+    cut = k*c in [0, k]; the boundary order statistic is split between blocks
+    by cut's fractional part. low_w and high_w are the per-row block weights
+    (1/s values).
     """
     n, k = sorted_samples.shape
     cut = np.asarray(cut, dtype=np.float64)
     i0 = np.minimum(np.floor(cut).astype(np.int64), k)
     frac = cut - i0
-    csum = np.cumsum(sorted_samples, axis=1)
     total = csum[:, -1]
     rows = np.arange(n)
     # sum of the first i0 entries (0 when i0 == 0)
@@ -120,8 +120,9 @@ def cvar_mu_bounds(sorted_samples: np.ndarray, gamma: np.ndarray,
     c_minus = 1.0 / (1.0 + gamma)
     c_plus = gamma / (1.0 + gamma)
 
-    mu_lower = _partial_mean(samples, k * c_minus, inv_s_minus, inv_s_plus)
-    mu_upper = _partial_mean(samples, k * c_plus, inv_s_plus, inv_s_minus)
+    csum = np.cumsum(samples, axis=1)
+    mu_lower = _partial_mean(samples, csum, k * c_minus, inv_s_minus, inv_s_plus)
+    mu_upper = _partial_mean(samples, csum, k * c_plus, inv_s_plus, inv_s_minus)
     # at Gamma = 1 the tilt is the identity; pin the collapse to the sample
     # mean bitwise instead of leaving it to summation order
     identity = gamma == 1.0

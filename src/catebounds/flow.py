@@ -34,11 +34,9 @@ __all__ = [
     "FlowConfig",
     "ConditionalFlow",
     "FlowDivergenceError",
+    "spline_params",
     "rq_spline",
     "train_cnf",
-    "cnf_nll",
-    "cnf_sample",
-    "cnf_log_density",
     "integrate_density",
 ]
 
@@ -76,120 +74,19 @@ class FlowConfig:
             raise ValueError("noise intensities must be non-negative")
 
 
-# -- numpy spline path (sampling / density, no gradients) ----------------------
+# -- the spline, on the tape ---------------------------------------------------
+#
+# Training runs it with gradients on; sampling and densities run it under
+# `no_grad` and read `.data`.
 
 
-def _normalize_np(raw: np.ndarray, cfg: FlowConfig):
-    """Raw context-net output (n, 3K-1) -> knot grids and derivatives."""
-    k = cfg.knots
-    b = cfg.tail_bound
-    uw, uh, ud = raw[:, :k], raw[:, k : 2 * k], raw[:, 2 * k :]
+def spline_params(raw: Tensor, cfg: FlowConfig):
+    """Raw context-net output (n, 3K-1) -> knot grids, bin sizes, derivatives.
 
-    def _bins(u):
-        e = np.exp(u - u.max(axis=-1, keepdims=True))
-        sm = e / e.sum(axis=-1, keepdims=True)
-        widths = cfg.min_bin + (1.0 - cfg.min_bin * k) * sm
-        cum = np.concatenate(
-            [np.zeros((u.shape[0], 1)), np.cumsum(widths, axis=-1)], axis=-1
-        )
-        cum = 2.0 * b * cum - b
-        cum[:, 0] = -b
-        cum[:, -1] = b
-        return cum, np.diff(cum, axis=-1)
-
-    cumw, w = _bins(uw)
-    cumh, h = _bins(uh)
-    shift = np.log(np.expm1(1.0 - cfg.min_derivative))
-    inner = cfg.min_derivative + np.logaddexp(0.0, ud + shift)
-    ones = np.ones((raw.shape[0], 1))
-    d = np.concatenate([ones, inner, ones], axis=-1)
-    return cumw, w, cumh, h, d
-
-
-def _bin_index(values: np.ndarray, cum: np.ndarray) -> np.ndarray:
-    """Per-row bin of each value given row-wise knot grids (n, K+1)."""
-    idx = (values[..., None] >= cum[:, None, :-1]).sum(axis=-1) - 1
-    return np.clip(idx, 0, cum.shape[-1] - 2)
-
-
-def rq_spline(
-    inputs: np.ndarray,
-    cumw: np.ndarray,
-    w: np.ndarray,
-    cumh: np.ndarray,
-    h: np.ndarray,
-    d: np.ndarray,
-    *,
-    inverse: bool = False,
-    tail_bound: float = 5.0,
-):
-    """Apply the spline (or its inverse) elementwise with per-row parameters.
-
-    `inputs` has shape (n,) or (n, k); parameter arrays are (n, K[+1]).
-    Returns (outputs, logabsdet) of the same shape as `inputs`. Outside
-    [-tail_bound, tail_bound] the map is the identity with logabsdet 0.
+    Returns (cumw, w, cumh, h, d): knot positions (n, K+1) from -B to B, bin
+    widths and heights (n, K), and knot derivatives (n, K+1) with the two
+    boundary derivatives pinned to 1.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    squeeze = inputs.ndim == 1
-    vals = inputs[:, None] if squeeze else inputs
-    inside = np.abs(vals) <= tail_bound
-    clamped = np.clip(vals, -tail_bound, tail_bound)
-
-    if inverse:
-        idx = _bin_index(clamped, cumh)
-    else:
-        idx = _bin_index(clamped, cumw)
-
-    def gather(arr, i):
-        return np.take_along_axis(arr, i, axis=-1)
-
-    wk = gather(w, idx)
-    hk = gather(h, idx)
-    cwk = gather(cumw[:, :-1], idx)
-    chk = gather(cumh[:, :-1], idx)
-    dk = gather(d, idx)
-    dk1 = gather(d, idx + 1)
-    s = hk / wk
-
-    if inverse:
-        zbar = clamped - chk
-        two_s = dk1 + dk - 2.0 * s
-        qa = hk * (s - dk) + zbar * two_s
-        qb = hk * dk - zbar * two_s
-        qc = -s * zbar
-        disc = qb * qb - 4.0 * qa * qc
-        if np.any(disc < -1e-9):
-            raise FloatingPointError("negative discriminant in spline inverse")
-        disc = np.maximum(disc, 0.0)
-        theta = (2.0 * qc) / (-qb - np.sqrt(disc))
-        theta = np.clip(theta, 0.0, 1.0)
-        out = theta * wk + cwk
-    else:
-        theta = (clamped - cwk) / wk
-        out = None  # set below
-
-    t1m = theta * (1.0 - theta)
-    denom = s + (dk1 + dk - 2.0 * s) * t1m
-    deriv_num = s * s * (dk1 * theta * theta + 2.0 * s * t1m + dk * (1.0 - theta) ** 2)
-    logabsdet = np.log(deriv_num) - 2.0 * np.log(denom)
-    if inverse:
-        logabsdet = -logabsdet
-    else:
-        numer = hk * (s * theta * theta + dk * t1m)
-        out = chk + numer / denom
-
-    out = np.where(inside, out, vals)
-    logabsdet = np.where(inside, logabsdet, 0.0)
-    if squeeze:
-        return out[:, 0], logabsdet[:, 0]
-    return out, logabsdet
-
-
-# -- tape spline path (training) ----------------------------------------------
-
-
-def _normalize_tensor(raw: Tensor, cfg: FlowConfig):
-    """Tape twin of `_normalize_np`, gradient-carrying."""
     k = cfg.knots
     b = cfg.tail_bound
     n = raw.shape[0]
@@ -216,11 +113,60 @@ def _normalize_tensor(raw: Tensor, cfg: FlowConfig):
     return cumw, w, cumh, h, d
 
 
-def _spline_forward_tensor(y: np.ndarray, cumw, w, cumh, h, d, tail_bound: float):
-    """Forward transform of constant inputs `y` (n, 1) through tape params."""
-    inside = np.abs(y) <= tail_bound
-    clamped = np.clip(y, -tail_bound, tail_bound)
-    idx = _bin_index(clamped, cumw.data)
+def _bin_index(values: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """Per-row bin of each value given row-wise knot grids (n, K+1).
+
+    Counts the interior knots at or below each value; for increasing grids
+    this is `(values >= cum[:, :-1]).sum(-1) - 1` clipped to [0, K-1],
+    without the (n, m, K) comparison array.
+    """
+    idx = np.zeros(values.shape, dtype=np.intp)
+    for j in range(1, cum.shape[-1] - 1):
+        idx += values >= cum[:, j, None]
+    return idx
+
+
+def _inverse_theta(z, wk, hk, chk, dk, dk1, s) -> np.ndarray:
+    """Position in [0, 1] within the bin of the inverse map: the root of the
+    bin's quadratic, on plain arrays."""
+    zbar = z - chk
+    two_s = dk1 + dk - 2.0 * s
+    qa = hk * (s - dk) + zbar * two_s
+    qb = hk * dk - zbar * two_s
+    qc = -s * zbar
+    disc = qb * qb - 4.0 * qa * qc
+    if np.any(disc < -1e-9):
+        raise FloatingPointError("negative discriminant in spline inverse")
+    disc = np.maximum(disc, 0.0)
+    theta = (2.0 * qc) / (-qb - np.sqrt(disc))
+    return np.clip(theta, 0.0, 1.0)
+
+
+def rq_spline(
+    inputs: np.ndarray,
+    cumw: Tensor,
+    w: Tensor,
+    cumh: Tensor,
+    h: Tensor,
+    d: Tensor,
+    *,
+    inverse: bool = False,
+    tail_bound: float = 5.0,
+):
+    """Apply the spline (or its inverse) elementwise with per-row parameters.
+
+    `inputs` is a plain array of shape (n,) or (n, k); the parameters are
+    tensors from :func:`spline_params`. Returns (outputs, logabsdet) tensors
+    of the same shape as `inputs`. Outside [-tail_bound, tail_bound] the map
+    is the identity with logabsdet 0. Gradients flow through the forward map
+    only: the inverse takes its bin position from a root on plain arrays.
+    """
+    inputs = np.asarray(inputs, dtype=np.float64)
+    squeeze = inputs.ndim == 1
+    vals = inputs[:, None] if squeeze else inputs
+    inside = np.abs(vals) <= tail_bound
+    clamped = np.clip(vals, -tail_bound, tail_bound)
+    idx = _bin_index(clamped, (cumh if inverse else cumw).data)
 
     wk = take_along_last(w, idx)
     hk = take_along_last(h, idx)
@@ -228,19 +174,28 @@ def _spline_forward_tensor(y: np.ndarray, cumw, w, cumh, h, d, tail_bound: float
     chk = take_along_last(slice_last(cumh, 0, cumh.shape[-1] - 1), idx)
     dk = take_along_last(d, idx)
     dk1 = take_along_last(d, idx + 1)
-
     s = hk / wk
-    theta = (constant(clamped) - cwk) / wk
+
+    if inverse:
+        theta = constant(_inverse_theta(clamped, wk.data, hk.data, chk.data,
+                                        dk.data, dk1.data, s.data))
+        out = theta * wk + cwk
+    else:
+        theta = (constant(clamped) - cwk) / wk
     t1m = theta * (1.0 - theta)
     denom = s + (dk1 + dk - 2.0 * s) * t1m
-    numer = hk * (s * theta * theta + dk * t1m)
-    out = chk + numer / denom
     deriv_num = s * s * (dk1 * theta * theta + 2.0 * s * t1m + dk * (1.0 - theta) ** 2)
     logabsdet = deriv_num.log() - 2.0 * denom.log()
+    if inverse:
+        logabsdet = -logabsdet
+    else:
+        out = chk + hk * (s * theta * theta + dk * t1m) / denom
 
     mask = constant(inside.astype(np.float64))
-    out = mask * out + constant(np.where(inside, 0.0, y))
+    out = mask * out + constant(np.where(inside, 0.0, vals))
     logabsdet = mask * logabsdet
+    if squeeze:
+        return out.reshape(-1), logabsdet.reshape(-1)
     return out, logabsdet
 
 
@@ -298,10 +253,8 @@ class ConditionalFlow:
             )
         return np.concatenate([a, self.context_scaler.transform(phi)], axis=1)
 
-    def _params_np(self, a, phi):
-        with no_grad():
-            raw = self.context_net(self._context(a, phi)).data
-        return _normalize_np(raw, self.cfg)
+    def _spline_params(self, a, phi):
+        return spline_params(self.context_net(self._context(a, phi)), self.cfg)
 
     # public ops ---------------------------------------------------------------
 
@@ -322,10 +275,8 @@ class ConditionalFlow:
                     (ctx.shape[0], ctx.shape[1] - 1)
                 )
                 ctx = np.concatenate([ctx[:, :1], ctx[:, 1:] + noise], axis=1)
-        raw = self.context_net(ctx)
-        cumw, w, cumh, h, d = _normalize_tensor(raw, self.cfg)
-        z, logabsdet = _spline_forward_tensor(y_std, cumw, w, cumh, h, d,
-                                              self.cfg.tail_bound)
+        params = spline_params(self.context_net(ctx), self.cfg)
+        z, logabsdet = rq_spline(y_std, *params, tail_bound=self.cfg.tail_bound)
         nll = (z * z * 0.5 + (0.5 * LOG_2PI) - logabsdet).mean()
         return nll + float(np.log(self.y_scaler.std[0]))
 
@@ -336,36 +287,31 @@ class ConditionalFlow:
     def log_density(self, y: np.ndarray, a, phi) -> np.ndarray:
         """log p(y | a, phi) per point, original outcome units."""
         y = np.asarray(y, dtype=np.float64).reshape(-1)
-        cumw, w, cumh, h, d = self._params_np(a, phi)
         y_std = (y - self.y_scaler.mean[0]) / self.y_scaler.std[0]
-        z, logabsdet = rq_spline(y_std, cumw, w, cumh, h, d,
-                                 tail_bound=self.cfg.tail_bound)
-        return (-0.5 * z * z - 0.5 * LOG_2PI + logabsdet
+        with no_grad():
+            z, logabsdet = rq_spline(y_std, *self._spline_params(a, phi),
+                                     tail_bound=self.cfg.tail_bound)
+        z = z.data
+        return (-0.5 * z * z - 0.5 * LOG_2PI + logabsdet.data
                 - np.log(self.y_scaler.std[0]))
-
-    def transform(self, y, a, phi, inverse: bool = False):
-        """Standardized-space spline map (outcome -> base or back)."""
-        cumw, w, cumh, h, d = self._params_np(a, phi)
-        return rq_spline(np.asarray(y, dtype=np.float64), cumw, w, cumh, h, d,
-                         inverse=inverse, tail_bound=self.cfg.tail_bound)
 
     def sample(self, a, phi, k: int, rng: np.random.Generator,
                chunk: int = 256) -> np.ndarray:
         """Draw k outcomes per context row, sorted ascending along axis 1."""
         if k < 1:
             raise ValueError("k must be positive")
-        cumw, w, cumh, h, d = self._params_np(a, phi)
-        n = cumw.shape[0]
-        out = np.empty((n, k))
-        z = rng.standard_normal((n, k))
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            y_std, _ = rq_spline(
-                z[lo:hi],
-                cumw[lo:hi], w[lo:hi], cumh[lo:hi], h[lo:hi], d[lo:hi],
-                inverse=True, tail_bound=self.cfg.tail_bound,
-            )
-            out[lo:hi] = y_std
+        with no_grad():
+            params = [p.data for p in self._spline_params(a, phi)]
+            n = params[0].shape[0]
+            out = np.empty((n, k))
+            z = rng.standard_normal((n, k))
+            for lo in range(0, n, chunk):
+                hi = min(lo + chunk, n)
+                y_std, _ = rq_spline(
+                    z[lo:hi], *(constant(p[lo:hi]) for p in params),
+                    inverse=True, tail_bound=self.cfg.tail_bound,
+                )
+                out[lo:hi] = y_std.data
         out = out * self.y_scaler.std[0] + self.y_scaler.mean[0]
         out.sort(axis=1)
         if not np.all(np.isfinite(out)):
@@ -472,22 +418,6 @@ def train_cnf(
         vy, va, vphi = validation
         flow.validation_nll = flow.nll(vy, va, vphi)
     return flow
-
-
-# -- spec-shaped functional entry points --------------------------------------
-
-
-def cnf_nll(flow: ConditionalFlow, y, a, phi) -> float:
-    return flow.nll(y, a, phi)
-
-
-def cnf_sample(flow: ConditionalFlow, a, phi, k: int,
-               rng: np.random.Generator) -> np.ndarray:
-    return flow.sample(a, phi, k, rng)
-
-
-def cnf_log_density(flow: ConditionalFlow, y, a, phi) -> np.ndarray:
-    return flow.log_density(y, a, phi)
 
 
 def integrate_density(flow: ConditionalFlow, a, phi, n_grid: int = 20_001) -> float:

@@ -23,7 +23,6 @@ __all__ = [
     "backward_gradients",
     "AdamW",
     "SgdMomentum",
-    "optimizer_step",
     "TrainRun",
     "GradCheckReport",
     "grad_check",
@@ -202,16 +201,6 @@ class SgdMomentum:
                 g = g + self.weight_decay * p.data
             self.velocity[i] = self.momentum * self.velocity[i] + g
             p.data = p.data - self.lr * self.velocity[i]
-
-
-def optimizer_step(state: AdamW | SgdMomentum, params: Sequence[Tensor],
-                   grads: Sequence[np.ndarray]) -> None:
-    """Apply one update with explicit gradients (functional entry point)."""
-    if list(params) != state.params:
-        raise ValueError("params do not match the optimizer state")
-    for p, g in zip(params, grads, strict=True):
-        p.grad = np.asarray(g, dtype=np.float64)
-    state.step()
 
 
 @dataclass

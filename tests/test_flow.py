@@ -5,19 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest, norm
 
-from catebounds.autodiff import Tensor, no_grad
+from catebounds.autodiff import Tensor, constant
 from catebounds.flow import (
     LOG_2PI,
     ConditionalFlow,
     FlowConfig,
     FlowDivergenceError,
-    _normalize_np,
-    _normalize_tensor,
-    _spline_forward_tensor,
-    cnf_nll,
-    cnf_sample,
+    _bin_index,
     integrate_density,
     rq_spline,
+    spline_params,
     train_cnf,
 )
 from catebounds.nets import TrainRun, finite_difference_check
@@ -31,40 +28,40 @@ def random_params(n: int, knots: int, seed: int, scale: float = 1.0):
     rng = np.random.default_rng(seed)
     raw = rng.normal(scale=scale, size=(n, 3 * knots - 1))
     cfg = FlowConfig(context_dim=2, hidden_units=4, knots=knots)
-    return _normalize_np(raw, cfg), raw, cfg
+    return spline_params(constant(raw), cfg), raw, cfg
 
 
 class TestSpline:
     def test_identity_at_zero_params(self):
         cfg = FlowConfig(context_dim=2, hidden_units=4, knots=8)
-        cumw, w, cumh, h, d = _normalize_np(zero_raw(3, 8), cfg)
+        cumw, w, cumh, h, d = spline_params(constant(zero_raw(3, 8)), cfg)
         y = np.array([0.7, -3.2, 4.9])
         out, logdet = rq_spline(y, cumw, w, cumh, h, d)
-        assert np.allclose(out, y, atol=1e-12)
-        assert np.allclose(logdet, 0.0, atol=1e-12)
+        assert np.allclose(out.data, y, atol=1e-12)
+        assert np.allclose(logdet.data, 0.0, atol=1e-12)
 
     def test_identity_outside_tail_bound(self):
         (params, _, cfg) = random_params(2, 10, seed=0)
         y = np.array([7.5, -6.1])
         out, logdet = rq_spline(y, *params, tail_bound=cfg.tail_bound)
-        assert np.array_equal(out, y)
-        assert np.array_equal(logdet, 0.0 * y)
+        assert np.array_equal(out.data, y)
+        assert np.array_equal(logdet.data, 0.0 * y)
 
     def test_inverse_of_forward_is_identity(self):
         (params, _, cfg) = random_params(50, 10, seed=1)
         rng = np.random.default_rng(2)
         y = rng.uniform(-4.9, 4.9, size=50)
         z, logdet_f = rq_spline(y, *params)
-        back, logdet_i = rq_spline(z, *params, inverse=True)
-        assert np.max(np.abs(back - y)) < 1e-8
-        assert np.max(np.abs(logdet_f + logdet_i)) < 1e-8
+        back, logdet_i = rq_spline(z.data, *params, inverse=True)
+        assert np.max(np.abs(back.data - y)) < 1e-8
+        assert np.max(np.abs(logdet_f.data + logdet_i.data)) < 1e-8
 
     def test_forward_strictly_increasing(self):
-        (params_one, _, _) = random_params(1, 12, seed=3, scale=2.0)
+        (_, raw_one, cfg) = random_params(1, 12, seed=3, scale=2.0)
         grid = np.linspace(-5.0, 5.0, 2001)
-        params_rep = [np.repeat(p, 2001, axis=0) for p in params_one]
+        params_rep = spline_params(constant(np.repeat(raw_one, 2001, axis=0)), cfg)
         out, _ = rq_spline(grid, *params_rep)
-        assert np.all(np.diff(out) > 0.0)
+        assert np.all(np.diff(out.data) > 0.0)
 
     def test_logdet_matches_numerical_derivative(self):
         (params, _, _) = random_params(1, 10, seed=4, scale=1.5)
@@ -73,28 +70,30 @@ class TestSpline:
         _, logdet = rq_spline(y0, *params)
         up, _ = rq_spline(y0 + h, *params)
         down, _ = rq_spline(y0 - h, *params)
-        numeric = np.log((up - down) / (2.0 * h))
-        assert abs(logdet[0] - numeric[0]) < 1e-5
+        numeric = np.log((up.data - down.data) / (2.0 * h))
+        assert abs(logdet.data[0] - numeric[0]) < 1e-5
 
     def test_maps_interval_onto_itself(self):
         (params, _, _) = random_params(20, 10, seed=5, scale=3.0)
         rng = np.random.default_rng(6)
         y = rng.uniform(-5.0, 5.0, size=20)
         z, _ = rq_spline(y, *params)
-        assert np.all(np.abs(z) <= 5.0 + 1e-12)
+        assert np.all(np.abs(z.data) <= 5.0 + 1e-12)
 
-    def test_tensor_path_matches_numpy_path(self):
-        knots = 9
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 10_000), knots=st.integers(2, 16))
+    def test_bin_index_matches_brute_force(self, seed, knots):
+        rng = np.random.default_rng(seed)
         cfg = FlowConfig(context_dim=2, hidden_units=4, knots=knots)
-        rng = np.random.default_rng(7)
-        raw = rng.normal(size=(6, 3 * knots - 1))
-        y = rng.uniform(-6.0, 6.0, size=(6, 1))  # includes tail points
-        np_params = _normalize_np(raw, cfg)
-        out_np, logdet_np = rq_spline(y[:, 0], *np_params)
-        t_params = _normalize_tensor(Tensor(raw), cfg)
-        out_t, logdet_t = _spline_forward_tensor(y, *t_params, tail_bound=cfg.tail_bound)
-        assert np.allclose(out_t.data[:, 0], out_np, atol=1e-12)
-        assert np.allclose(logdet_t.data[:, 0], logdet_np, atol=1e-12)
+        raw = rng.normal(scale=2.0, size=(5, 3 * knots - 1))
+        cum = spline_params(constant(raw), cfg)[0].data
+        b = cfg.tail_bound
+        # random points, every knot of the row exactly, and both bounds
+        v = np.concatenate([rng.uniform(-b, b, size=(5, 7)), cum,
+                            np.full((5, 1), -b), np.full((5, 1), b)], axis=1)
+        brute = np.clip((v[..., None] >= cum[:, None, :-1]).sum(-1) - 1,
+                        0, knots - 1)
+        assert np.array_equal(_bin_index(v, cum), brute)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), knots=st.integers(2, 16))
@@ -102,18 +101,18 @@ class TestSpline:
         rng = np.random.default_rng(seed)
         raw = rng.normal(scale=2.0, size=(4, 3 * knots - 1))
         cfg = FlowConfig(context_dim=2, hidden_units=4, knots=knots)
-        params = _normalize_np(raw, cfg)
+        params = spline_params(constant(raw), cfg)
         y = rng.uniform(-5.0, 5.0, size=4)
         z, _ = rq_spline(y, *params)
-        back, _ = rq_spline(z, *params, inverse=True)
-        assert np.max(np.abs(back - y)) < 1e-8
+        back, _ = rq_spline(z.data, *params, inverse=True)
+        assert np.max(np.abs(back.data - y)) < 1e-8
 
 
 class TestFlowLikelihood:
     def test_identity_flow_single_zero_point_nll(self):
         flow = ConditionalFlow(FlowConfig(context_dim=2, hidden_units=4, seed=0))
         # context net output layer is zero-initialized: exact identity transform
-        val = cnf_nll(flow, np.array([0.0]), np.array([1.0]), np.array([0.0]))
+        val = flow.nll(np.array([0.0]), np.array([1.0]), np.array([0.0]))
         assert np.isclose(val, 0.5 * LOG_2PI, atol=1e-12)
 
     def test_identity_flow_is_standard_normal_nll(self):
@@ -123,7 +122,7 @@ class TestFlowLikelihood:
         a = rng.integers(0, 2, size=200).astype(float)
         phi = rng.normal(size=200)
         expected = 0.5 * LOG_2PI + 0.5 * np.mean(y**2)
-        assert np.isclose(cnf_nll(flow, y, a, phi), expected, atol=1e-10)
+        assert np.isclose(flow.nll(y, a, phi), expected, atol=1e-10)
 
     def test_log_density_consistent_with_nll(self):
         flow = ConditionalFlow(FlowConfig(context_dim=3, hidden_units=6, seed=1))
@@ -134,7 +133,7 @@ class TestFlowLikelihood:
         y = rng.normal(size=50)
         a = rng.integers(0, 2, size=50).astype(float)
         phi = rng.normal(size=(50, 2))
-        nll = cnf_nll(flow, y, a, phi)
+        nll = flow.nll(y, a, phi)
         assert np.isclose(nll, -np.mean(flow.log_density(y, a, phi)), atol=1e-10)
 
     def test_density_integrates_to_one(self):
@@ -162,8 +161,8 @@ class TestFlowLikelihood:
 class TestSampling:
     def test_identity_flow_samples_standard_normal(self):
         flow = ConditionalFlow(FlowConfig(context_dim=2, hidden_units=4, seed=4))
-        s = cnf_sample(flow, np.array([1.0]), np.array([0.0]), 10_000,
-                       np.random.default_rng(12))
+        s = flow.sample(np.array([1.0]), np.array([0.0]), 10_000,
+                        np.random.default_rng(12))
         stat = kstest(s[0], norm.cdf).statistic
         assert stat < 0.02
 
@@ -173,8 +172,8 @@ class TestSampling:
         flow.context_net.w2.data[:] = 0.3 * rng.normal(size=flow.context_net.w2.data.shape)
         a = np.array([0.0, 1.0, 1.0])
         phi = np.array([0.1, -0.5, 2.0])
-        s1 = cnf_sample(flow, a, phi, 500, np.random.default_rng(77))
-        s2 = cnf_sample(flow, a, phi, 500, np.random.default_rng(77))
+        s1 = flow.sample(a, phi, 500, np.random.default_rng(77))
+        s2 = flow.sample(a, phi, 500, np.random.default_rng(77))
         assert np.array_equal(s1, s2)
         assert np.all(np.diff(s1, axis=1) >= 0.0)
 
@@ -184,7 +183,7 @@ class TestSampling:
         flow.context_net.w2.data[:] = 0.6 * rng.normal(size=flow.context_net.w2.data.shape)
         a = np.array([1.0])
         phi = np.array([0.7])
-        s = cnf_sample(flow, a, phi, 100_000, np.random.default_rng(15))[0]
+        s = flow.sample(a, phi, 100_000, np.random.default_rng(15))[0]
         # CDF of samples vs numeric CDF from the density on a grid
         grid = np.linspace(-4.0, 4.0, 9)
         dens_grid = np.linspace(-8.0, 8.0, 4001)
@@ -196,11 +195,33 @@ class TestSampling:
             num = cdf_num[np.searchsorted(dens_grid, q)]
             assert abs(emp - num) < 0.01
 
+    def test_sample_and_log_density_record_no_tape_nodes(self, monkeypatch):
+        flow = ConditionalFlow(FlowConfig(context_dim=2, hidden_units=4, seed=7))
+        rng = np.random.default_rng(26)
+        flow.context_net.w2.data[:] = 0.3 * rng.normal(size=flow.context_net.w2.data.shape)
+        a = np.array([0.0, 1.0, 1.0])
+        phi = np.array([0.1, -0.5, 2.0])
+        recorded = []
+        result = Tensor._result
+
+        def counted(*args, **kwargs):
+            out = result(*args, **kwargs)
+            recorded.append(out.requires_grad)
+            return out
+
+        monkeypatch.setattr(Tensor, "_result", staticmethod(counted))
+        flow.sample(a, phi, 50, np.random.default_rng(0), chunk=2)
+        flow.log_density(np.array([0.3, -7.0, 1.0]), a, phi)
+        assert recorded and not any(recorded)
+        # the counter sees nodes when gradients are on
+        flow.nll_tensor(np.array([0.3, -7.0, 1.0]), a, phi)
+        assert any(recorded)
+
     def test_invalid_k_rejected(self):
         flow = ConditionalFlow(FlowConfig(context_dim=2, hidden_units=4, seed=7))
         with pytest.raises(ValueError):
-            cnf_sample(flow, np.array([1.0]), np.array([0.0]), 0,
-                       np.random.default_rng(0))
+            flow.sample(np.array([1.0]), np.array([0.0]), 0,
+                        np.random.default_rng(0))
 
 
 class TestTraining:
@@ -216,7 +237,7 @@ class TestTraining:
         run = TrainRun(batch_size=128, learning_rate=0.005, n_iter=1500)
         train_cnf(flow, y, a, phi, run)
         entropy = 0.5 * np.log(2.0 * np.pi * np.e)
-        assert abs(cnf_nll(flow, y, a, phi) - entropy) < 0.05
+        assert abs(flow.nll(y, a, phi) - entropy) < 0.05
 
     def test_learns_context_dependent_mean(self):
         rng = np.random.default_rng(17)
@@ -228,10 +249,10 @@ class TestTraining:
                                           noise_y=0.05, noise_context=0.05))
         run = TrainRun(batch_size=128, learning_rate=0.01, n_iter=2000)
         train_cnf(flow, y, a, phi, run)
-        s1 = cnf_sample(flow, np.array([1.0]), np.array([0.5]), 4000,
-                        np.random.default_rng(18))
-        s0 = cnf_sample(flow, np.array([0.0]), np.array([-0.5]), 4000,
-                        np.random.default_rng(19))
+        s1 = flow.sample(np.array([1.0]), np.array([0.5]), 4000,
+                         np.random.default_rng(18))
+        s0 = flow.sample(np.array([0.0]), np.array([-0.5]), 4000,
+                         np.random.default_rng(19))
         assert abs(s1.mean() - 3.5) < 0.35
         assert abs(s0.mean() - (-1.5)) < 0.35
 

@@ -27,7 +27,6 @@ from catebounds.nets import (
     finite_difference_check,
     forward_mlp,
     grad_check,
-    optimizer_step,
 )
 
 
@@ -177,28 +176,33 @@ class TestOptimizers:
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         opt = SgdMomentum([p], lr=0.1)
         g = np.array([0.5, -1.0])
-        optimizer_step(opt, [p], [g])
+        p.grad = g
+        opt.step()
         assert np.allclose(p.data, [1.0 - 0.05, -2.0 + 0.1])
 
     def test_sgd_momentum_accumulates(self):
         p = Tensor(np.array([0.0]), requires_grad=True)
         opt = SgdMomentum([p], lr=1.0)
-        optimizer_step(opt, [p], [np.array([1.0])])
-        optimizer_step(opt, [p], [np.array([1.0])])
+        p.grad = np.array([1.0])
+        opt.step()
+        p.grad = np.array([1.0])
+        opt.step()
         # v1 = 1, v2 = 0.9 + 1 = 1.9; p = -(1 + 1.9)
         assert np.allclose(p.data, [-2.9])
 
     def test_adamw_first_step_magnitude(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         opt = AdamW([p], lr=0.01)
-        optimizer_step(opt, [p], [np.array([0.3])])
+        p.grad = np.array([0.3])
+        opt.step()
         # bias-corrected first step is ~lr regardless of gradient scale
         assert np.allclose(p.data, [1.0 - 0.01], atol=1e-6)
 
     def test_adamw_decoupled_weight_decay(self):
         p = Tensor(np.array([10.0]), requires_grad=True)
         opt = AdamW([p], lr=0.1, weight_decay=0.5)
-        optimizer_step(opt, [p], [np.array([0.0])])
+        p.grad = np.array([0.0])
+        opt.step()
         # zero gradient: only the decay term moves the parameter
         assert np.allclose(p.data, [10.0 - 0.1 * 0.5 * 10.0])
 
