@@ -24,7 +24,6 @@ __all__ = [
     "as_tensor",
     "constant",
     "no_grad",
-    "grad_enabled",
     "slice_last",
     "concat_last",
     "take_rows",
@@ -51,10 +50,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled
 
 
 # Overflow/invalid intermediates are converted into NonFiniteError by the
@@ -271,15 +266,6 @@ class Tensor:
             self._accumulate(g / self.data)
 
         return Tensor._result(out_data, (self,), backward, "log")
-
-    def sqrt(self):
-        with _quiet():
-            out_data = np.sqrt(self.data)
-
-        def backward(g):
-            self._accumulate(g * 0.5 / out_data)
-
-        return Tensor._result(out_data, (self,), backward, "sqrt")
 
     def relu(self):
         out_data = np.maximum(self.data, 0.0)

@@ -29,7 +29,7 @@ from scipy.special import expit
 
 from .autodiff import Tensor, constant, no_grad, take_along_last, take_rows
 from .balancing import BalancingConfig, BalancingMetric, balancing_penalty
-from .nets import Activation, AdamW, MinibatchSampler, Mlp, MlpConfig, TrainRun
+from .nets import Activation, AdamW, Mlp, MlpConfig, TrainRun, fit
 
 __all__ = [
     "EstimatorKind",
@@ -37,6 +37,7 @@ __all__ = [
     "Stage0Model",
     "build_stage0",
     "stage0_loss",
+    "bce_logits",
     "train_stage0",
     "predict_point_cate",
     "predict_heads",
@@ -232,7 +233,7 @@ def build_stage0(config: EstimatorConfig) -> Stage0Model:
     return model
 
 
-def _bce_logits(logits: Tensor, a: np.ndarray) -> Tensor:
+def bce_logits(logits: Tensor, a: np.ndarray) -> Tensor:
     """Numerically stable mean BCE: softplus(z) - a*z on raw logits."""
     a_col = constant(a.reshape(-1, 1))
     return (logits.softplus() - a_col * logits).mean()
@@ -318,12 +319,12 @@ def stage0_loss(model: Stage0Model, x: np.ndarray, a: np.ndarray,
 
     if kind is EstimatorKind.CFR_ISW:
         logits = model.prop_phi_net(rep.detach())
-        bce = _bce_logits(logits, a)
+        bce = bce_logits(logits, a)
         parts["bce"] = float(bce.data)
         loss = loss + bce
     elif kind is EstimatorKind.BWCFR:
         logits = model.prop_x_net(constant(x))
-        bce = _bce_logits(logits, a)
+        bce = bce_logits(logits, a)
         parts["bce"] = float(bce.data)
         loss = loss + bce
 
@@ -355,18 +356,9 @@ def train_stage0(model: Stage0Model, x: np.ndarray, a: np.ndarray, y: np.ndarray
                           if run.prop_weight_decay is not None
                           else run.weight_decay),
         ))
-    sampler = MinibatchSampler(len(x), run.batch_size,
-                               np.random.default_rng(model.shuffle_seed))
-    model.loss_trace = []
-    for _ in range(run.n_iter):
-        idx = sampler.next_indices()
-        for p in model.parameters():
-            p.zero_grad()
-        loss, _ = stage0_loss(model, x[idx], a[idx], y[idx])
-        loss.backward()
-        for opt in optimizers:
-            opt.step()
-        model.loss_trace.append(float(loss.data))
+    model.loss_trace = list(fit(
+        lambda idx: stage0_loss(model, x[idx], a[idx], y[idx])[0], optimizers,
+        len(x), run, np.random.default_rng(model.shuffle_seed)))
     model.trained = True
     return model
 

@@ -28,7 +28,7 @@ from .autodiff import (
     softmax_last,
     take_along_last,
 )
-from .nets import Activation, MinibatchSampler, Mlp, MlpConfig, SgdMomentum, TrainRun
+from .nets import Activation, Mlp, MlpConfig, SgdMomentum, TrainRun, fit
 
 __all__ = [
     "FlowConfig",
@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+# training aborts once the minibatch NLL has stayed above DIVERGENCE_FACTOR x
+# |initial NLL| for DIVERGENCE_PATIENCE consecutive steps
+DIVERGENCE_FACTOR = 10.0
+DIVERGENCE_PATIENCE = 500
 
 
 class FlowDivergenceError(RuntimeError):
@@ -220,9 +224,6 @@ class _Scaler:
         v = np.asarray(values, dtype=np.float64)
         return (v - self.mean) / self.std
 
-    def inverse(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values) * self.std + self.mean
-
 
 class ConditionalFlow:
     """One-layer conditional spline flow with a standard normal base."""
@@ -373,7 +374,7 @@ def train_cnf(
 
     Standardizers are fit on the training outcomes/representations. Training
     aborts with :class:`FlowDivergenceError` when the minibatch NLL exceeds
-    `divergence_factor` x |initial NLL| for `divergence_patience` consecutive
+    `DIVERGENCE_FACTOR` x |initial NLL| for `DIVERGENCE_PATIENCE` consecutive
     iterations.
     """
     y = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -389,28 +390,21 @@ def train_cnf(
 
     seq = np.random.SeedSequence(flow.cfg.seed)
     shuffle_rng, noise_rng = [np.random.default_rng(s) for s in seq.spawn(2)]
-    sampler = MinibatchSampler(len(y), run.batch_size, shuffle_rng)
     opt = SgdMomentum(flow.context_net.parameters(), lr=run.learning_rate,
                       weight_decay=run.weight_decay)
     flow.loss_trace = []
-    initial: float | None = None
     high_streak = 0
-    for _ in range(run.n_iter):
-        idx = sampler.next_indices()
-        opt.zero_grad()
-        loss = flow.nll_tensor(y[idx], a[idx], phi[idx], noise_rng=noise_rng)
-        loss.backward()
-        opt.step()
-        val = float(loss.data)
+    for val in fit(lambda idx: flow.nll_tensor(y[idx], a[idx], phi[idx],
+                                               noise_rng=noise_rng),
+                   [opt], len(y), run, shuffle_rng):
         flow.loss_trace.append(val)
-        if initial is None:
-            initial = val
-        if val > run.divergence_factor * abs(initial):
+        initial = flow.loss_trace[0]
+        if val > DIVERGENCE_FACTOR * abs(initial):
             high_streak += 1
-            if high_streak >= run.divergence_patience:
+            if high_streak >= DIVERGENCE_PATIENCE:
                 raise FlowDivergenceError(
-                    f"NLL {val:.3g} stayed above {run.divergence_factor}x initial "
-                    f"({initial:.3g}) for {run.divergence_patience} steps"
+                    f"NLL {val:.3g} stayed above {DIVERGENCE_FACTOR}x initial "
+                    f"({initial:.3g}) for {DIVERGENCE_PATIENCE} steps"
                 )
         else:
             high_streak = 0

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "grad_check",
     "finite_difference_check",
     "MinibatchSampler",
+    "fit",
 ]
 
 
@@ -214,9 +215,6 @@ class TrainRun:
     # separate optimizer settings for a jointly trained propensity subnet
     prop_learning_rate: float | None = None
     prop_weight_decay: float | None = None
-    # flow-training divergence guard
-    divergence_factor: float = 10.0
-    divergence_patience: int = 500
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -309,3 +307,23 @@ class MinibatchSampler:
         idx = self._order[self._pos : self._pos + self.batch_size]
         self._pos += self.batch_size
         return idx
+
+
+def fit(batch_loss: Callable[[np.ndarray], Tensor], optimizers: Sequence,
+        n: int, run: TrainRun, rng: np.random.Generator) -> Iterator[float]:
+    """The minibatch loop every network trains through.
+
+    Per step: draw a batch of row indices with :class:`MinibatchSampler`,
+    zero every optimizer's gradients, backpropagate `batch_loss(indices)`,
+    step every optimizer, and yield the step's loss.
+    """
+    sampler = MinibatchSampler(n, run.batch_size, rng)
+    for _ in range(run.n_iter):
+        idx = sampler.next_indices()
+        for opt in optimizers:
+            opt.zero_grad()
+        loss = batch_loss(idx)
+        loss.backward()
+        for opt in optimizers:
+            opt.step()
+        yield float(loss.data)

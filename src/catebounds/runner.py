@@ -12,9 +12,9 @@ re-run with the same config reproduces every emitted number.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
-import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -236,16 +236,24 @@ def load_dataset(spec: DatasetSpec) -> tuple[Dataset, Dataset]:
     if spec.kind == "synthetic":
         return (gen_synthetic(spec.n_train, spec.seed, "train"),
                 gen_synthetic(spec.n_test, spec.seed, "test"))
-    if spec.kind == "ihdp":
-        return load_ihdp_csv(_resolve_data_dir(spec), spec.replicate)
     directory = _resolve_data_dir(spec)
-    tr_images = parse_idx(_find_idx(directory, "train-images-idx3-ubyte"))
-    tr_labels = parse_idx(_find_idx(directory, "train-labels-idx1-ubyte"))
-    te_images = parse_idx(_find_idx(directory, "t10k-images-idx3-ubyte"))
-    te_labels = parse_idx(_find_idx(directory, "t10k-labels-idx1-ubyte"))
-    stats = HcMnistConfig.from_data(tr_images, tr_labels)  # train stats only
-    train = build_hcmnist(tr_images, tr_labels, spec.seed, stats, "train")
-    test = build_hcmnist(te_images, te_labels, spec.seed, stats, "test")
+    if spec.kind == "ihdp":
+        train, test = load_ihdp_csv(directory, spec.replicate)
+    else:
+        tr_images = parse_idx(_find_idx(directory, "train-images-idx3-ubyte"))
+        tr_labels = parse_idx(_find_idx(directory, "train-labels-idx1-ubyte"))
+        te_images = parse_idx(_find_idx(directory, "t10k-images-idx3-ubyte"))
+        te_labels = parse_idx(_find_idx(directory, "t10k-labels-idx1-ubyte"))
+        stats = HcMnistConfig.from_data(tr_images, tr_labels)  # train stats only
+        train = build_hcmnist(tr_images, tr_labels, spec.seed, stats, "train")
+        test = build_hcmnist(te_images, te_labels, spec.seed, stats, "test")
+    # the spec's sizes enter config_hash and results.json, so they must be
+    # the sizes of the files read
+    for split, want in ((train, spec.n_train), (test, spec.n_test)):
+        if split.n != want:
+            raise ValueError(
+                f"{spec.kind} {split.split} split has {split.n} rows but the "
+                f"dataset spec asks for {want}")
     return train, test
 
 
@@ -281,78 +289,78 @@ def _estimator_config(config: ExperimentConfig, d_x: int, seed: int,
         balancing=_balancing_config(config), seed=seed)
 
 
-def _stage0_run(p: Stage0Params) -> TrainRun:
-    return TrainRun(batch_size=p.batch_size, learning_rate=p.learning_rate,
-                    weight_decay=p.weight_decay, n_iter=p.n_iter,
-                    prop_learning_rate=p.prop_learning_rate,
-                    prop_weight_decay=p.prop_weight_decay)
+# One builder per stage, shared by the pipeline and the tuner: each builds
+# and trains its network from (config, params, training arrays, seed).
 
 
-def _prop_run(p: PropensityParams) -> TrainRun:
-    return TrainRun(batch_size=p.batch_size, learning_rate=p.learning_rate,
-                    weight_decay=p.weight_decay, n_iter=p.n_iter)
+def _fit_stage0(config: ExperimentConfig, params: Stage0Params, x: np.ndarray,
+                a: np.ndarray, y: np.ndarray, seed: int) -> Stage0Model:
+    model = build_stage0(_estimator_config(config, x.shape[1], seed, params))
+    return train_stage0(model, x, a, y, TrainRun(
+        batch_size=params.batch_size, learning_rate=params.learning_rate,
+        weight_decay=params.weight_decay, n_iter=params.n_iter,
+        prop_learning_rate=params.prop_learning_rate,
+        prop_weight_decay=params.prop_weight_decay))
 
 
-def _flow_run(p: FlowParams) -> TrainRun:
-    return TrainRun(batch_size=p.batch_size, learning_rate=p.learning_rate,
-                    weight_decay=0.0, n_iter=p.n_iter)
+def _fit_propensity(config: ExperimentConfig, params: PropensityParams,
+                    inputs: np.ndarray, a: np.ndarray,
+                    seed: int) -> PropensityModel:
+    hidden = _hidden_units(params.hidden_multiplier, config.r_multiplier,
+                           inputs.shape[1])
+    return train_propensity(inputs, a, TrainRun(
+        batch_size=params.batch_size, learning_rate=params.learning_rate,
+        weight_decay=params.weight_decay, n_iter=params.n_iter),
+        hidden_units=hidden, seed=seed)
 
 
-def _flow_config(config: ExperimentConfig, seed: int,
-                 params: FlowParams | None = None) -> FlowConfig:
-    p = params or config.flow
-    hidden = _hidden_units(p.hidden_multiplier, config.r_multiplier,
+def _fit_flow(config: ExperimentConfig, params: FlowParams, y: np.ndarray,
+              a: np.ndarray, phi: np.ndarray, seed: int) -> ConditionalFlow:
+    hidden = _hidden_units(params.hidden_multiplier, config.r_multiplier,
                            config.d_phi)
-    return FlowConfig(context_dim=1 + config.d_phi, hidden_units=hidden,
-                      knots=p.knots, noise_y=p.noise_y,
-                      noise_context=p.noise_context, seed=seed)
+    flow = ConditionalFlow(FlowConfig(
+        context_dim=1 + config.d_phi, hidden_units=hidden, knots=params.knots,
+        noise_y=params.noise_y, noise_context=params.noise_context, seed=seed))
+    return train_cnf(flow, y, a, phi, TrainRun(
+        batch_size=params.batch_size, learning_rate=params.learning_rate,
+        n_iter=params.n_iter))
 
 
 # ---------------------------------------------------------------------------
 # hyperparameter search
 
 
+# the params fields each stage's grid varies, and the values tried. The last
+# axis varies fastest; the seeded draw picks candidates by position, so this
+# order fixes which configs get tuned.
+_PROP_AXES = {"learning_rate": _LEARNING_RATES, "batch_size": _BATCH_SIZES,
+              "weight_decay": _WEIGHT_DECAYS,
+              "hidden_multiplier": _HIDDEN_MULTIPLIERS}
+_GRID_AXES = {
+    "stage0": {"learning_rate": _LEARNING_RATES, "batch_size": _BATCH_SIZES,
+               "weight_decay": _WEIGHT_DECAYS,
+               "rep_multiplier": _HIDDEN_MULTIPLIERS,
+               "head_multiplier": _HIDDEN_MULTIPLIERS},
+    "prop_x": _PROP_AXES,
+    "prop_phi": _PROP_AXES,
+    "flow": {"learning_rate": _LEARNING_RATES, "batch_size": _BATCH_SIZES,
+             "hidden_multiplier": _HIDDEN_MULTIPLIERS, "knots": _KNOT_COUNTS,
+             "noise_y": _NOISE_LEVELS, "noise_context": _NOISE_LEVELS},
+}
+# cfr_isw's jointly trained propensity net gets its own optimizer settings
+_ISW_AXES = {"prop_learning_rate": _LEARNING_RATES,
+             "prop_weight_decay": _WEIGHT_DECAYS}
+
+
 def _stage_grid(stage: str, config: ExperimentConfig) -> list:
-    if stage == "stage0":
-        base = config.stage0
-        isw = EstimatorKind(config.method) == EstimatorKind.CFR_ISW
-        out = []
-        for lr in _LEARNING_RATES:
-            for batch in _BATCH_SIZES:
-                for wd in _WEIGHT_DECAYS:
-                    for rm in _HIDDEN_MULTIPLIERS:
-                        for hm in _HIDDEN_MULTIPLIERS:
-                            if isw:
-                                for plr in _LEARNING_RATES:
-                                    for pwd in _WEIGHT_DECAYS:
-                                        out.append(replace(
-                                            base, learning_rate=lr,
-                                            batch_size=batch, weight_decay=wd,
-                                            rep_multiplier=rm,
-                                            head_multiplier=hm,
-                                            prop_learning_rate=plr,
-                                            prop_weight_decay=pwd))
-                            else:
-                                out.append(replace(
-                                    base, learning_rate=lr, batch_size=batch,
-                                    weight_decay=wd, rep_multiplier=rm,
-                                    head_multiplier=hm))
-        return out
-    if stage in ("prop_x", "prop_phi"):
-        base = getattr(config, stage)
-        return [replace(base, learning_rate=lr, batch_size=batch,
-                        weight_decay=wd, hidden_multiplier=m)
-                for lr in _LEARNING_RATES for batch in _BATCH_SIZES
-                for wd in _WEIGHT_DECAYS for m in _HIDDEN_MULTIPLIERS]
-    if stage == "flow":
-        base = config.flow
-        return [replace(base, learning_rate=lr, batch_size=batch,
-                        hidden_multiplier=m, knots=kn, noise_y=ny,
-                        noise_context=nc)
-                for lr in _LEARNING_RATES for batch in _BATCH_SIZES
-                for m in _HIDDEN_MULTIPLIERS for kn in _KNOT_COUNTS
-                for ny in _NOISE_LEVELS for nc in _NOISE_LEVELS]
-    raise ValueError(f"unknown tuning stage: {stage}")
+    if stage not in _GRID_AXES:
+        raise ValueError(f"unknown tuning stage: {stage}")
+    axes = _GRID_AXES[stage]
+    if stage == "stage0" and EstimatorKind(config.method) == EstimatorKind.CFR_ISW:
+        axes = {**axes, **_ISW_AXES}
+    base = getattr(config, stage)
+    return [replace(base, **dict(zip(axes, values)))
+            for values in itertools.product(*axes.values())]
 
 
 def _sample_count(stage: str, config: ExperimentConfig) -> int:
@@ -404,32 +412,23 @@ def _candidate_score(stage: str, config: ExperimentConfig, params,
                      train: Dataset, phi: np.ndarray | None,
                      tr_idx: np.ndarray, va_idx: np.ndarray,
                      fit_seed: int) -> float:
-    x_tr, a_tr, y_tr = train.x[tr_idx], train.a[tr_idx], train.y[tr_idx]
-    x_va, a_va, y_va = train.x[va_idx], train.a[va_idx], train.y[va_idx]
+    a_tr, a_va = train.a[tr_idx], train.a[va_idx]
     if stage == "stage0":
-        cfg = _estimator_config(config, train.d_x, fit_seed, params)
-        model = build_stage0(cfg)
-        train_stage0(model, x_tr, a_tr, y_tr, _stage0_run(params))
-        score = _factual_mse(model, x_va, a_va, y_va)
-        if cfg.kind == EstimatorKind.CFR_ISW:
+        model = _fit_stage0(config, params, train.x[tr_idx], a_tr,
+                            train.y[tr_idx], fit_seed)
+        x_va = train.x[va_idx]
+        score = _factual_mse(model, x_va, a_va, train.y[va_idx])
+        if model.config.kind == EstimatorKind.CFR_ISW:
             score += _isw_bce(model, x_va, a_va)
         return score
-    if stage == "prop_x":
-        hidden = _hidden_units(params.hidden_multiplier, config.r_multiplier,
-                               train.d_x)
-        prop = train_propensity(x_tr, a_tr, _prop_run(params),
-                                hidden_units=hidden, seed=fit_seed)
-        return _prop_bce(prop, x_va, a_va)
-    if stage == "prop_phi":
-        hidden = _hidden_units(params.hidden_multiplier, config.r_multiplier,
-                               config.d_phi)
-        prop = train_propensity(phi[tr_idx], a_tr, _prop_run(params),
-                                hidden_units=hidden, seed=fit_seed)
-        return _prop_bce(prop, phi[va_idx], a_va)
+    if stage in ("prop_x", "prop_phi"):
+        inputs = train.x if stage == "prop_x" else phi
+        prop = _fit_propensity(config, params, inputs[tr_idx], a_tr, fit_seed)
+        return _prop_bce(prop, inputs[va_idx], a_va)
     if stage == "flow":
-        flow = ConditionalFlow(_flow_config(config, fit_seed, params))
-        train_cnf(flow, y_tr, a_tr, phi[tr_idx], _flow_run(params))
-        return float(flow.nll(y_va, a_va, phi[va_idx]))
+        flow = _fit_flow(config, params, train.y[tr_idx], a_tr, phi[tr_idx],
+                         fit_seed)
+        return float(flow.nll(train.y[va_idx], a_va, phi[va_idx]))
     raise ValueError(f"unknown tuning stage: {stage}")
 
 
@@ -480,10 +479,8 @@ def tune_config(config: ExperimentConfig, train: Dataset) -> ExperimentConfig:
     if config.tuning == "fixed":
         return config
     cfg = replace(config, stage0=grid_search_cv("stage0", config, train))
-    seeds = _component_seeds(cfg.seeds[0])
-    est = _estimator_config(cfg, train.d_x, seeds["stage0"])
-    model = build_stage0(est)
-    train_stage0(model, train.x, train.a, train.y, _stage0_run(cfg.stage0))
+    model = _fit_stage0(cfg, cfg.stage0, train.x, train.a, train.y,
+                        _component_seeds(cfg.seeds[0])["stage0"])
     phi = representation(model, train.x)
     cfg = replace(cfg,
                   prop_x=grid_search_cv("prop_x", cfg, train),
@@ -516,7 +513,6 @@ class RunRecord:
     rpehe_out: float
     per_delta: tuple[DeltaMetrics, ...]
     checkpoints: dict[str, str]
-    wall_time: float  # in-memory only; never written into results files
 
 
 _COMPONENTS = ("stage0", "prop_x", "prop_phi", "flow", "bounds")
@@ -552,9 +548,8 @@ def train_seed(config: ExperimentConfig, train: Dataset,
                seed: int) -> Stage0Model:
     """Stage 0 for one seed; saves the checkpoint under the seed directory."""
     sdir = _seed_dir(config, seed)
-    seeds = _component_seeds(seed)
-    model = build_stage0(_estimator_config(config, train.d_x, seeds["stage0"]))
-    train_stage0(model, train.x, train.a, train.y, _stage0_run(config.stage0))
+    model = _fit_stage0(config, config.stage0, train.x, train.a, train.y,
+                        _component_seeds(seed)["stage0"])
     _save_checkpoint(sdir / "stage0.json", model.to_checkpoint())
     return model
 
@@ -566,7 +561,6 @@ def refute_seed(config: ExperimentConfig, train: Dataset, test: Dataset,
     is passed in; never modifies it."""
     sdir = _seed_dir(config, seed)
     seeds = _component_seeds(seed)
-    r = config.r_multiplier
     if model is None:
         path = sdir / "stage0.json"
         if not path.exists():
@@ -575,21 +569,15 @@ def refute_seed(config: ExperimentConfig, train: Dataset, test: Dataset,
         model = Stage0Model.from_checkpoint(json.loads(path.read_text()))
     phi_tr = representation(model, train.x)
 
-    prop_x = train_propensity(
-        train.x, train.a, _prop_run(config.prop_x),
-        hidden_units=_hidden_units(config.prop_x.hidden_multiplier, r,
-                                   train.d_x),
-        seed=seeds["prop_x"])
-    prop_phi = train_propensity(
-        phi_tr, train.a, _prop_run(config.prop_phi),
-        hidden_units=_hidden_units(config.prop_phi.hidden_multiplier, r,
-                                   config.d_phi),
-        seed=seeds["prop_phi"])
+    prop_x = _fit_propensity(config, config.prop_x, train.x, train.a,
+                             seeds["prop_x"])
+    prop_phi = _fit_propensity(config, config.prop_phi, phi_tr, train.a,
+                               seeds["prop_phi"])
     _save_checkpoint(sdir / "prop_x.json", prop_x.to_checkpoint())
     _save_checkpoint(sdir / "prop_phi.json", prop_phi.to_checkpoint())
 
-    flow = ConditionalFlow(_flow_config(config, seeds["flow"]))
-    train_cnf(flow, train.y, train.a, phi_tr, _flow_run(config.flow))
+    flow = _fit_flow(config, config.flow, train.y, train.a, phi_tr,
+                     seeds["flow"])
     _save_checkpoint(sdir / "flow.json", flow.to_checkpoint())
 
     pi1_x_tr = prop_x.predict(train.x)
@@ -630,7 +618,7 @@ def evaluate_seed(config: ExperimentConfig, train: Dataset, test: Dataset,
         raise ValueError("policy scoring needs effect oracles on both splits")
     sdir = _seed_dir(config, seed)
     for required in [sdir / "train_tau.csv",
-                     sdir / _delta_file(config.deltas[0])]:
+                     *(sdir / _delta_file(d) for d in config.deltas)]:
         if not required.exists():
             raise FileNotFoundError(
                 f"{required} missing; run the refute step for seed {seed} first")
@@ -662,20 +650,16 @@ def evaluate_seed(config: ExperimentConfig, train: Dataset, test: Dataset,
         d_phi=config.d_phi, er_point_out=point_report.error_rate,
         rpehe_in=rpehe(tau_in, train.tau_oracle),
         rpehe_out=rpehe(tau_out, test.tau_oracle),
-        per_delta=tuple(per_delta), checkpoints=checkpoints,
-        wall_time=0.0)
+        per_delta=tuple(per_delta), checkpoints=checkpoints)
 
 
 def run_pipeline(config: ExperimentConfig, train: Dataset, test: Dataset,
                  seed: int) -> RunRecord:
     """All three stages plus scoring for one seed, through the same writers
     the individual CLI verbs use."""
-    started = time.perf_counter()
     model = train_seed(config, train, seed)
     refute_seed(config, train, test, seed, model=model)
-    record = evaluate_seed(config, train, test, seed)
-    record.wall_time = time.perf_counter() - started
-    return record
+    return evaluate_seed(config, train, test, seed)
 
 
 def _emit_decision_grid(config, sdir, model, prop_x, prop_phi, flow,

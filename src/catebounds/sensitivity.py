@@ -24,15 +24,8 @@ import numpy as np
 from scipy.special import expit
 
 from .autodiff import no_grad
-from .estimators import PROPENSITY_CLIP
-from .nets import (
-    Activation,
-    AdamW,
-    MinibatchSampler,
-    Mlp,
-    MlpConfig,
-    TrainRun,
-)
+from .estimators import PROPENSITY_CLIP, bce_logits
+from .nets import Activation, AdamW, Mlp, MlpConfig, TrainRun, fit
 
 __all__ = [
     "DELTA_PRESETS",
@@ -112,27 +105,16 @@ def train_propensity(inputs: np.ndarray, treatments: np.ndarray, run: TrainRun,
     mean = x.mean(axis=0)
     std = np.maximum(x.std(axis=0), 1e-8)
     z = (x - mean) / std
-    a_col = a.reshape(-1, 1)
 
     seq = np.random.SeedSequence(seed).spawn(2)
     net = Mlp(MlpConfig(x.shape[1], hidden_units, 1, activation=Activation.ELU,
                         seed=int(seq[0].generate_state(1)[0])))
     opt = AdamW(net.parameters(), lr=run.learning_rate,
                 weight_decay=run.weight_decay)
-    sampler = MinibatchSampler(len(x), run.batch_size,
-                               np.random.default_rng(int(seq[1].generate_state(1)[0])))
-    model = PropensityModel(net=net, mean=mean, std=std)
-    from .autodiff import constant
-
-    for _ in range(run.n_iter):
-        idx = sampler.next_indices()
-        opt.zero_grad()
-        logits = net(z[idx])
-        loss = (logits.softplus() - constant(a_col[idx]) * logits).mean()
-        loss.backward()
-        opt.step()
-        model.loss_trace.append(float(loss.data))
-    return model
+    shuffle_rng = np.random.default_rng(int(seq[1].generate_state(1)[0]))
+    trace = list(fit(lambda idx: bce_logits(net(z[idx]), a[idx]), [opt],
+                     len(x), run, shuffle_rng))
+    return PropensityModel(net=net, mean=mean, std=std, loss_trace=trace)
 
 
 def gamma_pointwise(pi1_x: np.ndarray, pi1_phi: np.ndarray) -> np.ndarray:

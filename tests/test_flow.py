@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest, norm
 
+from catebounds import flow as flow_module
 from catebounds.autodiff import Tensor, constant
 from catebounds.flow import (
     LOG_2PI,
@@ -298,14 +299,14 @@ class TestTraining:
                   validation=(y[150:], a[150:], phi[150:]))
         assert flow.validation_nll is not None and np.isfinite(flow.validation_nll)
 
-    def test_divergence_aborts(self):
+    def test_divergence_aborts(self, monkeypatch):
+        monkeypatch.setattr(flow_module, "DIVERGENCE_PATIENCE", 50)
         rng = np.random.default_rng(23)
         y = rng.normal(size=200)
         a = rng.integers(0, 2, size=200).astype(float)
         phi = rng.normal(size=200)
         flow = ConditionalFlow(FlowConfig(context_dim=2, hidden_units=4, seed=13))
-        run = TrainRun(batch_size=64, learning_rate=80.0, n_iter=3000,
-                       divergence_patience=50)
+        run = TrainRun(batch_size=64, learning_rate=80.0, n_iter=3000)
         with pytest.raises((FlowDivergenceError, FloatingPointError)):
             train_cnf(flow, y, a, phi, run)
 

@@ -23,8 +23,10 @@ from catebounds.nets import (
     Mlp,
     MlpConfig,
     SgdMomentum,
+    TrainRun,
     backward_gradients,
     finite_difference_check,
+    fit,
     forward_mlp,
     grad_check,
 )
@@ -288,3 +290,58 @@ class TestMinibatchSampler:
             MinibatchSampler(0, 4, np.random.default_rng(0))
         with pytest.raises(ValueError):
             MinibatchSampler(5, 0, np.random.default_rng(0))
+
+
+class TestFit:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 30),
+        batch=st.integers(1, 40),
+        n_iter=st.integers(2, 12),
+    )
+    def test_matches_hand_written_loop(self, seed, n, batch, n_iter):
+        # two optimizers on disjoint parameters, as cfr_isw trains stage 0
+        data = np.random.default_rng(seed)
+        x = data.normal(size=(n, 3))
+        y = data.normal(size=(n, 1))
+
+        def setup():
+            first = Mlp(MlpConfig(3, 4, 1, seed=seed))
+            second = Mlp(MlpConfig(3, 2, 1, seed=seed + 1))
+            opts = [AdamW(first.parameters(), lr=0.01, weight_decay=0.01),
+                    SgdMomentum(second.parameters(), lr=0.05)]
+            batches = []
+
+            def batch_loss(idx):
+                batches.append(idx.copy())
+                diff = first(x[idx]) + second(x[idx]) - constant(y[idx])
+                return (diff * diff).mean()
+
+            params = first.parameters() + second.parameters()
+            return params, opts, batch_loss, batches
+
+        params, opts, batch_loss, batches = setup()
+        losses = list(fit(batch_loss, opts, n, TrainRun(batch_size=batch,
+                                                        n_iter=n_iter),
+                          np.random.default_rng(seed + 2)))
+
+        ref_params, ref_opts, ref_loss, ref_batches = setup()
+        sampler = MinibatchSampler(n, batch, np.random.default_rng(seed + 2))
+        ref_losses = []
+        for _ in range(n_iter):
+            idx = sampler.next_indices()
+            for p in ref_params:
+                p.zero_grad()
+            loss = ref_loss(idx)
+            loss.backward()
+            for opt in ref_opts:
+                opt.step()
+            ref_losses.append(float(loss.data))
+
+        assert len(batches) == len(ref_batches) == n_iter
+        for got, want in zip(batches, ref_batches):
+            assert np.array_equal(got, want)
+        assert losses == ref_losses
+        for got, want in zip(params, ref_params):
+            assert np.array_equal(got.data, want.data)

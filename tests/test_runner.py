@@ -28,6 +28,7 @@ from catebounds.runner import (
     refute_seed,
     run_experiment,
     run_pipeline,
+    train_seed,
     tune_config,
 )
 
@@ -94,29 +95,50 @@ class TestLoadDataset:
         assert train.n == 60 and test.n == 25
         assert not np.array_equal(train.x[:25], test.x)
 
+    IHDP = dict(kind="ihdp", replicate=2, n_train=672, n_test=75)
+
     def test_ihdp_path_and_env(self, tmp_path, monkeypatch):
         write_ihdp_pair(tmp_path, 2)
-        spec = DatasetSpec(kind="ihdp", replicate=2, path=str(tmp_path))
+        spec = DatasetSpec(**self.IHDP, path=str(tmp_path))
         train, test = load_dataset(spec)
         assert train.n == 672 and test.n == 75
 
         monkeypatch.delenv("RICB_DATA_DIR", raising=False)
         with pytest.raises(ValueError, match="RICB_DATA_DIR"):
-            load_dataset(DatasetSpec(kind="ihdp", replicate=2))
+            load_dataset(DatasetSpec(**self.IHDP))
         monkeypatch.setenv("RICB_DATA_DIR", str(tmp_path))
-        train2, _ = load_dataset(DatasetSpec(kind="ihdp", replicate=2))
+        train2, _ = load_dataset(DatasetSpec(**self.IHDP))
         assert np.array_equal(train2.x, train.x)
 
-    def test_hcmnist_from_idx_files(self, tmp_path):
+    @staticmethod
+    def write_toy_idx(directory):
         images, labels = toy_mnist(n_per_class=6)
         pix = (images.reshape(-1, 28, 28) * 255).astype(np.uint8)
-        (tmp_path / "train-images-idx3-ubyte").write_bytes(idx_images_bytes(pix))
-        (tmp_path / "train-labels-idx1-ubyte").write_bytes(idx_labels_bytes(labels))
-        (tmp_path / "t10k-images-idx3-ubyte").write_bytes(idx_images_bytes(pix[:30]))
-        (tmp_path / "t10k-labels-idx1-ubyte").write_bytes(idx_labels_bytes(labels[:30]))
-        train, test = load_dataset(DatasetSpec(kind="hcmnist", path=str(tmp_path)))
+        (directory / "train-images-idx3-ubyte").write_bytes(idx_images_bytes(pix))
+        (directory / "train-labels-idx1-ubyte").write_bytes(idx_labels_bytes(labels))
+        (directory / "t10k-images-idx3-ubyte").write_bytes(idx_images_bytes(pix[:30]))
+        (directory / "t10k-labels-idx1-ubyte").write_bytes(idx_labels_bytes(labels[:30]))
+
+    def test_hcmnist_from_idx_files(self, tmp_path):
+        self.write_toy_idx(tmp_path)
+        train, test = load_dataset(DatasetSpec(kind="hcmnist", n_train=60,
+                                               n_test=30, path=str(tmp_path)))
         assert train.d_x == 785 and test.d_x == 785
         assert train.n == 60 and test.n == 30
+
+    def test_split_size_mismatch_raises(self, tmp_path):
+        # the spec's sizes are recorded in config_hash and results.json, so a
+        # file of another size is refused rather than silently used
+        self.write_toy_idx(tmp_path)
+        with pytest.raises(ValueError, match="train split has 60 rows .* 1000"):
+            load_dataset(DatasetSpec(kind="hcmnist", path=str(tmp_path)))
+        with pytest.raises(ValueError, match="test split has 30 rows .* 29"):
+            load_dataset(DatasetSpec(kind="hcmnist", n_train=60, n_test=29,
+                                     path=str(tmp_path)))
+        write_ihdp_pair(tmp_path, 2)
+        with pytest.raises(ValueError, match="train split has 672 rows .* 600"):
+            load_dataset(DatasetSpec(**{**self.IHDP, "n_train": 600},
+                                     path=str(tmp_path)))
 
     def test_missing_idx_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -169,6 +191,65 @@ class TestGridSearch:
         won = grid_search_cv("prop_x", cfg, base)
         assert won.n_iter == 300  # grid varies lr/batch/wd/width, not length
         assert won.learning_rate in (0.001, 0.005, 0.01)
+
+    def test_stage_grid_matches_nested_loops(self, tmp_path):
+        from catebounds.runner import _stage_grid
+
+        lrs, batches = (0.001, 0.005, 0.01), (32, 64, 128)
+        wds, mults = (0.0, 0.001, 0.01, 0.1), (1.0, 1.5, 2.0)
+        knots, noises = (5, 10, 20), (0.05, 0.1, 0.5)
+
+        def oracle(stage, cfg, isw):
+            base = getattr(cfg, stage)
+            out = []
+            if stage == "stage0":
+                for lr in lrs:
+                    for b in batches:
+                        for wd in wds:
+                            for rm in mults:
+                                for hm in mults:
+                                    p = replace(base, learning_rate=lr,
+                                                batch_size=b, weight_decay=wd,
+                                                rep_multiplier=rm,
+                                                head_multiplier=hm)
+                                    if not isw:
+                                        out.append(p)
+                                        continue
+                                    for plr in lrs:
+                                        for pwd in wds:
+                                            out.append(replace(
+                                                p, prop_learning_rate=plr,
+                                                prop_weight_decay=pwd))
+            elif stage == "flow":
+                for lr in lrs:
+                    for b in batches:
+                        for m in mults:
+                            for kn in knots:
+                                for ny in noises:
+                                    for nc in noises:
+                                        out.append(replace(
+                                            base, learning_rate=lr,
+                                            batch_size=b, hidden_multiplier=m,
+                                            knots=kn, noise_y=ny,
+                                            noise_context=nc))
+            else:
+                for lr in lrs:
+                    for b in batches:
+                        for wd in wds:
+                            for m in mults:
+                                out.append(replace(
+                                    base, learning_rate=lr, batch_size=b,
+                                    weight_decay=wd, hidden_multiplier=m))
+            return out
+
+        for cfg, isw in ((tiny_config(tmp_path), False),
+                         (tiny_config(tmp_path, method="cfr_isw",
+                                      balancing_metric="mmd",
+                                      balancing_alpha=0.5), True)):
+            for stage in ("stage0", "prop_x", "prop_phi", "flow"):
+                assert _stage_grid(stage, cfg) == oracle(stage, cfg, isw)
+        sizes = [len(_stage_grid(s, cfg)) for s in ("stage0", "prop_x", "flow")]
+        assert sizes == [3888, 108, 729]
 
     def test_stratification_failure_message(self, tmp_path):
         cfg = tiny_config(tmp_path, cv_folds=5, n_grid=1)
@@ -225,8 +306,13 @@ class TestPipeline:
             refute_seed(cfg, train, test, 0)
 
     def test_evaluate_requires_refute_artifacts(self, tmp_path):
-        cfg = tiny_config(tmp_path / "r3")
+        cfg = tiny_config(tmp_path / "r3", deltas=(0.001, 0.01))
         train, test = load_dataset(cfg.dataset)
+        with pytest.raises(FileNotFoundError, match="refute step"):
+            evaluate_seed(cfg, train, test, 0)
+        # every delta's bounds file is required, not only the first
+        refute_seed(cfg, train, test, 0, model=train_seed(cfg, train, 0))
+        (Path(cfg.out_dir) / "seed_0" / "bounds_0.01.csv").unlink()
         with pytest.raises(FileNotFoundError, match="refute step"):
             evaluate_seed(cfg, train, test, 0)
 
@@ -268,7 +354,7 @@ class TestEmitResults:
             er_point_out=er_point, rpehe_in=rp_in, rpehe_out=rp_out,
             per_delta=(DeltaMetrics(0.001, er_b, None if er_b is None else
                                     er_b - er_point, dr, 10),),
-            checkpoints={}, wall_time=1.0)
+            checkpoints={})
 
     def test_hand_computed_aggregation(self, tmp_path):
         cfg = tiny_config(tmp_path / "agg")
