@@ -286,14 +286,6 @@ class Tensor:
 
         return Tensor._result(out_data, (self,), backward, "elu")
 
-    def sigmoid(self):
-        out_data = expit(self.data)
-
-        def backward(g):
-            self._accumulate(g * out_data * (1.0 - out_data))
-
-        return Tensor._result(out_data, (self,), backward, "sigmoid")
-
     def softplus(self):
         out_data = np.logaddexp(0.0, self.data)
 

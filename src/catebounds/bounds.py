@@ -16,13 +16,13 @@ lower = mu1_lower - mu0_upper, upper = mu1_upper - mu0_lower.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .data import read_table, write_table
 from .estimators import Stage0Model, predict_point_cate, representation
 from .flow import ConditionalFlow
 from .sensitivity import GammaField, PropensityModel, gamma_pointwise
@@ -211,16 +211,12 @@ def cate_bounds(
 def read_bounds_csv(path: str | Path) -> CateBounds:
     """Load a table written by write_bounds_csv. k is not stored in the
     file and comes back as 0."""
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        rows = list(reader)
-    if header is None or header[:6] != ["id", "tau_hat", "lower", "upper",
-                                        "gamma", "pi1_phi"]:
+    header, rows = read_table(path)
+    if header[:6] != ["id", "tau_hat", "lower", "upper", "gamma", "pi1_phi"]:
         raise ValueError(f"{path}: not a bounds table")
-    cols = np.array([[float(v) for v in r[1:6]] for r in rows])
-    if len(cols) == 0:
+    if not rows:
         raise ValueError(f"{path}: empty bounds table")
+    cols = np.array(rows)[:, 1:6].astype(np.float64)
     return CateBounds(point=cols[:, 0], lower=cols[:, 1], upper=cols[:, 2],
                       gamma=cols[:, 3], pi1_phi=cols[:, 4], k=0)
 
@@ -228,17 +224,9 @@ def read_bounds_csv(path: str | Path) -> CateBounds:
 def write_bounds_csv(path: str | Path, bounds: CateBounds,
                      decisions: Sequence[str] | None = None) -> None:
     """Per-point interval table: id, point, interval, Gamma, pi, decision."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["id", "tau_hat", "lower", "upper", "gamma", "pi1_phi"]
-        if decisions is not None:
-            header.append("decision")
-        writer.writerow(header)
-        for i in range(len(bounds.point)):
-            row = [i, repr(float(bounds.point[i])), repr(float(bounds.lower[i])),
-                   repr(float(bounds.upper[i])), repr(float(bounds.gamma[i])),
-                   repr(float(bounds.pi1_phi[i]))]
-            if decisions is not None:
-                row.append(decisions[i])
-            writer.writerow(row)
+    columns = {"id": np.arange(len(bounds.point)), "tau_hat": bounds.point,
+               "lower": bounds.lower, "upper": bounds.upper,
+               "gamma": bounds.gamma, "pi1_phi": bounds.pi1_phi}
+    if decisions is not None:
+        columns["decision"] = decisions
+    write_table(path, columns)

@@ -14,10 +14,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .runner import (ExperimentConfig, config_from_dict, config_hash,
-                     config_to_dict, emit_results, evaluate_seed,
-                     load_dataset, refute_seed, run_experiment, train_seed,
-                     tune_config)
+from .runner import (ExperimentConfig, config_from_dict, config_to_dict,
+                     emit_results, evaluate_seed, load_dataset, refute_seed,
+                     run_experiment, train_seed, tune_config)
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:

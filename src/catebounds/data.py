@@ -16,6 +16,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -33,6 +34,8 @@ __all__ = [
     "HcMnistConfig",
     "phi_from_images",
     "build_hcmnist",
+    "write_table",
+    "read_table",
 ]
 
 IHDP_TRAIN_ROWS = 672
@@ -93,19 +96,56 @@ class Dataset:
 
     def to_csv(self, path: str | Path) -> None:
         """x1..xd,a,y[,mu0,mu1] with full-precision floats."""
-        has_mu = self.y0 is not None and self.y1 is not None
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = [f"x{j + 1}" for j in range(self.d_x)] + ["a", "y"]
-            if has_mu:
-                header += ["mu0", "mu1"]
-            writer.writerow(header)
-            for i in range(self.n):
-                row = [repr(float(v)) for v in self.x[i]]
-                row += [str(int(self.a[i])), repr(float(self.y[i]))]
-                if has_mu:
-                    row += [repr(float(self.y0[i])), repr(float(self.y1[i]))]
-                writer.writerow(row)
+        columns = {f"x{j + 1}": self.x[:, j] for j in range(self.d_x)}
+        columns["a"] = self.a.astype(np.int64)
+        columns["y"] = self.y
+        if self.y0 is not None and self.y1 is not None:
+            columns["mu0"] = self.y0
+            columns["mu1"] = self.y1
+        write_table(path, columns)
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        # the shortest string that parses back to the same double
+        return repr(float(value))
+    return str(value)
+
+
+def write_table(path: str | Path, columns: Mapping[str, Sequence]) -> None:
+    """Write one CSV table: a header row, then one row per column entry.
+
+    `columns` maps each header, in order, to its column. Every table the
+    package writes goes through here, under one cell rule: floats as
+    `repr(float(v))`, None as an empty cell, anything else through `str`.
+    """
+    cells = [[_cell(v) for v in (c.tolist() if isinstance(c, np.ndarray) else c)]
+             for c in columns.values()]
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(zip(*cells, strict=True))
+
+
+def read_table(path: str | Path) -> tuple[list[str], list[list[str]]]:
+    """Header and rows, as strings, of a CSV table such as `write_table` writes.
+
+    Blank lines are skipped; an empty file or a row whose width differs
+    from the header's is rejected.
+    """
+    path = Path(path)
+    with path.open(newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r]
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    header, body = rows[0], rows[1:]
+    for line, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: ragged rows (row {line} has {len(row)} "
+                             f"cells, the header {len(header)})")
+    return header, body
 
 
 def _stream(seed: int, split: str) -> np.random.Generator:
@@ -151,13 +191,7 @@ def gen_synthetic(n: int, seed: int, split: str = "train") -> Dataset:
 
 def load_dataset_csv(path: str | Path, split: str = "train") -> Dataset:
     """Inverse of Dataset.to_csv for any covariate dimension."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        rows = [r for r in reader if r]
-    if header is None:
-        raise ValueError(f"{path}: empty file")
+    header, rows = read_table(path)
     has_mu = header[-2:] == ["mu0", "mu1"]
     d = len(header) - 2 - (2 if has_mu else 0)
     expected = [f"x{j + 1}" for j in range(d)] + ["a", "y"]
@@ -165,9 +199,9 @@ def load_dataset_csv(path: str | Path, split: str = "train") -> Dataset:
         expected += ["mu0", "mu1"]
     if header != expected or d < 1:
         raise ValueError(f"{path}: header does not match x1..xd,a,y[,mu0,mu1]")
-    data = np.array([[float(v) for v in r] for r in rows], dtype=np.float64)
-    if data.ndim != 2 or data.shape[1] != len(header):
-        raise ValueError(f"{path}: ragged rows")
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    data = np.array(rows, dtype=np.float64)
     x, a, y = data[:, :d], data[:, d], data[:, d + 1]
     y0 = data[:, d + 2] if has_mu else None
     y1 = data[:, d + 3] if has_mu else None
@@ -176,26 +210,17 @@ def load_dataset_csv(path: str | Path, split: str = "train") -> Dataset:
 
 
 def _read_ihdp_file(path: Path, split: str, expected_rows: int) -> Dataset:
-    if not path.exists():
-        raise FileNotFoundError(f"IHDP replicate file not found: {path}")
-    with_mu = [f"x{j + 1}" for j in range(IHDP_COVARIATES)] + ["a", "y", "mu0", "mu1"]
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        rows = [r for r in reader if r]
-    if header == with_mu[:-2]:
+    data = load_dataset_csv(path, split)
+    if data.tau_oracle is None:
         raise ValueError(f"{path}: no oracle; evaluation-only metrics disabled")
-    if header != with_mu:
-        raise ValueError(f"{path}: header does not match x1..x25,a,y,mu0,mu1")
-    if len(rows) != expected_rows:
+    if data.d_x != IHDP_COVARIATES:
+        raise ValueError(f"{path}: expected {IHDP_COVARIATES} covariates, "
+                         f"got {data.d_x}")
+    if data.n != expected_rows:
         raise ValueError(
             f"{path}: expected {expected_rows} rows for the {split} split, "
-            f"got {len(rows)}")
-    data = np.array([[float(v) for v in r] for r in rows], dtype=np.float64)
-    d = IHDP_COVARIATES
-    mu0, mu1 = data[:, d + 2], data[:, d + 3]
-    return Dataset(x=data[:, :d], a=data[:, d], y=data[:, d + 1],
-                   y0=mu0, y1=mu1, tau_oracle=mu1 - mu0, split=split)
+            f"got {data.n}")
+    return data
 
 
 def load_ihdp_csv(directory: str | Path, replicate: int) -> tuple[Dataset, Dataset]:

@@ -22,14 +22,14 @@ loss re-weighting:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
 from .autodiff import Tensor, constant, no_grad, take_along_last, take_rows
 from .balancing import BalancingConfig, BalancingMetric, balancing_penalty
-from .nets import Activation, AdamW, Mlp, MlpConfig, TrainRun, fit
+from .nets import AdamW, Mlp, MlpConfig, TrainRun, fit
 
 __all__ = [
     "EstimatorKind",
@@ -44,6 +44,7 @@ __all__ = [
     "representation",
     "PROPENSITY_CLIP",
     "ISW_WEIGHT_CLIP",
+    "NEEDS_BALANCING",
 ]
 
 PROPENSITY_CLIP = (0.01, 0.99)
@@ -60,8 +61,8 @@ class EstimatorKind(enum.Enum):
     BWCFR = "bwcfr"
 
 
-_NEEDS_BALANCING = {EstimatorKind.BNN, EstimatorKind.CFR, EstimatorKind.RCFR,
-                    EstimatorKind.CFR_ISW, EstimatorKind.BWCFR}
+NEEDS_BALANCING = {EstimatorKind.BNN, EstimatorKind.CFR, EstimatorKind.RCFR,
+                   EstimatorKind.CFR_ISW, EstimatorKind.BWCFR}
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ class EstimatorConfig:
             raise ValueError("d_x and d_phi must be positive")
         if self.rep_hidden < 1 or self.head_hidden < 1:
             raise ValueError("hidden sizes must be positive")
-        if self.kind in _NEEDS_BALANCING and self.balancing is None:
+        if self.kind in NEEDS_BALANCING and self.balancing is None:
             raise ValueError(f"{self.kind.value} requires a balancing config")
         if self.kind is EstimatorKind.BNN:
             b = self.balancing
@@ -155,13 +156,7 @@ class Stage0Model:
         cfg = self.config
         bal = None
         if cfg.balancing is not None:
-            bal = {
-                "metric": cfg.balancing.metric.value,
-                "alpha": cfg.balancing.alpha,
-                "kernel": cfg.balancing.kernel,
-                "sinkhorn_epsilon": cfg.balancing.sinkhorn_epsilon,
-                "sinkhorn_iters": cfg.balancing.sinkhorn_iters,
-            }
+            bal = dict(asdict(cfg.balancing), metric=cfg.balancing.metric.value)
         return {
             "kind": cfg.kind.value,
             "config": {
@@ -182,14 +177,9 @@ class Stage0Model:
     def from_checkpoint(payload: dict) -> "Stage0Model":
         kind = EstimatorKind(payload["kind"])
         raw = payload["config"]
-        bal = None
-        if raw.get("balancing") is not None:
-            b = raw["balancing"]
-            bal = BalancingConfig(
-                metric=BalancingMetric(b["metric"]), alpha=b["alpha"],
-                kernel=b["kernel"], sinkhorn_epsilon=b["sinkhorn_epsilon"],
-                sinkhorn_iters=b["sinkhorn_iters"],
-            )
+        b = raw.get("balancing")
+        bal = None if b is None else BalancingConfig(
+            **dict(b, metric=BalancingMetric(b["metric"])))
         model = build_stage0(EstimatorConfig(
             kind=kind, d_x=raw["d_x"], d_phi=raw["d_phi"],
             rep_hidden=raw["rep_hidden"], head_hidden=raw["head_hidden"],

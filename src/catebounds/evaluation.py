@@ -9,7 +9,6 @@ non-deferred decisions, and the deferral rate is reported alongside.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -18,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import CateBounds
+from .data import write_table
 
 __all__ = [
     "Decision",
@@ -132,13 +132,12 @@ def write_er_dr_curve_csv(path: str | Path, deltas: Sequence[float],
     """One curve point per neighbourhood size delta."""
     if len(deltas) != len(reports):
         raise ValueError("deltas and reports must align")
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["delta", "error_rate", "deferral_rate", "n_decided"])
-        for d, r in zip(deltas, reports):
-            er = "" if r.error_rate is None else repr(float(r.error_rate))
-            writer.writerow([repr(float(d)), er,
-                             repr(float(r.deferral_rate)), r.n_decided])
+    write_table(path, {
+        "delta": deltas,
+        "error_rate": [r.error_rate for r in reports],
+        "deferral_rate": [r.deferral_rate for r in reports],
+        "n_decided": [r.n_decided for r in reports],
+    })
 
 
 def write_decision_grid_csv(path: str | Path, x: np.ndarray,
@@ -148,10 +147,6 @@ def write_decision_grid_csv(path: str | Path, x: np.ndarray,
     x = np.asarray(x, dtype=np.float64)
     if not (len(x) == len(tau_oracle) == len(tau_hat) == len(decisions)):
         raise ValueError("grid columns must align")
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x1", "x2", "tau_oracle", "tau_hat", "decision"])
-        for i in range(len(x)):
-            writer.writerow([repr(float(x[i, 0])), repr(float(x[i, 1])),
-                             repr(float(tau_oracle[i])), repr(float(tau_hat[i])),
-                             decisions[i].value])
+    write_table(path, {"x1": x[:, 0], "x2": x[:, 1], "tau_oracle": tau_oracle,
+                       "tau_hat": tau_hat,
+                       "decision": [d.value for d in decisions]})

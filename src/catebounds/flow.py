@@ -14,7 +14,7 @@ transform continues as the identity outside [-B, B].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .autodiff import (
     softmax_last,
     take_along_last,
 )
-from .nets import Activation, Mlp, MlpConfig, SgdMomentum, TrainRun, fit
+from .nets import Mlp, MlpConfig, SgdMomentum, TrainRun, fit
 
 __all__ = [
     "FlowConfig",
@@ -232,8 +232,7 @@ class ConditionalFlow:
         self.cfg = cfg
         out_dim = 3 * cfg.knots - 1
         self.context_net = Mlp(
-            MlpConfig(cfg.context_dim, cfg.hidden_units, out_dim,
-                      activation=Activation.ELU, seed=cfg.seed)
+            MlpConfig(cfg.context_dim, cfg.hidden_units, out_dim, seed=cfg.seed)
         )
         # start at the identity transform: base density at initialization
         self.context_net.zero_output_layer()
@@ -324,17 +323,7 @@ class ConditionalFlow:
     def to_checkpoint(self) -> dict:
         return {
             "kind": "conditional_flow",
-            "config": {
-                "context_dim": self.cfg.context_dim,
-                "hidden_units": self.cfg.hidden_units,
-                "knots": self.cfg.knots,
-                "tail_bound": self.cfg.tail_bound,
-                "min_bin": self.cfg.min_bin,
-                "min_derivative": self.cfg.min_derivative,
-                "noise_y": self.cfg.noise_y,
-                "noise_context": self.cfg.noise_context,
-                "seed": self.cfg.seed,
-            },
+            "config": asdict(self.cfg),
             "y_scaler": {"mean": self.y_scaler.mean.tolist(),
                          "std": self.y_scaler.std.tolist()},
             "context_scaler": {"mean": self.context_scaler.mean.tolist(),

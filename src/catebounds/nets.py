@@ -1,13 +1,13 @@
 """Fully connected building blocks: one-hidden-layer MLPs, optimizers, checks.
 
-Every network in the pipeline is a single-hidden-layer MLP. Initialization is
-uniform He-style fan-in scaling with zero biases, drawn from a dedicated
-`numpy` generator per network so that a seed fixes the run bitwise.
+Every network in the pipeline is a single-hidden-layer ELU MLP.
+Initialization is uniform He-style fan-in scaling with zero biases, drawn from
+a dedicated `numpy` generator per network so that a seed fixes the run
+bitwise.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -16,7 +16,6 @@ import numpy as np
 from .autodiff import NonFiniteError, Tensor, as_tensor
 
 __all__ = [
-    "Activation",
     "MlpConfig",
     "Mlp",
     "forward_mlp",
@@ -32,21 +31,11 @@ __all__ = [
 ]
 
 
-class Activation(enum.Enum):
-    """Network flavour: hidden nonlinearity and optional output squashing."""
-
-    ELU = "elu"                       # ELU hidden, linear output
-    RELU = "relu"                     # ReLU hidden, linear output
-    SIGMOID_OUTPUT = "sigmoid_output" # ELU hidden, sigmoid output
-    IDENTITY = "identity"             # linear throughout
-
-
 @dataclass(frozen=True)
 class MlpConfig:
     input_dim: int
     hidden_units: int
     output_dim: int
-    activation: Activation = Activation.ELU
     seed: int = 0
 
     def __post_init__(self):
@@ -95,7 +84,7 @@ class Mlp:
 
 
 def forward_mlp(cfg: MlpConfig, params: Sequence[Tensor], x) -> Tensor:
-    """Forward pass `x @ W1 + b1 -> activation -> @ W2 + b2 (-> sigmoid)`.
+    """Forward pass `elu(x @ W1 + b1) @ W2 + b2`.
 
     `x` may be an ndarray or Tensor of shape (n, input_dim).
     """
@@ -105,17 +94,7 @@ def forward_mlp(cfg: MlpConfig, params: Sequence[Tensor], x) -> Tensor:
             f"expected input of shape (n, {cfg.input_dim}), got {x.shape}"
         )
     w1, b1, w2, b2 = params
-    z1 = x @ w1 + b1
-    if cfg.activation in (Activation.ELU, Activation.SIGMOID_OUTPUT):
-        h = z1.elu()
-    elif cfg.activation is Activation.RELU:
-        h = z1.relu()
-    else:
-        h = z1
-    out = h @ w2 + b2
-    if cfg.activation is Activation.SIGMOID_OUTPUT:
-        out = out.sigmoid()
-    return out
+    return (x @ w1 + b1).elu() @ w2 + b2
 
 
 def backward_gradients(loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:

@@ -27,13 +27,14 @@ from .autodiff import NonFiniteError, Tensor, no_grad
 from .balancing import BalancingConfig, BalancingMetric
 from .bounds import cate_bounds, read_bounds_csv, write_bounds_csv
 from .data import (Dataset, HcMnistConfig, build_hcmnist, gen_synthetic,
-                   load_ihdp_csv, parse_idx, synthetic_tau)
-from .estimators import (EstimatorConfig, EstimatorKind, Stage0Model,
-                         build_stage0, predict_heads, predict_point_cate,
-                         representation, train_stage0)
-from .evaluation import (Decision, PolicyReport, bounds_policy, make_grid,
-                         point_policy, rpehe, score_policy,
-                         write_decision_grid_csv, write_er_dr_curve_csv)
+                   load_ihdp_csv, parse_idx, read_table, synthetic_tau,
+                   write_table)
+from .estimators import (NEEDS_BALANCING, EstimatorConfig, EstimatorKind,
+                         Stage0Model, build_stage0, predict_heads,
+                         predict_point_cate, representation, train_stage0)
+from .evaluation import (PolicyReport, bounds_policy, make_grid, point_policy,
+                         rpehe, score_policy, write_decision_grid_csv,
+                         write_er_dr_curve_csv)
 from .flow import (ConditionalFlow, FlowConfig, FlowDivergenceError, train_cnf)
 from .nets import TrainRun
 from .sensitivity import (DELTA_PRESETS, PropensityModel, build_gamma_field,
@@ -265,9 +266,7 @@ def _balancing_config(config: ExperimentConfig) -> BalancingConfig | None:
     kind = EstimatorKind(config.method)
     if kind == EstimatorKind.BNN:
         return BalancingConfig(metric=BalancingMetric.MMD, alpha=0.1)
-    needs = {EstimatorKind.CFR, EstimatorKind.RCFR, EstimatorKind.CFR_ISW,
-             EstimatorKind.BWCFR}
-    if kind not in needs:
+    if kind not in NEEDS_BALANCING:
         return None
     if config.balancing_metric is None:
         raise ValueError(f"{config.method} needs a balancing_metric")
@@ -536,8 +535,7 @@ def _save_checkpoint(path: Path, payload: dict) -> None:
 
 
 def _write_train_tau(path: Path, tau: np.ndarray) -> None:
-    lines = ["id,tau_hat"] + [f"{i},{float(t)!r}" for i, t in enumerate(tau)]
-    path.write_text("\n".join(lines) + "\n")
+    write_table(path, {"id": np.arange(len(tau)), "tau_hat": tau})
 
 
 def _delta_file(delta: float) -> str:
@@ -607,8 +605,9 @@ def refute_seed(config: ExperimentConfig, train: Dataset, test: Dataset,
 
 
 def _read_tau_csv(path: Path) -> np.ndarray:
-    lines = path.read_text().strip().splitlines()
-    return np.array([float(line.split(",")[1]) for line in lines[1:]])
+    header, rows = read_table(path)
+    cols = np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
+    return cols[:, header.index("tau_hat")]
 
 
 def evaluate_seed(config: ExperimentConfig, train: Dataset, test: Dataset,
@@ -732,14 +731,6 @@ def _aggregate_rows(config: ExperimentConfig,
     return rows
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def emit_results(config: ExperimentConfig,
                  records: Sequence[RunRecord]) -> list[Path]:
     """Aggregate CSV + versioned JSON + a plain-text summary table."""
@@ -752,10 +743,7 @@ def emit_results(config: ExperimentConfig,
     csv_path = out / "aggregate.csv"
     header = ["method", "d_phi", "delta", "er_out", "delta_er_out", "dr_out",
               "rpehe_in", "rpehe_out", "seeds"]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row[h]) for h in header))
-    csv_path.write_text("\n".join(lines) + "\n")
+    write_table(csv_path, {h: [row[h] for row in rows] for h in header})
 
     json_path = out / "results.json"
     payload = {

@@ -16,7 +16,6 @@ weakly increasing in delta.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,8 +23,9 @@ import numpy as np
 from scipy.special import expit
 
 from .autodiff import no_grad
+from .data import write_table
 from .estimators import PROPENSITY_CLIP, bce_logits
-from .nets import Activation, AdamW, Mlp, MlpConfig, TrainRun, fit
+from .nets import AdamW, Mlp, MlpConfig, TrainRun, fit
 
 __all__ = [
     "DELTA_PRESETS",
@@ -82,7 +82,7 @@ class PropensityModel:
             raise ValueError("not a propensity checkpoint")
         cfg = payload["config"]
         net = Mlp(MlpConfig(cfg["input_dim"], cfg["hidden_units"], 1,
-                            activation=Activation.ELU, seed=cfg["seed"]))
+                            seed=cfg["seed"]))
         net.load_param_arrays(payload["params"])
         model = PropensityModel(net=net,
                                 mean=np.asarray(payload["mean"], dtype=np.float64),
@@ -107,7 +107,7 @@ def train_propensity(inputs: np.ndarray, treatments: np.ndarray, run: TrainRun,
     z = (x - mean) / std
 
     seq = np.random.SeedSequence(seed).spawn(2)
-    net = Mlp(MlpConfig(x.shape[1], hidden_units, 1, activation=Activation.ELU,
+    net = Mlp(MlpConfig(x.shape[1], hidden_units, 1,
                         seed=int(seq[0].generate_state(1)[0])))
     opt = AdamW(net.parameters(), lr=run.learning_rate,
                 weight_decay=run.weight_decay)
@@ -211,15 +211,8 @@ def write_gamma_csv(path: str | Path, phis: np.ndarray, pi1_x: np.ndarray,
                     gamma_hat: np.ndarray) -> None:
     """Per-point sensitivity table: id, representation, propensities, Gammas."""
     phis = np.atleast_2d(np.asarray(phis, dtype=np.float64).T).T
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = (["id"] + [f"phi{j + 1}" for j in range(phis.shape[1])]
-                  + ["pi1_x", "pi1_phi", "gamma_point", "gamma_hat"])
-        writer.writerow(header)
-        for i in range(len(phis)):
-            writer.writerow(
-                [i] + [repr(float(v)) for v in phis[i]]
-                + [repr(float(pi1_x[i])), repr(float(pi1_phi[i])),
-                   repr(float(gamma_points[i])), repr(float(gamma_hat[i]))]
-            )
+    columns = {"id": np.arange(len(phis))}
+    columns.update({f"phi{j + 1}": phis[:, j] for j in range(phis.shape[1])})
+    columns.update(pi1_x=pi1_x, pi1_phi=pi1_phi, gamma_point=gamma_points,
+                   gamma_hat=gamma_hat)
+    write_table(path, columns)

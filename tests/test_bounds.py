@@ -1,6 +1,8 @@
 """Bound tests: shift coefficients, partial-mean estimator vs quadrature,
 interval properties, and the full per-point bound assembly."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from catebounds.bounds import (
     CateBounds,
     cate_bounds,
     cvar_mu_bounds,
+    read_bounds_csv,
     shift_coefficients,
     write_bounds_csv,
 )
@@ -275,6 +278,13 @@ class TestCateBounds:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "id,tau_hat,lower,upper,gamma,pi1_phi,decision"
         assert lines[1].endswith("defer")
+
+    def test_ragged_csv_rejected(self, tmp_path):
+        path = tmp_path / "bounds.csv"
+        path.write_text("id,tau_hat,lower,upper,gamma,pi1_phi\r\n"
+                        "0,0.5,-0.1,1.2,1.7,0.45,defer\r\n")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_bounds_csv(path)
 
 
 class TestOnePass:

@@ -2,10 +2,12 @@
 HC-MNIST construction."""
 
 import gzip
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catebounds.data import (
     Dataset,
@@ -19,7 +21,20 @@ from catebounds.data import (
     load_ihdp_csv,
     parse_idx,
     phi_from_images,
+    read_table,
     synthetic_tau,
+    write_table,
+)
+from catebounds.evaluation import Decision
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e308, -1e308]),
+)
+_CELLS = st.one_of(
+    _FLOATS, _FLOATS.map(np.float64), st.none(), st.integers(-10**9, 10**9),
+    st.sampled_from([d.value for d in Decision]),
 )
 
 
@@ -124,6 +139,46 @@ class TestIhdp:
         write_ihdp_pair(tmp_path, 5, bad_a=True)
         with pytest.raises(ValueError, match="binary"):
             load_ihdp_csv(tmp_path, 5)
+
+
+class TestTable:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n_rows=st.integers(0, 12), n_cols=st.integers(1, 5))
+    def test_round_trip(self, tmp_path_factory, data, n_rows, n_cols):
+        # a float array column, or a plain list of mixed cells
+        columns = {}
+        for j in range(n_cols):
+            if data.draw(st.booleans()):
+                col = np.array(data.draw(
+                    st.lists(_FLOATS, min_size=n_rows, max_size=n_rows)))
+            else:
+                col = data.draw(st.lists(_CELLS, min_size=n_rows, max_size=n_rows))
+            columns[f"c{j}"] = col
+        path = tmp_path_factory.mktemp("table") / "t.csv"
+        write_table(path, columns)
+        header, rows = read_table(path)
+        assert header == list(columns)
+        assert len(rows) == n_rows
+        for j, col in enumerate(columns.values()):
+            for i, v in enumerate(col):
+                cell = rows[i][j]
+                if v is None:
+                    assert cell == ""
+                elif isinstance(v, (float, np.floating)):
+                    assert not cell.startswith("np.")
+                    assert (struct.pack("<d", float(cell))
+                            == struct.pack("<d", float(v)))
+                else:
+                    assert cell == str(v)
+
+    def test_empty_and_ragged_files_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: empty")):
+            read_table(path)
+        path.write_text("a,b\r\n1,2\r\n3\r\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ragged")):
+            read_table(path)
 
 
 class TestIdx:

@@ -2,6 +2,7 @@
 determinism, and results emission (kept at toy sizes)."""
 
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,6 +29,8 @@ from catebounds.runner import (
     refute_seed,
     run_experiment,
     run_pipeline,
+    _read_tau_csv,
+    _write_train_tau,
     train_seed,
     tune_config,
 )
@@ -345,6 +348,20 @@ class TestPipeline:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x1,x2,tau_oracle,tau_hat,decision"
         assert len(lines) == 17
+
+
+class TestTrainTau:
+    def test_round_trip_bitwise(self, tmp_path):
+        tau = np.array([0.1, -2.5, 5e-324, -0.0, 1e308])
+        path = tmp_path / "train_tau.csv"
+        _write_train_tau(path, tau)
+        assert _read_tau_csv(path).tobytes() == tau.tobytes()
+
+    def test_ragged_csv_rejected(self, tmp_path):
+        path = tmp_path / "train_tau.csv"
+        path.write_text("id,tau_hat\r\n0,0.5\r\n1,0.25,7\r\n")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            _read_tau_csv(path)
 
 
 class TestEmitResults:
