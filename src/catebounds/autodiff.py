@@ -13,7 +13,7 @@ checked and raises :class:`NonFiniteError` on the first NaN/inf.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import expit
@@ -25,11 +25,7 @@ __all__ = [
     "constant",
     "no_grad",
     "slice_last",
-    "concat_last",
     "take_rows",
-    "take_along_last",
-    "logsumexp_last",
-    "softmax_last",
 ]
 
 
@@ -311,14 +307,6 @@ class Tensor:
         n = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
-    def cumsum_last(self):
-        out_data = np.cumsum(self.data, axis=-1)
-
-        def backward(g):
-            self._accumulate(np.flip(np.cumsum(np.flip(g, -1), axis=-1), -1))
-
-        return Tensor._result(out_data, (self,), backward, "cumsum_last")
-
     def reshape(self, *shape: int):
         out_data = self.data.reshape(*shape)
         orig = self.data.shape
@@ -350,21 +338,6 @@ def slice_last(t: Tensor, lo: int, hi: int) -> Tensor:
     return Tensor._result(out_data, (t,), backward, "slice_last")
 
 
-def concat_last(parts: Sequence[Tensor | np.ndarray]) -> Tensor:
-    """Concatenate along the last axis; backward splits the adjoint."""
-    parts = [as_tensor(p) for p in parts]
-    sizes = [p.data.shape[-1] for p in parts]
-    out_data = np.concatenate([p.data for p in parts], axis=-1)
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                p._accumulate(g[..., lo:hi])
-
-    return Tensor._result(out_data, tuple(parts), backward, "concat_last")
-
-
 def take_rows(t: Tensor, idx: np.ndarray) -> Tensor:
     """Select rows `idx` from a 2-D tensor; backward scatter-adds."""
     idx = np.asarray(idx)
@@ -376,40 +349,3 @@ def take_rows(t: Tensor, idx: np.ndarray) -> Tensor:
         t._accumulate(full)
 
     return Tensor._result(out_data, (t,), backward, "take_rows")
-
-
-def take_along_last(t: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather along the last axis with integer indices of matching rank."""
-    idx = np.asarray(idx)
-    out_data = np.take_along_axis(t.data, idx, axis=-1)
-
-    def backward(g):
-        k = t.data.shape[-1]
-        flat = np.zeros((int(np.prod(t.data.shape[:-1], dtype=np.int64)), k))
-        gi = np.broadcast_to(idx, g.shape).reshape(-1, g.shape[-1])
-        gg = g.reshape(-1, g.shape[-1])
-        rows = np.repeat(np.arange(flat.shape[0]), g.shape[-1])
-        np.add.at(flat, (rows, gi.ravel()), gg.ravel())
-        t._accumulate(flat.reshape(t.data.shape))
-
-    return Tensor._result(out_data, (t,), backward, "take_along_last")
-
-
-def logsumexp_last(t: Tensor, keepdims: bool = False) -> Tensor:
-    """log(sum(exp(t))) along the last axis, stabilised by a constant shift.
-
-    The max shift is treated as a constant; the expression is identical for any
-    constant shift, so gradients are exact.
-    """
-    shift = np.max(t.data, axis=-1, keepdims=True)
-    shifted = t - constant(shift)
-    out = shifted.exp().sum(axis=-1, keepdims=True).log() + constant(shift)
-    if not keepdims:
-        out = out.reshape(*t.data.shape[:-1])
-    return out
-
-
-def softmax_last(t: Tensor) -> Tensor:
-    shift = np.max(t.data, axis=-1, keepdims=True)
-    e = (t - constant(shift)).exp()
-    return e / e.sum(axis=-1, keepdims=True)

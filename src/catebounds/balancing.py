@@ -1,12 +1,15 @@
 """Distributional distances between treated and control representations.
 
-Both metrics are composed from autodiff primitives, so their gradients with
-respect to the representations are exact and available to the estimator loss.
+Both metrics are differentiable in the representations, so their gradients
+are exact and available to the estimator loss.
 
-- MMD: squared maximum mean discrepancy. Linear kernel by default (squared
-  distance between empirical means); RBF with the median heuristic as option.
+- MMD: squared maximum mean discrepancy, composed from autodiff primitives.
+  Linear kernel by default (squared distance between empirical means); RBF
+  with the median heuristic as option.
 - Wasserstein: entropic optimal transport cost <P, C> with squared Euclidean
-  cost, computed by log-domain Sinkhorn iterations unrolled through the tape.
+  cost, computed by log-domain Sinkhorn iterations (Cuturi 2013). The loop
+  runs in numpy as a single tape op whose hand-written backward walks the
+  same iterations in reverse, so the gradient is that of the unrolled loop.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, constant, logsumexp_last
+from .autodiff import NonFiniteError, Tensor, as_tensor, constant
 
 __all__ = [
     "BalancingMetric",
@@ -140,8 +143,12 @@ def sinkhorn_wasserstein(
     """Entropic OT cost <P, C> between two weighted point clouds.
 
     C is squared Euclidean distance. Potentials are computed by `iters`
-    log-domain Sinkhorn updates; gradients flow through the unrolled loop.
-    Non-finite potentials (non-convergent scaling) raise via the tape's checks.
+    log-domain Sinkhorn updates in numpy; the result is one tape node whose
+    backward runs back through the same updates, so gradients are those of
+    the unrolled loop. The weights only set the marginals: they are read as
+    constants, and a weight tensor never receives a gradient through this
+    metric, even when it requires one. Non-finite costs or potentials raise
+    :class:`NonFiniteError` naming the op and the iteration.
     """
     a, b = as_tensor(rep_a), as_tensor(rep_b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
@@ -150,26 +157,70 @@ def sinkhorn_wasserstein(
         raise ValueError("empty representation group")
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    wa = _group_weights(weights_a, a.shape[0])          # (n, 1), sums to 1
-    wb = _group_weights(weights_b, b.shape[0])          # (m, 1)
-    log_wa = constant(np.log(np.maximum(wa.data, 1e-300)))
-    log_wb = constant(np.log(np.maximum(wb.data, 1e-300)))
-    cost = _pairwise_sq_dists(a, b)                     # (n, m)
-    f = constant(np.zeros((a.shape[0], 1)))
-    g = constant(np.zeros((1, b.shape[0])))
-    neg_cost = cost * (-1.0 / epsilon)
-    for _ in range(iters):
-        # f_i = -eps * LSE_j[(g_j - C_ij)/eps + log wb_j]
-        f = logsumexp_last(neg_cost + g * (1.0 / epsilon) + _transpose(log_wb),
-                           keepdims=True) * (-epsilon)
-        g_col = logsumexp_last(
-            _transpose(neg_cost) + _transpose(f) * (1.0 / epsilon) + _transpose(log_wa),
-            keepdims=True,
-        ) * (-epsilon)
-        g = _transpose(g_col)
-    log_plan = (f + g - cost) * (1.0 / epsilon) + log_wa + _transpose(log_wb)
-    plan = log_plan.exp()
-    return (plan * cost).sum()
+    log_wa = _constant_log_weights(weights_a, a.shape[0])          # (n, 1)
+    log_wb = _constant_log_weights(weights_b, b.shape[0]).T        # (1, m)
+    x, y = a.data, b.data
+    inv_eps = 1.0 / epsilon
+
+    def check(values, what, t):
+        if not np.isfinite(values).all():
+            raise NonFiniteError(
+                f"non-finite values produced by op 'sinkhorn_wasserstein': "
+                f"{what} at iteration {t} of {iters}")
+
+    halves = []      # each iteration's row and column softmax weights
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d2 = (x * x).sum(axis=1, keepdims=True) + (y * y).sum(axis=1) - 2.0 * (x @ y.T)
+        cost = np.maximum(d2, 0.0)  # rounding can push exact zeros negative
+        check(cost, "squared distances", 0)
+        neg_cost = cost * -inv_eps
+        f = np.zeros((a.shape[0], 1))
+        g = np.zeros((1, b.shape[0]))
+        for t in range(1, iters + 1):
+            # f_i = -eps * LSE_j[(g_j - C_ij)/eps + log wb_j]
+            f, rows = _soft_min(neg_cost + g * inv_eps + log_wb, 1, epsilon)
+            check(f, "potential f", t)
+            # g_j = -eps * LSE_i[(f_i - C_ij)/eps + log wa_i]
+            g, cols = _soft_min(neg_cost + f * inv_eps + log_wa, 0, epsilon)
+            check(g, "potential g", t)
+            halves.append((rows, cols))
+        plan = np.exp((f + g - cost) * inv_eps + log_wa + log_wb)
+    value = (plan * cost).sum()
+
+    def backward(grad):
+        weighted = plan * cost * grad               # adjoint of log_plan
+        d_cost = plan * grad - weighted * inv_eps
+        # only the last iteration's f and g reach the plan directly
+        d_f_plan = weighted.sum(axis=1, keepdims=True) * inv_eps
+        d_g = weighted.sum(axis=0, keepdims=True) * inv_eps
+        for rows, cols in reversed(halves):
+            through_g = d_g * cols
+            d_cost += through_g
+            through_f = (d_f_plan - through_g.sum(axis=1, keepdims=True)) * rows
+            d_cost += through_f
+            d_g = -through_f.sum(axis=0, keepdims=True)
+            d_f_plan = 0.0
+        d_d2 = d_cost * (d2 > 0.0)
+        if a.requires_grad:
+            a._accumulate(2.0 * (d_d2.sum(axis=1, keepdims=True) * x - d_d2 @ y))
+        if b.requires_grad:
+            b._accumulate(2.0 * (d_d2.sum(axis=0)[:, None] * y - d_d2.T @ x))
+
+    return Tensor._result(value, (a, b), backward, "sinkhorn_wasserstein")
+
+
+def _constant_log_weights(weights, n: int) -> np.ndarray:
+    """Log of the normalised weights (n, 1), detached from any tape."""
+    values = None if weights is None else as_tensor(weights).data
+    return np.log(np.maximum(_group_weights(values, n).data, 1e-300))
+
+
+def _soft_min(z: np.ndarray, axis: int, epsilon: float):
+    """-eps * logsumexp(z) along `axis` (keepdims) and the softmax weights."""
+    shift = z.max(axis=axis, keepdims=True)
+    e = np.exp(z - shift)
+    total = e.sum(axis=axis, keepdims=True)
+    return (np.log(total) + shift) * -epsilon, e / total
 
 
 def balancing_penalty(cfg: BalancingConfig, rep_treated, rep_control,

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .autodiff import Tensor, constant, no_grad, take_along_last, take_rows
+from .autodiff import Tensor, constant, no_grad, slice_last, take_rows
 from .balancing import BalancingConfig, BalancingMetric, balancing_penalty
 from .nets import AdamW, Mlp, MlpConfig, TrainRun, fit
 
@@ -144,10 +144,7 @@ class Stage0Model:
     def _head_outputs(self, rep: Tensor) -> tuple[Tensor, Tensor]:
         if self.config.kind is EstimatorKind.BNN:
             out = self.snet(rep)
-            n = out.shape[0]
-            m0 = take_along_last(out, np.zeros((n, 1), dtype=np.intp))
-            m1 = take_along_last(out, np.ones((n, 1), dtype=np.intp))
-            return m0, m1
+            return slice_last(out, 0, 1), slice_last(out, 1, 2)
         return self.head0(rep), self.head1(rep)
 
     # -- serialization ---------------------------------------------------------

@@ -18,16 +18,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import (
-    NonFiniteError,
-    Tensor,
-    concat_last,
-    constant,
-    no_grad,
-    slice_last,
-    softmax_last,
-    take_along_last,
-)
+from scipy.special import expit
+
+from .autodiff import NonFiniteError, Tensor, as_tensor, no_grad, slice_last
 from .nets import Mlp, MlpConfig, SgdMomentum, TrainRun, fit
 
 __all__ = [
@@ -80,8 +73,12 @@ class FlowConfig:
 
 # -- the spline, on the tape ---------------------------------------------------
 #
-# Training runs it with gradients on; sampling and densities run it under
-# `no_grad` and read `.data`.
+# Training runs the forward map with gradients on; densities run it under
+# `no_grad` and read `.data`. Each step is one tape node with a hand-written
+# backward: the knot grids and derivatives of `spline_params`, and the
+# gathers, rational-quadratic map and log-det of `rq_spline`, whose
+# derivatives follow Durkan et al. (2019). The inverse, used only for
+# sampling, runs on plain arrays and skips the log-det.
 
 
 def spline_params(raw: Tensor, cfg: FlowConfig):
@@ -92,29 +89,61 @@ def spline_params(raw: Tensor, cfg: FlowConfig):
     boundary derivatives pinned to 1.
     """
     k = cfg.knots
-    b = cfg.tail_bound
-    n = raw.shape[0]
-    uw = slice_last(raw, 0, k)
-    uh = slice_last(raw, k, 2 * k)
-    ud = slice_last(raw, 2 * k, 3 * k - 1)
+    cumw = _knots(raw, 0, cfg)
+    cumh = _knots(raw, k, cfg)
+    return cumw, _bin_sizes(cumw), cumh, _bin_sizes(cumh), _derivatives(raw, cfg)
 
-    neg_b = constant(np.full((n, 1), -b))
-    pos_b = constant(np.full((n, 1), b))
 
-    def _bins(u: Tensor):
-        widths = softmax_last(u) * (1.0 - cfg.min_bin * k) + cfg.min_bin
-        inner = slice_last(widths.cumsum_last(), 0, k - 1) * (2.0 * b) - b
-        cum = concat_last([neg_b, inner, pos_b])
-        eff = slice_last(cum, 1, k + 1) - slice_last(cum, 0, k)
-        return cum, eff
+def _knots(raw: Tensor, lo: int, cfg: FlowConfig) -> Tensor:
+    """Knot grid (n, K+1) from the softmax of columns lo:lo+K of `raw`."""
+    k, b = cfg.knots, cfg.tail_bound
+    u = raw.data[:, lo:lo + k]
+    e = np.exp(u - np.max(u, axis=-1, keepdims=True))
+    soft = e / e.sum(axis=-1, keepdims=True)
+    scale = 1.0 - cfg.min_bin * k
+    widths = soft * scale + cfg.min_bin
+    inner = np.cumsum(widths, axis=-1)[:, :k - 1] * (2.0 * b) - b
+    edge = np.full((len(u), 1), b)
+    cum = np.concatenate([-edge, inner, edge], axis=-1)
 
-    cumw, w = _bins(uw)
-    cumh, h = _bins(uh)
+    def backward(g):
+        # reverse cumsum of the interior knots' adjoint, then the softmax's
+        g_widths = np.zeros_like(u)
+        g_widths[:, :k - 1] = np.cumsum(g[:, k - 1:0:-1], axis=-1)[:, ::-1]
+        g_soft = g_widths * (2.0 * b * scale)
+        full = np.zeros_like(raw.data)
+        full[:, lo:lo + k] = soft * (g_soft - (g_soft * soft).sum(axis=-1, keepdims=True))
+        raw._accumulate(full)
+
+    return Tensor._result(cum, (raw,), backward, "spline_knots")
+
+
+def _bin_sizes(cum: Tensor) -> Tensor:
+    """Differences of consecutive knots (n, K)."""
+    def backward(g):
+        full = np.zeros_like(cum.data)
+        full[:, 1:] += g
+        full[:, :-1] -= g
+        cum._accumulate(full)
+
+    return Tensor._result(np.diff(cum.data, axis=-1), (cum,), backward, "spline_bins")
+
+
+def _derivatives(raw: Tensor, cfg: FlowConfig) -> Tensor:
+    """Knot derivatives (n, K+1): softplus of the last K-1 raw columns,
+    shifted so that zero maps to 1, floored at the minimum; both ends 1."""
+    k = cfg.knots
     shift = float(np.log(np.expm1(1.0 - cfg.min_derivative)))
-    inner_d = (ud + shift).softplus() + cfg.min_derivative
-    one = constant(np.ones((n, 1)))
-    d = concat_last([one, inner_d, one])
-    return cumw, w, cumh, h, d
+    ud = raw.data[:, 2 * k:] + shift
+    one = np.ones((len(ud), 1))
+    d = np.concatenate([one, np.logaddexp(0.0, ud) + cfg.min_derivative, one], axis=-1)
+
+    def backward(g):
+        full = np.zeros_like(raw.data)
+        full[:, 2 * k:] = g[:, 1:k] * expit(ud)
+        raw._accumulate(full)
+
+    return Tensor._result(d, (raw,), backward, "spline_derivatives")
 
 
 def _bin_index(values: np.ndarray, cum: np.ndarray) -> np.ndarray:
@@ -130,20 +159,20 @@ def _bin_index(values: np.ndarray, cum: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _inverse_theta(z, wk, hk, chk, dk, dk1, s) -> np.ndarray:
-    """Position in [0, 1] within the bin of the inverse map: the root of the
-    bin's quadratic, on plain arrays."""
-    zbar = z - chk
-    two_s = dk1 + dk - 2.0 * s
-    qa = hk * (s - dk) + zbar * two_s
-    qb = hk * dk - zbar * two_s
-    qc = -s * zbar
-    disc = qb * qb - 4.0 * qa * qc
-    if np.any(disc < -1e-9):
-        raise FloatingPointError("negative discriminant in spline inverse")
-    disc = np.maximum(disc, 0.0)
-    theta = (2.0 * qc) / (-qb - np.sqrt(disc))
-    return np.clip(theta, 0.0, 1.0)
+def _gather(idx, cumw, w, cumh, h, d):
+    """Each point's bin width and height, left knots and knot derivatives."""
+    return [np.take_along_axis(p, j, axis=-1)
+            for p, j in ((w, idx), (h, idx), (cumw, idx), (cumh, idx),
+                         (d, idx), (d, idx + 1))]
+
+
+def _scatter(values: np.ndarray, idx: np.ndarray, width: int) -> np.ndarray:
+    """Sum `values` (n, m) into an (n, width) array at column `idx` of each
+    row: the adjoint of a gather along the last axis."""
+    n = values.shape[0]
+    flat = np.arange(n)[:, None] * width + idx
+    return np.bincount(flat.ravel(), weights=values.ravel(),
+                       minlength=n * width).reshape(n, width)
 
 
 def rq_spline(
@@ -159,48 +188,107 @@ def rq_spline(
 ):
     """Apply the spline (or its inverse) elementwise with per-row parameters.
 
-    `inputs` is a plain array of shape (n,) or (n, k); the parameters are
-    tensors from :func:`spline_params`. Returns (outputs, logabsdet) tensors
-    of the same shape as `inputs`. Outside [-tail_bound, tail_bound] the map
-    is the identity with logabsdet 0. Gradients flow through the forward map
-    only: the inverse takes its bin position from a root on plain arrays.
+    `inputs` is a plain array of shape (n,) or (n, k); the parameters come
+    from :func:`spline_params`. Outside [-tail_bound, tail_bound] the map is
+    the identity with logabsdet 0.
+
+    Forward: returns (outputs, logabsdet) tensors of the shape of `inputs`,
+    both slices of one tape op with a hand-written backward. Inverse:
+    returns the outputs alone as a plain array; the parameters may be plain
+    arrays, and nothing is recorded.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     squeeze = inputs.ndim == 1
     vals = inputs[:, None] if squeeze else inputs
     inside = np.abs(vals) <= tail_bound
     clamped = np.clip(vals, -tail_bound, tail_bound)
-    idx = _bin_index(clamped, (cumh if inverse else cumw).data)
-
-    wk = take_along_last(w, idx)
-    hk = take_along_last(h, idx)
-    cwk = take_along_last(slice_last(cumw, 0, cumw.shape[-1] - 1), idx)
-    chk = take_along_last(slice_last(cumh, 0, cumh.shape[-1] - 1), idx)
-    dk = take_along_last(d, idx)
-    dk1 = take_along_last(d, idx + 1)
-    s = hk / wk
-
     if inverse:
-        theta = constant(_inverse_theta(clamped, wk.data, hk.data, chk.data,
-                                        dk.data, dk1.data, s.data))
-        out = theta * wk + cwk
-    else:
-        theta = (constant(clamped) - cwk) / wk
-    t1m = theta * (1.0 - theta)
-    denom = s + (dk1 + dk - 2.0 * s) * t1m
-    deriv_num = s * s * (dk1 * theta * theta + 2.0 * s * t1m + dk * (1.0 - theta) ** 2)
-    logabsdet = deriv_num.log() - 2.0 * denom.log()
-    if inverse:
-        logabsdet = -logabsdet
-    else:
-        out = chk + hk * (s * theta * theta + dk * t1m) / denom
+        arrays = [p.data if isinstance(p, Tensor) else np.asarray(p)
+                  for p in (cumw, w, cumh, h, d)]
+        out = np.where(inside, _rq_inverse(clamped, *arrays), vals)
+        return out.reshape(inputs.shape)
 
-    mask = constant(inside.astype(np.float64))
-    out = mask * out + constant(np.where(inside, 0.0, vals))
-    logabsdet = mask * logabsdet
+    packed = _rq_forward(vals, clamped, inside,
+                         *(as_tensor(p) for p in (cumw, w, cumh, h, d)))
+    m = vals.shape[-1]
+    out, logabsdet = slice_last(packed, 0, m), slice_last(packed, m, 2 * m)
     if squeeze:
         return out.reshape(-1), logabsdet.reshape(-1)
     return out, logabsdet
+
+
+def _rq_forward(vals, clamped, inside, cumw, w, cumh, h, d) -> Tensor:
+    """Outputs and logabsdet side by side (n, 2m), as one tape node."""
+    idx = _bin_index(clamped, cumw.data)
+    wk, hk, cwk, chk, dk, dk1 = _gather(idx, cumw.data, w.data, cumh.data,
+                                        h.data, d.data)
+    s = hk / wk
+    theta = (clamped - cwk) / wk
+    t1m = theta * (1.0 - theta)
+    slope_sum = dk1 + dk - 2.0 * s
+    denom = s + slope_sum * t1m
+    numer = s * theta * theta + dk * t1m
+    quad = dk1 * theta * theta + 2.0 * s * t1m + dk * (1.0 - theta) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logabsdet = np.log(s * s * quad) - 2.0 * np.log(denom)
+    out = np.where(inside, chk + hk * numer / denom, vals)
+    packed = np.concatenate([out, np.where(inside, logabsdet, 0.0)], axis=-1)
+
+    def backward(g):
+        m = vals.shape[-1]
+        g_out = g[:, :m] * inside
+        g_lad = g[:, m:] * inside
+        # out = chk + hk * numer / denom; each partial is hk * (numer' -
+        # frac * denom') / denom, with frac = numer / denom
+        frac = numer / denom
+        scale = g_out * hk / denom
+        one_m2t = 1.0 - 2.0 * theta
+        d_denom_theta = slope_sum * one_m2t
+        d_denom_s = 1.0 - 2.0 * t1m
+        d_quad_theta = 2.0 * (dk1 * theta + s * one_m2t - dk * (1.0 - theta))
+        g_theta = (scale * (2.0 * s * theta + dk * one_m2t - frac * d_denom_theta)
+                   + g_lad * (d_quad_theta / quad - 2.0 * d_denom_theta / denom))
+        g_s = (scale * (theta * theta - frac * d_denom_s)
+               + g_lad * (2.0 / s + 2.0 * t1m / quad - 2.0 * d_denom_s / denom))
+        g_dk = (scale * t1m * (1.0 - frac)
+                + g_lad * ((1.0 - theta) ** 2 / quad - 2.0 * t1m / denom))
+        g_dk1 = (-scale * frac * t1m
+                 + g_lad * (theta * theta / quad - 2.0 * t1m / denom))
+        # theta = (x - cwk) / wk and s = hk / wk
+        g_cwk = -g_theta / wk
+        k1 = d.data.shape[-1]
+        grads = (
+            (cumw, _scatter(g_cwk, idx, k1)),
+            (w, _scatter(g_cwk * theta - g_s * s / wk, idx, k1 - 1)),
+            (cumh, _scatter(g_out, idx, k1)),
+            (h, _scatter(g_out * frac + g_s / wk, idx, k1 - 1)),
+            (d, _scatter(np.concatenate([g_dk, g_dk1], axis=-1),
+                         np.concatenate([idx, idx + 1], axis=-1), k1)),
+        )
+        for param, grad in grads:
+            if param.requires_grad:
+                param._accumulate(grad)
+
+    return Tensor._result(packed, (cumw, w, cumh, h, d), backward, "rq_spline")
+
+
+def _rq_inverse(z, cumw, w, cumh, h, d) -> np.ndarray:
+    """Inverse map on plain arrays: the root in [0, 1] of the bin's quadratic
+    gives the position within the input bin."""
+    idx = _bin_index(z, cumh)
+    wk, hk, cwk, chk, dk, dk1 = _gather(idx, cumw, w, cumh, h, d)
+    s = hk / wk
+    zbar = z - chk
+    two_s = dk1 + dk - 2.0 * s
+    qa = hk * (s - dk) + zbar * two_s
+    qb = hk * dk - zbar * two_s
+    qc = -s * zbar
+    disc = qb * qb - 4.0 * qa * qc
+    if np.any(disc < -1e-9):
+        raise FloatingPointError("negative discriminant in spline inverse")
+    disc = np.maximum(disc, 0.0)
+    theta = np.clip((2.0 * qc) / (-qb - np.sqrt(disc)), 0.0, 1.0)
+    return theta * wk + cwk
 
 
 # -- conditional flow ----------------------------------------------------------
@@ -307,11 +395,10 @@ class ConditionalFlow:
             z = rng.standard_normal((n, k))
             for lo in range(0, n, chunk):
                 hi = min(lo + chunk, n)
-                y_std, _ = rq_spline(
-                    z[lo:hi], *(constant(p[lo:hi]) for p in params),
+                out[lo:hi] = rq_spline(
+                    z[lo:hi], *(p[lo:hi] for p in params),
                     inverse=True, tail_bound=self.cfg.tail_bound,
                 )
-                out[lo:hi] = y_std.data
         out = out * self.y_scaler.std[0] + self.y_scaler.mean[0]
         out.sort(axis=1)
         if not np.all(np.isfinite(out)):

@@ -475,8 +475,16 @@ def tune_config(config: ExperimentConfig, train: Dataset) -> ExperimentConfig:
     Stages are tuned sequentially: the propensity-on-representation and flow
     searches condition on a stage-0 model trained with the stage-0 winner.
     """
+    return _tune(config, train)[0]
+
+
+def _tune(config: ExperimentConfig,
+          train: Dataset) -> tuple[ExperimentConfig, Stage0Model | None]:
+    """`tune_config`, plus the stage-0 model it fitted on the full training
+    split. That model is the one `train_seed` would fit for `seeds[0]` under
+    the resolved config; None in fixed mode."""
     if config.tuning == "fixed":
-        return config
+        return config, None
     cfg = replace(config, stage0=grid_search_cv("stage0", config, train))
     model = _fit_stage0(cfg, cfg.stage0, train.x, train.a, train.y,
                         _component_seeds(cfg.seeds[0])["stage0"])
@@ -485,7 +493,7 @@ def tune_config(config: ExperimentConfig, train: Dataset) -> ExperimentConfig:
                   prop_x=grid_search_cv("prop_x", cfg, train),
                   prop_phi=grid_search_cv("prop_phi", cfg, train, phi),
                   flow=grid_search_cv("flow", cfg, train, phi))
-    return replace(cfg, tuning="fixed")
+    return replace(cfg, tuning="fixed"), model
 
 
 # ---------------------------------------------------------------------------
@@ -542,12 +550,16 @@ def _delta_file(delta: float) -> str:
     return f"bounds_{delta!r}.csv"
 
 
-def train_seed(config: ExperimentConfig, train: Dataset,
-               seed: int) -> Stage0Model:
-    """Stage 0 for one seed; saves the checkpoint under the seed directory."""
+def train_seed(config: ExperimentConfig, train: Dataset, seed: int,
+               model: Stage0Model | None = None) -> Stage0Model:
+    """Stage 0 for one seed; saves the checkpoint under the seed directory.
+
+    A `model` already fitted for this seed and config (the tuner's stage-0
+    winner) is saved as it is instead of being fitted again."""
     sdir = _seed_dir(config, seed)
-    model = _fit_stage0(config, config.stage0, train.x, train.a, train.y,
-                        _component_seeds(seed)["stage0"])
+    if model is None:
+        model = _fit_stage0(config, config.stage0, train.x, train.a, train.y,
+                            _component_seeds(seed)["stage0"])
     _save_checkpoint(sdir / "stage0.json", model.to_checkpoint())
     return model
 
@@ -653,10 +665,10 @@ def evaluate_seed(config: ExperimentConfig, train: Dataset, test: Dataset,
 
 
 def run_pipeline(config: ExperimentConfig, train: Dataset, test: Dataset,
-                 seed: int) -> RunRecord:
+                 seed: int, model: Stage0Model | None = None) -> RunRecord:
     """All three stages plus scoring for one seed, through the same writers
-    the individual CLI verbs use."""
-    model = train_seed(config, train, seed)
+    the individual CLI verbs use. `model` is passed on to `train_seed`."""
+    model = train_seed(config, train, seed, model)
     refute_seed(config, train, test, seed, model=model)
     return evaluate_seed(config, train, test, seed)
 
@@ -674,24 +686,27 @@ def _emit_decision_grid(config, sdir, model, prop_x, prop_phi, flow,
                             bounds_policy(bounds))
 
 
-def _pipeline_worker(payload: tuple[dict, int]) -> "RunRecord":
-    raw, seed = payload
+def _pipeline_worker(payload: tuple[dict, int, Stage0Model | None]) -> "RunRecord":
+    raw, seed, model = payload
     config = config_from_dict(raw)
     train, test = load_dataset(config.dataset)
-    return run_pipeline(config, train, test, seed)
+    return run_pipeline(config, train, test, seed, model)
 
 
 def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
-    """Tune (if asked), run every seed, and emit aggregate results."""
+    """Tune (if asked), run every seed, and emit aggregate results. The
+    tuner's full-split stage-0 fit is reused as the first seed's stage 0."""
     train, test = load_dataset(config.dataset)
-    resolved = tune_config(config, train)
+    resolved, tuned = _tune(config, train)
+    models = {resolved.seeds[0]: tuned}
     if resolved.jobs > 1:
         raw = config_to_dict(resolved)
         with ProcessPoolExecutor(max_workers=resolved.jobs) as pool:
-            records = list(pool.map(_pipeline_worker,
-                                    [(raw, s) for s in resolved.seeds]))
+            records = list(pool.map(
+                _pipeline_worker,
+                [(raw, s, models.get(s)) for s in resolved.seeds]))
     else:
-        records = [run_pipeline(resolved, train, test, s)
+        records = [run_pipeline(resolved, train, test, s, models.get(s))
                    for s in resolved.seeds]
     records.sort(key=lambda r: r.seed)
     emit_results(resolved, records)

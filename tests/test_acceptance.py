@@ -305,10 +305,14 @@ def test_criterion_05_numerics():
                                                      knots=10))
     yv = np.random.default_rng(2).uniform(-4.9, 4.9, size=50)
     z, logdet_f = rq_spline(yv, *params)
-    back, logdet_i = rq_spline(z.data, *params, inverse=True)
-    inv_err = float(np.max(np.abs(back.data - yv)))
+    back = rq_spline(z.data, *params, inverse=True)
+    inv_err = float(np.max(np.abs(back - yv)))
     assert inv_err < 1e-8
-    assert float(np.max(np.abs(logdet_f.data + logdet_i.data))) < 1e-8
+    # the inverse's slope (five-point central difference) is exp(-logdet_f)
+    h = 1e-5
+    inv = [rq_spline(z.data + j * h, *params, inverse=True) for j in (-2, -1, 1, 2)]
+    slope = (inv[0] - 8 * inv[1] + 8 * inv[2] - inv[3]) / (12 * h)
+    assert float(np.max(np.abs(np.log(slope) + logdet_f.data))) < 1e-8
 
     # fitted-density total mass
     mass = integrate_density(flow, a=1.0, phi=np.array([0.3]))

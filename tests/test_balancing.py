@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from catebounds.autodiff import Tensor
+from catebounds.autodiff import NonFiniteError, Tensor
 from catebounds.balancing import (
     BalancingConfig,
     BalancingMetric,
@@ -14,6 +14,9 @@ from catebounds.balancing import (
     sinkhorn_wasserstein,
 )
 from catebounds.nets import finite_difference_check
+
+import tape_oracles
+from tape_oracles import assert_close
 
 
 class TestMmd:
@@ -169,6 +172,73 @@ class TestSinkhorn:
     def test_invalid_epsilon(self):
         with pytest.raises(ValueError):
             sinkhorn_wasserstein(np.zeros((2, 1)), np.zeros((2, 1)), epsilon=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 8), m=st.integers(1, 8),
+           d=st.integers(1, 3), iters=st.integers(1, 25),
+           epsilon=st.sampled_from([0.05, 0.1, 0.5, 2.0]),
+           weighted_a=st.booleans(), weighted_b=st.booleans())
+    def test_matches_tape_oracle(self, seed, n, m, d, iters, epsilon,
+                                 weighted_a, weighted_b):
+        """The fused op against the loop unrolled on the tape: value and the
+        gradient of both representations."""
+        rng = np.random.default_rng(seed)
+        xa = rng.normal(size=(n, d))
+        xb = rng.normal(size=(m, d)) + rng.normal(size=d)
+        wa = rng.uniform(0.1, 2.0, size=n) if weighted_a else None
+        wb = rng.uniform(0.1, 2.0, size=m) if weighted_b else None
+        results = []
+        for fn in (sinkhorn_wasserstein, tape_oracles.sinkhorn_wasserstein):
+            a = Tensor(xa, requires_grad=True)
+            b = Tensor(xb, requires_grad=True)
+            value = fn(a, b, epsilon=epsilon, iters=iters, weights_a=wa,
+                       weights_b=wb)
+            value.backward()
+            results.append((value.data, a.grad, b.grad))
+        for fused, oracle in zip(*results):
+            assert_close(fused, oracle)
+
+    def test_records_one_tape_node(self, monkeypatch):
+        recorded = []
+        result = Tensor._result
+
+        def counted(*args, **kwargs):
+            out = result(*args, **kwargs)
+            recorded.append(out.requires_grad)
+            return out
+
+        monkeypatch.setattr(Tensor, "_result", staticmethod(counted))
+        rng = np.random.default_rng(14)
+        a = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
+        sinkhorn_wasserstein(a, rng.normal(size=(5, 2)), iters=10)
+        assert sum(recorded) == 1
+
+    def test_weights_get_no_gradient(self):
+        rng = np.random.default_rng(15)
+        a = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
+        b = rng.normal(size=(4, 2))
+        wa = Tensor(rng.uniform(0.5, 1.5, size=(5, 1)), requires_grad=True)
+        wb = Tensor(rng.uniform(0.5, 1.5, size=4), requires_grad=True)
+        sinkhorn_wasserstein(a, b, weights_a=wa, weights_b=wb).backward()
+        assert a.grad is not None
+        assert wa.grad is None and wb.grad is None
+        # weights alone on the tape: the penalty is a constant for them
+        value = sinkhorn_wasserstein(b, b + 1.0, weights_a=wb)
+        assert not value.requires_grad
+
+    def test_non_finite_error_names_op_and_iteration(self):
+        # squared distances of 1e200-sized points overflow before the loop
+        big = np.array([[1e200], [-1e200]])
+        with pytest.raises(NonFiniteError,
+                           match=r"op 'sinkhorn_wasserstein': squared "
+                                 r"distances at iteration 0 of 10"):
+            sinkhorn_wasserstein(big, np.array([[0.0]]))
+        # finite distances near 1e300 overflow once divided by epsilon
+        wide = np.array([[1e150], [-1e150]])
+        with pytest.raises(NonFiniteError,
+                           match=r"op 'sinkhorn_wasserstein': potential f "
+                                 r"at iteration 1 of 10"):
+            sinkhorn_wasserstein(wide, np.array([[0.0]]), epsilon=1e-9)
 
 
 class TestConfigDispatch:

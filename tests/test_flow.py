@@ -20,6 +20,19 @@ from catebounds.flow import (
 )
 from catebounds.nets import TrainRun, finite_difference_check
 
+import tape_oracles
+from tape_oracles import assert_close
+
+
+def spline_points(rng, cum: np.ndarray, b: float) -> np.ndarray:
+    """Per row: random points inside, every knot, both bounds, and points
+    beyond the tail bound."""
+    n = len(cum)
+    beyond = rng.uniform(b, 2 * b, size=(n, 2)) * rng.choice([-1, 1], (n, 2))
+    return np.concatenate([rng.uniform(-b, b, size=(n, 5)), cum,
+                           np.full((n, 1), -b), np.full((n, 1), b), beyond],
+                          axis=1)
+
 
 def zero_raw(n: int, knots: int) -> np.ndarray:
     return np.zeros((n, 3 * knots - 1))
@@ -30,6 +43,14 @@ def random_params(n: int, knots: int, seed: int, scale: float = 1.0):
     raw = rng.normal(scale=scale, size=(n, 3 * knots - 1))
     cfg = FlowConfig(context_dim=2, hidden_units=4, knots=knots)
     return spline_params(constant(raw), cfg), raw, cfg
+
+
+def inverse_slope(params, z: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Five-point central difference of the inverse spline at `z`."""
+    def inv(v):
+        return rq_spline(v, *params, inverse=True)
+
+    return (inv(z - 2 * h) - 8 * inv(z - h) + 8 * inv(z + h) - inv(z + 2 * h)) / (12 * h)
 
 
 class TestSpline:
@@ -53,9 +74,11 @@ class TestSpline:
         rng = np.random.default_rng(2)
         y = rng.uniform(-4.9, 4.9, size=50)
         z, logdet_f = rq_spline(y, *params)
-        back, logdet_i = rq_spline(z.data, *params, inverse=True)
-        assert np.max(np.abs(back.data - y)) < 1e-8
-        assert np.max(np.abs(logdet_f.data + logdet_i.data)) < 1e-8
+        back = rq_spline(z.data, *params, inverse=True)
+        assert np.max(np.abs(back - y)) < 1e-8
+        # the inverse's slope at z is exp(-logdet) of the forward at y
+        slope = inverse_slope(params, z.data)
+        assert np.max(np.abs(np.log(slope) + logdet_f.data)) < 1e-8
 
     def test_forward_strictly_increasing(self):
         (_, raw_one, cfg) = random_params(1, 12, seed=3, scale=2.0)
@@ -105,8 +128,77 @@ class TestSpline:
         params = spline_params(constant(raw), cfg)
         y = rng.uniform(-5.0, 5.0, size=4)
         z, _ = rq_spline(y, *params)
-        back, _ = rq_spline(z.data, *params, inverse=True)
-        assert np.max(np.abs(back.data - y)) < 1e-8
+        back = rq_spline(z.data, *params, inverse=True)
+        assert np.max(np.abs(back - y)) < 1e-8
+
+
+class TestFusedSpline:
+    """The fused spline ops against their compositions on the tape."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), knots=st.integers(2, 16),
+           scale=st.sampled_from([0.1, 1.0, 3.0]))
+    def test_rq_spline_matches_tape_oracle(self, seed, knots, scale):
+        rng = np.random.default_rng(seed)
+        cfg = FlowConfig(context_dim=2, hidden_units=4, knots=knots)
+        raw = rng.normal(scale=scale, size=(4, 3 * knots - 1))
+        arrays = [p.data for p in spline_params(constant(raw), cfg)]
+        y = spline_points(rng, arrays[0], cfg.tail_bound)
+        c_out, c_lad = rng.normal(size=y.shape), rng.normal(size=y.shape)
+        results = []
+        for fn in (rq_spline, tape_oracles.rq_spline):
+            params = [Tensor(a, requires_grad=True) for a in arrays]
+            out, lad = fn(y, *params, tail_bound=cfg.tail_bound)
+            ((out * constant(c_out)).sum() + (lad * constant(c_lad)).sum()).backward()
+            results.append([out.data, lad.data] + [p.grad for p in params])
+        for fused, oracle in zip(*results):
+            assert_close(fused, oracle)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), knots=st.integers(2, 16),
+           scale=st.sampled_from([0.1, 1.0, 3.0]))
+    def test_spline_params_match_tape_oracle(self, seed, knots, scale):
+        rng = np.random.default_rng(seed)
+        cfg = FlowConfig(context_dim=2, hidden_units=4, knots=knots)
+        raw0 = rng.normal(scale=scale, size=(5, 3 * knots - 1))
+        weights = [rng.normal(size=(5, c)) for c in
+                   (knots + 1, knots, knots + 1, knots, knots + 1)]
+        results = []
+        for fn in (spline_params, tape_oracles.spline_params):
+            raw = Tensor(raw0, requires_grad=True)
+            params = fn(raw, cfg)
+            sum((p * constant(c)).sum() for p, c in zip(params, weights)).backward()
+            results.append([p.data for p in params] + [raw.grad])
+        for fused, oracle in zip(*results):
+            assert_close(fused, oracle)
+
+    def test_gradients_through_fused_ops_match_finite_differences(self):
+        rng = np.random.default_rng(30)
+        cfg = FlowConfig(context_dim=2, hidden_units=4, knots=6)
+        raw = Tensor(rng.normal(size=(3, 17)), requires_grad=True)
+        y = rng.uniform(-4.5, 4.5, size=(3, 4))
+
+        def loss():
+            out, lad = rq_spline(y, *spline_params(raw, cfg))
+            return (out * out).sum() + lad.sum()
+
+        report = finite_difference_check(loss, [raw], tolerance=1e-6)
+        assert report.passed, report.max_rel_error
+
+    def test_training_records_few_tape_nodes(self, monkeypatch):
+        recorded = []
+        result = Tensor._result
+
+        def counted(*args, **kwargs):
+            out = result(*args, **kwargs)
+            recorded.append(out.requires_grad)
+            return out
+
+        monkeypatch.setattr(Tensor, "_result", staticmethod(counted))
+        raw = Tensor(np.zeros((4, 29)), requires_grad=True)
+        rq_spline(np.zeros((4, 1)), *spline_params(raw, FlowConfig(2, 4)))
+        # knots and bin sizes twice, derivatives, the spline, two slices
+        assert sum(recorded) == 8
 
 
 class TestFlowLikelihood:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from conftest import idx_images_bytes, idx_labels_bytes, toy_mnist, write_ihdp_pair
 
+from catebounds import runner
 from catebounds.data import gen_synthetic
 from catebounds.runner import (
     DatasetSpec,
@@ -269,6 +270,28 @@ class TestGridSearch:
         cfg = tiny_config(tmp_path)
         train, _ = load_dataset(cfg.dataset)
         assert tune_config(cfg, train) is cfg
+
+    def test_tuned_stage0_fit_is_reused(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path / "tuned", tuning="grid", n_grid=1,
+                          cv_folds=2)
+        train, _ = load_dataset(cfg.dataset)
+        full_split_fits = []
+        fit = runner._fit_stage0
+
+        def counted(config, params, x, a, y, seed):
+            if len(x) == train.n:
+                full_split_fits.append(seed)
+            return fit(config, params, x, a, y, seed)
+
+        monkeypatch.setattr(runner, "_fit_stage0", counted)
+        run_experiment(cfg)
+        # the tuner's fit on the full split is seed 0's stage 0
+        assert len(full_split_fits) == 1
+        monkeypatch.undo()
+        resolved = tune_config(cfg, train)
+        train_seed(replace(resolved, out_dir=str(tmp_path / "fresh")), train, 0)
+        assert ((tmp_path / "tuned" / "seed_0" / "stage0.json").read_bytes()
+                == (tmp_path / "fresh" / "seed_0" / "stage0.json").read_bytes())
 
     def test_unknown_stage(self, tmp_path):
         cfg = tiny_config(tmp_path)
