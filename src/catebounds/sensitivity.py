@@ -12,6 +12,14 @@ field value at a representation is the maximum of Gamma_point over training
 points whose standardized representation lies within a Euclidean delta-ball
 (the query's own Gamma_point included), which makes the field conservative and
 weakly increasing in delta.
+
+With a one-dimensional representation the ball maximum uses a sorted index,
+not an all-pairs comparison: each query's ball is the run of sorted training
+rows that pass the ball test, found by bisection with the same floating-point
+test, and a sparse-table range maximum answers it: O(n log n) per delta, then
+O(log n) per query. The result equals the all-pairs maximum bit for bit,
+points exactly on the edge included. With more dimensions every query is
+compared with every training row.
 """
 
 from __future__ import annotations
@@ -125,25 +133,104 @@ def gamma_pointwise(pi1_x: np.ndarray, pi1_phi: np.ndarray) -> np.ndarray:
     """
     px = np.asarray(pi1_x, dtype=np.float64)
     pp = np.asarray(pi1_phi, dtype=np.float64)
-    if np.any((px <= 0.0) | (px >= 1.0)) or np.any((pp <= 0.0) | (pp >= 1.0)):
+    # written so that NaN fails the test too
+    if not (np.all((px > 0.0) & (px < 1.0)) and np.all((pp > 0.0) & (pp < 1.0))):
         raise ValueError("propensities must lie strictly inside (0, 1)")
     lam = ((1.0 - pp) / pp) * (px / (1.0 - px))
     return np.maximum(lam, 1.0 / lam)
 
 
+def _first_false(holds, m: int, n: int) -> np.ndarray:
+    """Per query i of m, the first j in [0, n) at which `holds` is False.
+
+    `holds(cols)` tests query i against column cols[i], and must hold on a
+    prefix of [0, n) for every query. A vectorized bisection: n.bit_length()
+    rounds halve each query's open interval until it is empty.
+    """
+    lo = np.zeros(m, dtype=np.intp)
+    hi = np.full(m, n, dtype=np.intp)
+    for _ in range(n.bit_length()):
+        mid = (lo + hi) // 2
+        ok = holds(np.minimum(mid, n - 1))
+        open_ = lo < hi
+        lo = np.where(open_ & ok, mid + 1, lo)
+        hi = np.where(open_ & ~ok, mid, hi)
+    return lo
+
+
+def _range_max(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """max(vals[lo[i]:hi[i]]) per i by a sparse table, -inf on an empty range.
+
+    Row k of the table holds the maxima of the windows of length 2**k, so a
+    range is covered by two windows of its largest power-of-two length:
+    O(n log n) to build and O(1) per range. A maximum is exact, so the overlap
+    of the two windows changes nothing.
+    """
+    n = len(vals)
+    table = np.full((n.bit_length(), n), -np.inf)
+    table[0] = vals
+    for k in range(1, len(table)):
+        w = 1 << (k - 1)
+        table[k, :n - 2 * w + 1] = np.maximum(table[k - 1, :n - 2 * w + 1],
+                                              table[k - 1, w:n - w + 1])
+    out = np.full(len(lo), -np.inf)
+    rows = np.flatnonzero(hi > lo)
+    first, stop = lo[rows], hi[rows]
+    k = np.frexp((stop - first).astype(np.float64))[1] - 1  # floor(log2(length))
+    out[rows] = np.maximum(table[k, first], table[k, stop - (1 << k)])
+    return out
+
+
 def _max_within_delta(query: np.ndarray, base: np.ndarray, base_vals: np.ndarray,
-                      self_vals: np.ndarray, delta: float,
-                      chunk: int = 512) -> np.ndarray:
-    """Per query row: max of base_vals within the delta-ball, and its own value."""
+                      self_vals: np.ndarray, delta: float) -> np.ndarray:
+    """Per query row: max of base_vals within the delta-ball, and its own value.
+
+    Base row b is in the ball of query q iff fl(sum_j fl((q_j - b_j)**2)) <=
+    fl(delta**2). With one coordinate the base rows are sorted, and rounding
+    is monotone, so each ball is one run [lo, hi) of that order, found per
+    query by bisection on that same test; a sparse table gives its maximum.
+    Ties and points exactly on the edge land as in the all-pairs test, bit for
+    bit. With more coordinates every query is tested against every base row.
+    Inputs must be finite.
+    """
     out = np.array(self_vals, dtype=np.float64, copy=True)
     d2_max = delta * delta
-    for lo in range(0, len(query), chunk):
-        hi = min(lo + chunk, len(query))
-        diff = query[lo:hi, None, :] - base[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        masked = np.where(d2 <= d2_max, base_vals[None, :], -np.inf)
-        out[lo:hi] = np.maximum(out[lo:hi], masked.max(axis=1))
-    return out
+    if query.shape[1] > 1:
+        chunk = 512  # queries per all-pairs block
+        for lo in range(0, len(query), chunk):
+            hi = min(lo + chunk, len(query))
+            diff = query[lo:hi, None, :] - base[None, :, :]
+            d2 = np.einsum("ijk,ijk->ij", diff, diff)
+            masked = np.where(d2 <= d2_max, base_vals[None, :], -np.inf)
+            out[lo:hi] = np.maximum(out[lo:hi], masked.max(axis=1))
+        return out
+
+    m, n = len(query), len(base)
+    if n == 0:
+        return out
+    order = np.argsort(base[:, 0], kind="stable")
+    q, b, vals = query[:, 0], base[order, 0], base_vals[order]
+
+    def beyond(cols, side):
+        # b[cols] is outside the ball, on `side` of q
+        diff = q - b[cols]
+        return (side * diff > 0.0) & (diff * diff > d2_max)
+
+    lo = _first_false(lambda cols: beyond(cols, 1.0), m, n)
+    hi = _first_false(lambda cols: ~beyond(cols, -1.0), m, n)
+    return np.maximum(out, _range_max(vals, lo, hi))
+
+
+def _check_field_inputs(phis: np.ndarray, gammas: np.ndarray, name: str) -> None:
+    """The index sorts by phi, so it needs finite keys; Gammas are >= 1."""
+    if len(phis) != len(gammas):
+        raise ValueError(f"phis and {name} must have equal length")
+    if not np.all(np.isfinite(phis)):
+        raise ValueError("representations must be finite")
+    if not np.all(np.isfinite(gammas)):
+        raise ValueError(f"{name} must be finite")
+    if np.any(gammas < 1.0):
+        raise ValueError(f"{name} must be >= 1")
 
 
 def gamma_ball(phis_std: np.ndarray, gamma_points: np.ndarray,
@@ -153,14 +240,11 @@ def gamma_ball(phis_std: np.ndarray, gamma_points: np.ndarray,
     `phis_std` must already be standardized; each point's own Gamma_point is in
     its ball, so Gamma_hat >= Gamma_point >= 1 everywhere.
     """
-    if delta < 0.0:
+    if not delta >= 0.0:  # NaN included
         raise ValueError("delta must be non-negative")
     phis_std = np.atleast_2d(np.asarray(phis_std, dtype=np.float64).T).T
     gamma_points = np.asarray(gamma_points, dtype=np.float64).reshape(-1)
-    if len(phis_std) != len(gamma_points):
-        raise ValueError("phis and gamma_points must have equal length")
-    if np.any(gamma_points < 1.0):
-        raise ValueError("gamma_points must be >= 1")
+    _check_field_inputs(phis_std, gamma_points, "gamma_points")
     return _max_within_delta(phis_std, phis_std, gamma_points, gamma_points, delta)
 
 
@@ -187,8 +271,7 @@ class GammaField:
     def at(self, phis: np.ndarray, gamma_point: np.ndarray) -> np.ndarray:
         q = self.standardize(phis)
         own = np.asarray(gamma_point, dtype=np.float64).reshape(-1)
-        if np.any(own < 1.0):
-            raise ValueError("gamma_point must be >= 1")
+        _check_field_inputs(q, own, "gamma_point")
         return _max_within_delta(q, self.train_phis_std, self.train_gamma_points,
                                  own, self.delta)
 

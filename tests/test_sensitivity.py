@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
+from catebounds import sensitivity
 from catebounds.nets import TrainRun
 from catebounds.sensitivity import (
     DELTA_PRESETS,
@@ -16,6 +17,20 @@ from catebounds.sensitivity import (
     train_propensity,
     write_gamma_csv,
 )
+
+
+def _brute_ball_max(query, base, base_vals, self_vals, delta, chunk=64):
+    """All-pairs oracle for the sorted index: per query row, the max of base_vals
+    over base rows with squared distance <= delta**2, and its own value."""
+    out = np.array(self_vals, dtype=np.float64, copy=True)
+    d2_max = delta * delta
+    for lo in range(0, len(query), chunk):
+        hi = min(lo + chunk, len(query))
+        diff = query[lo:hi, None, :] - base[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        masked = np.where(d2 <= d2_max, base_vals[None, :], -np.inf)
+        out[lo:hi] = np.maximum(out[lo:hi], masked.max(axis=1))
+    return out
 
 
 class TestPropensity:
@@ -94,6 +109,11 @@ class TestGammaPointwise:
         with pytest.raises(ValueError):
             gamma_pointwise(np.array([0.5]), np.array([1.0]))
 
+    @pytest.mark.parametrize("px,pp", [(np.nan, 0.5), (0.5, np.nan)])
+    def test_nan_propensity_rejected(self, px, pp):
+        with pytest.raises(ValueError, match="strictly inside"):
+            gamma_pointwise(np.array([px]), np.array([pp]))
+
 
 class TestGammaBall:
     def test_zero_delta_returns_pointwise(self):
@@ -137,6 +157,16 @@ class TestGammaBall:
             gamma_ball(np.zeros((3, 1)), np.ones(3), -0.1)
         with pytest.raises(ValueError):
             gamma_ball(np.zeros((3, 1)), np.ones(4), 0.01)
+        with pytest.raises(ValueError):
+            gamma_ball(np.zeros((3, 1)), np.ones(3), np.nan)
+
+    def test_non_finite_phi_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            gamma_ball(np.array([[0.0], [np.nan]]), np.array([2.0, 3.0]), 0.1)
+
+    def test_non_finite_gamma_point_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            gamma_ball(np.array([[0.0], [0.05]]), np.array([2.0, np.nan]), 0.1)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 40),
@@ -184,6 +214,78 @@ class TestGammaField:
         field = self.make_field(delta=0.001)
         got = field.at(np.array([[1e6]]), np.array([3.3]))
         assert np.array_equal(got, [3.3])
+
+    def test_non_finite_query_phi_rejected(self):
+        field = self.make_field()
+        with pytest.raises(ValueError, match="finite"):
+            field.at(np.array([[0.0], [np.nan]]), np.array([2.0, 3.0]))
+
+    def test_non_finite_query_gamma_rejected(self):
+        field = self.make_field()
+        with pytest.raises(ValueError, match="finite"):
+            field.at(np.array([[0.0], [0.1]]), np.array([2.0, np.nan]))
+
+    def test_query_lengths_must_agree(self):
+        field = self.make_field()
+        with pytest.raises(ValueError, match="equal length"):
+            field.at(np.array([[0.0], [0.1]]), np.array([2.0]))
+
+
+class TestBallIndex:
+    """The ball maximum against the all-pairs oracle, bit for bit.
+
+    d = 1 runs the sorted index; d > 1 checks that wider representations
+    still take the all-pairs path."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from((1, 2, 3)),
+           n=st.integers(1, 200), m=st.integers(1, 200),
+           dyadic=st.booleans(),
+           delta=st.sampled_from((0.0, 1 / 64, 3 / 64, 5 / 64, 0.125, 0.5)
+                                 + DELTA_PRESETS))
+    def test_matches_all_pairs_oracle(self, seed, d, n, m, dyadic, delta):
+        rng = np.random.default_rng(seed)
+        if dyadic:
+            # multiples of 1/64 in a small box: exact squared distances, so
+            # with a dyadic delta some pairs sit exactly on the ball's edge
+            base = rng.integers(-12, 13, size=(n, d)) / 64.0
+            query = rng.integers(-12, 13, size=(m, d)) / 64.0
+        else:
+            base = rng.normal(scale=0.05, size=(n, d))
+            query = rng.normal(scale=0.05, size=(m, d))
+        # duplicate rows, queries on base rows, and far queries with empty balls
+        base[rng.random(n) < 0.2] = base[rng.integers(0, n)]
+        on_base = rng.random(m) < 0.3
+        query[on_base] = base[rng.integers(0, n, size=on_base.sum())]
+        query[rng.random(m) < 0.1] += 1e3
+        base_vals = np.round(rng.uniform(1.0, 10.0, size=n), 1)
+        self_vals = np.round(rng.uniform(1.0, 10.0, size=m), 1)
+        want = _brute_ball_max(query, base, base_vals, self_vals, delta)
+        got = sensitivity._max_within_delta(query, base, base_vals, self_vals,
+                                            delta)
+        assert np.array_equal(got, want)
+
+    def test_hcmnist_size(self):
+        # HC-MNIST has 60 000 training rows; an all-pairs field at this size
+        # takes tens of seconds per delta
+        rng = np.random.default_rng(15)
+        n = 60_000
+        phis = np.round(rng.normal(size=(n, 1)), 3)  # ties, as a coarse phi has
+        px = rng.uniform(0.05, 0.95, size=n)
+        pp = rng.uniform(0.05, 0.95, size=n)
+        queries = rng.normal(size=(10_000, 1))
+        q_gamma = rng.uniform(1.0, 3.0, size=10_000)
+        sub = rng.choice(n, size=300, replace=False)
+        q_sub = rng.choice(10_000, size=300, replace=False)
+        for delta in DELTA_PRESETS:
+            field = build_gamma_field(phis, px, pp, delta)
+            gp, z = field.train_gamma_points, field.train_phis_std
+            assert np.array_equal(field.train_gamma_hat[sub],
+                                  _brute_ball_max(z[sub], z, gp, gp[sub], delta))
+            got = field.at(queries, q_gamma)
+            assert np.array_equal(
+                got[q_sub], _brute_ball_max(field.standardize(queries[q_sub]), z,
+                                            gp, q_gamma[q_sub], delta))
 
 
 class TestCsvExport:
