@@ -1,14 +1,15 @@
-"""Treatment-effect intervals from a sensitivity parameter and outcome samples.
+"""Treatment-effect intervals from a sensitivity parameter and outcome quantiles.
 
 Under an odds-ratio sensitivity model with parameter Gamma >= 1, the worst-case
 conditional outcome means are obtained by tilting the learned outcome density:
 the lower (upper) mean re-weights the left (right) tail by 1/s_minus and the
 rest by 1/s_plus, with the split at the quantile c_minus = 1/(1+Gamma)
-(c_plus = Gamma/(1+Gamma)). On a sorted k-sample this is a weighted partial
-mean; the order statistic at the split is divided between the two blocks in
-proportion to the fractional part of k*c, which makes the estimator exact for
-the empirical measure: Gamma = 1 collapses both bounds onto the sample mean,
-bounds always sandwich the mean, and widths grow weakly in Gamma.
+(c_plus = Gamma/(1+Gamma)). On the flow's outcome quantiles at the k nodes
+(j - 1/2)/k (`ConditionalFlow.sample`, ascending, no random draws) this is a
+midpoint-rule weighted partial mean; the node at the split is divided between
+the blocks in proportion to the fractional part of k*c, which makes the rule
+exact for the k-node measure: Gamma = 1 collapses both bounds onto the node
+mean, bounds always sandwich the mean, and widths grow weakly in Gamma.
 
 CATE bounds per point combine the per-arm means:
 lower = mu1_lower - mu0_upper, upper = mu1_upper - mu0_lower.
@@ -144,7 +145,10 @@ class CateBounds:
     upper: np.ndarray
     gamma: np.ndarray
     pi1_phi: np.ndarray
-    k: int
+
+
+# rows per flow.sample call, which bounds the (rows, k) matrix held at once
+CHUNK = 128
 
 
 def cate_bounds(
@@ -155,22 +159,19 @@ def cate_bounds(
     gamma_fields: Sequence[GammaField],
     flow: ConditionalFlow,
     k: int,
-    rng: np.random.Generator,
     *,
     gamma_override: Sequence[np.ndarray] | None = None,
-    chunk: int = 128,
 ) -> list[CateBounds]:
     """Interval bounds on the representation-level CATE at each row of `x`,
     one CateBounds per field of `gamma_fields`, in order.
 
     Per point: read the representation, look up Gamma from each field (own
-    pointwise value included), sample k outcomes per arm from the flow, and
-    combine the per-arm extremal means. The outcome samples do not depend on
-    Gamma, so each chunk is drawn once (treated arm, then control arm) and
-    bounded under every field's Gamma: the result for a field equals a
-    single-field call with the generator in the same state. `gamma_override`,
-    one per-point array per field, replaces the field lookups (used for the
-    Gamma = 1 collapse check).
+    pointwise value included), take the flow's outcomes at k quantile nodes
+    per arm, and combine the per-arm extremal means. The nodes depend on
+    neither Gamma nor the chunk, so each chunk's are computed once per arm
+    and bounded under every field's Gamma: the result for a field equals a
+    single-field call. `gamma_override`, one per-point array per field,
+    replaces the field lookups (used for the Gamma = 1 collapse check).
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -192,11 +193,11 @@ def cate_bounds(
 
     lowers = [np.empty(n) for _ in gammas]
     uppers = [np.empty(n) for _ in gammas]
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    for lo in range(0, n, CHUNK):
+        hi = min(lo + CHUNK, n)
         p1 = pi1_phi[lo:hi]
-        s1 = flow.sample(np.ones(hi - lo), phi[lo:hi], k, rng)
-        s0 = flow.sample(np.zeros(hi - lo), phi[lo:hi], k, rng)
+        s1 = flow.sample(np.ones(hi - lo), phi[lo:hi], k)
+        s0 = flow.sample(np.zeros(hi - lo), phi[lo:hi], k)
         for gamma, lower, upper in zip(gammas, lowers, uppers):
             g = gamma[lo:hi]
             mu1_lo, mu1_hi = cvar_mu_bounds(s1, g, p1)
@@ -204,13 +205,12 @@ def cate_bounds(
             lower[lo:hi] = mu1_lo - mu0_hi
             upper[lo:hi] = mu1_hi - mu0_lo
     return [CateBounds(point=point, lower=lower, upper=upper, gamma=gamma,
-                       pi1_phi=pi1_phi, k=k)
+                       pi1_phi=pi1_phi)
             for gamma, lower, upper in zip(gammas, lowers, uppers)]
 
 
 def read_bounds_csv(path: str | Path) -> CateBounds:
-    """Load a table written by write_bounds_csv. k is not stored in the
-    file and comes back as 0."""
+    """Load a table written by write_bounds_csv."""
     header, rows = read_table(path)
     if header[:6] != ["id", "tau_hat", "lower", "upper", "gamma", "pi1_phi"]:
         raise ValueError(f"{path}: not a bounds table")
@@ -218,7 +218,7 @@ def read_bounds_csv(path: str | Path) -> CateBounds:
         raise ValueError(f"{path}: empty bounds table")
     cols = np.array(rows)[:, 1:6].astype(np.float64)
     return CateBounds(point=cols[:, 0], lower=cols[:, 1], upper=cols[:, 2],
-                      gamma=cols[:, 3], pi1_phi=cols[:, 4], k=0)
+                      gamma=cols[:, 3], pi1_phi=cols[:, 4])
 
 
 def write_bounds_csv(path: str | Path, bounds: CateBounds,

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from scipy.special import expit
+from scipy.special import expit, ndtri
 
 from .autodiff import NonFiniteError, Tensor, as_tensor, no_grad, slice_last
 from .nets import Mlp, MlpConfig, SgdMomentum, TrainRun, fit
@@ -341,8 +341,8 @@ class ConditionalFlow:
             )
         return np.concatenate([a, self.context_scaler.transform(phi)], axis=1)
 
-    def _spline_params(self, a, phi):
-        return spline_params(self.context_net(self._context(a, phi)), self.cfg)
+    def _spline_params(self, ctx: np.ndarray):
+        return spline_params(self.context_net(ctx), self.cfg)
 
     # public ops ---------------------------------------------------------------
 
@@ -363,8 +363,8 @@ class ConditionalFlow:
                     (ctx.shape[0], ctx.shape[1] - 1)
                 )
                 ctx = np.concatenate([ctx[:, :1], ctx[:, 1:] + noise], axis=1)
-        params = spline_params(self.context_net(ctx), self.cfg)
-        z, logabsdet = rq_spline(y_std, *params, tail_bound=self.cfg.tail_bound)
+        z, logabsdet = rq_spline(y_std, *self._spline_params(ctx),
+                                 tail_bound=self.cfg.tail_bound)
         nll = (z * z * 0.5 + (0.5 * LOG_2PI) - logabsdet).mean()
         return nll + float(np.log(self.y_scaler.std[0]))
 
@@ -377,30 +377,29 @@ class ConditionalFlow:
         y = np.asarray(y, dtype=np.float64).reshape(-1)
         y_std = (y - self.y_scaler.mean[0]) / self.y_scaler.std[0]
         with no_grad():
-            z, logabsdet = rq_spline(y_std, *self._spline_params(a, phi),
-                                     tail_bound=self.cfg.tail_bound)
+            params = self._spline_params(self._context(a, phi))
+            z, logabsdet = rq_spline(y_std, *params, tail_bound=self.cfg.tail_bound)
         z = z.data
         return (-0.5 * z * z - 0.5 * LOG_2PI + logabsdet.data
                 - np.log(self.y_scaler.std[0]))
 
-    def sample(self, a, phi, k: int, rng: np.random.Generator,
-               chunk: int = 256) -> np.ndarray:
-        """Draw k outcomes per context row, sorted ascending along axis 1."""
+    def sample(self, a, phi, k: int) -> np.ndarray:
+        """k outcomes per context row: the base quantiles at the midpoint
+        nodes z_j = Phi^-1((j - 1/2)/k), j = 1..k, pushed through the inverse
+        spline. The spline is monotone, so each row comes out ascending."""
         if k < 1:
             raise ValueError("k must be positive")
+        z = ndtri((np.arange(k) + 0.5) / k)
+        ctx = self._context(a, phi)
+        n = len(ctx)
+        # numpy multiplies a lone row by gemv, which rounds unlike the gemm of
+        # a batch; paired with its copy, a row comes out as in a larger chunk
         with no_grad():
-            params = [p.data for p in self._spline_params(a, phi)]
-            n = params[0].shape[0]
-            out = np.empty((n, k))
-            z = rng.standard_normal((n, k))
-            for lo in range(0, n, chunk):
-                hi = min(lo + chunk, n)
-                out[lo:hi] = rq_spline(
-                    z[lo:hi], *(p[lo:hi] for p in params),
-                    inverse=True, tail_bound=self.cfg.tail_bound,
-                )
+            params = [p.data[:n] for p in self._spline_params(
+                np.repeat(ctx, 2 if n == 1 else 1, axis=0))]
+        out = rq_spline(np.broadcast_to(z, (n, k)), *params,
+                        inverse=True, tail_bound=self.cfg.tail_bound)
         out = out * self.y_scaler.std[0] + self.y_scaler.mean[0]
-        out.sort(axis=1)
         if not np.all(np.isfinite(out)):
             raise NonFiniteError("non-finite flow samples")
         return out

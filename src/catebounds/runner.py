@@ -150,6 +150,10 @@ class ExperimentConfig:
             raise ValueError("tuning must be 'fixed' or 'grid'")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {self.seeds}")
+        if self.n_grid is not None and self.n_grid < 1:
+            raise ValueError(f"n_grid must be positive, got {self.n_grid}")
         if self.k < 1 or self.d_phi < 1:
             raise ValueError("k and d_phi must be positive")
         if not self.deltas or any(d < 0.0 for d in self.deltas):
@@ -522,7 +526,7 @@ class RunRecord:
     checkpoints: dict[str, str]
 
 
-_COMPONENTS = ("stage0", "prop_x", "prop_phi", "flow", "bounds")
+_COMPONENTS = ("stage0", "prop_x", "prop_phi", "flow")
 
 
 def _component_seeds(seed: int) -> dict[str, int]:
@@ -602,18 +606,14 @@ def refute_seed(config: ExperimentConfig, train: Dataset, test: Dataset,
                         pi1_phi_tr, gamma_field.train_gamma_points,
                         gamma_field.train_gamma_hat)
         fields.append(gamma_field)
-    # the outcome samples are drawn once and bounded under every delta's
-    # Gamma, so interval growth across deltas reflects Gamma alone
-    rng = np.random.default_rng(seeds["bounds"])
-    per_delta = cate_bounds(test.x, model, prop_x, prop_phi, fields, flow,
-                            config.k, rng)
+    # one set of quantile nodes serves every delta: widths differ by Gamma alone
+    per_delta = cate_bounds(test.x, model, prop_x, prop_phi, fields, flow, config.k)
     for delta, bounds in zip(config.deltas, per_delta):
         write_bounds_csv(sdir / _delta_file(delta), bounds,
                          [d.value for d in bounds_policy(bounds)])
 
     if config.grid_resolution > 0 and config.dataset.kind == "synthetic":
-        _emit_decision_grid(config, sdir, model, prop_x, prop_phi, flow,
-                            fields[0], seeds["bounds"])
+        _emit_decision_grid(config, sdir, model, prop_x, prop_phi, flow, fields[0])
 
 
 def _read_tau_csv(path: Path) -> np.ndarray:
@@ -674,13 +674,12 @@ def run_pipeline(config: ExperimentConfig, train: Dataset, test: Dataset,
 
 
 def _emit_decision_grid(config, sdir, model, prop_x, prop_phi, flow,
-                        gamma_field, bounds_seed) -> None:
+                        gamma_field) -> None:
     """Bounds and decisions over a covariate grid, under the first delta's
     field."""
     grid = make_grid(resolution=config.grid_resolution)
-    rng = np.random.default_rng(bounds_seed)
     [bounds] = cate_bounds(grid, model, prop_x, prop_phi, [gamma_field], flow,
-                           config.k, rng)
+                           config.k)
     write_decision_grid_csv(sdir / "decision_grid.csv", grid,
                             synthetic_tau(grid), bounds.point,
                             bounds_policy(bounds))

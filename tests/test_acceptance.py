@@ -138,12 +138,11 @@ def test_criterion_01_gamma_one_collapse():
         model, prop_x, prop_phi, flow, field = _fit_toy_pipeline(i)
         x = np.random.default_rng(9000 + i).normal(size=(4, 2))
         [b] = cate_bounds(x, model, prop_x, prop_phi, [field], flow, k=10_000,
-                          rng=np.random.default_rng(100 + i),
                           gamma_override=[np.ones(4)])
         max_width = max(max_width, float(np.max(b.upper - b.lower)))
         # Monte-Carlo SE of the flow mean at the first test point, arm 1
         phi1 = representation(model, x[:1])
-        s = flow.sample(np.ones(1), phi1, 10_000, np.random.default_rng(i))
+        s = flow.sample(np.ones(1), phi1, 10_000)
         min_se = min(min_se, float(s[0].std(ddof=1) / np.sqrt(10_000)))
     elapsed = time.perf_counter() - t0
     assert max_width <= 2.0 * min_se
@@ -209,7 +208,7 @@ def test_criterion_03_shifted_density_equivalence():
         exact_hi = float(np.sum(grid * dens * w_hi) * dy)
 
         samples = flow.sample(np.array([a_val]), np.array([[phi_val]]),
-                              100_000, np.random.default_rng(500 + j))
+                              100_000)
         lo, hi = cvar_mu_bounds(samples[0], gamma, pi)
         worst = max(worst,
                     abs(lo - exact_lo) / abs(exact_lo),
@@ -264,7 +263,7 @@ def test_criterion_04_sandwich_and_monotonicity():
     n_delta = 0
     fields = [build_gamma_field(phi, px, pp, delta) for delta in DELTA_PRESETS]
     for b in cate_bounds(test.x, model, prop_x, prop_phi, fields, flow,
-                         k=1500, rng=np.random.default_rng(99)):
+                         k=1500):
         width = b.upper - b.lower
         if prev_width is not None:
             assert np.all(width >= prev_width)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from catebounds import bounds as bounds_module
 from catebounds.bounds import (
     CateBounds,
     cate_bounds,
@@ -168,7 +169,7 @@ class TestDensityTiltOracle:
             w = np.where(np.arange(len(grid)) <= q_idx, 1.0 / c.s_minus,
                          1.0 / c.s_plus)
             mu_lower_exact = float(np.sum(grid * dens * w) * dy)
-            samples = flow.sample(a, phi, 100_000, np.random.default_rng(5))
+            samples = flow.sample(a, phi, 100_000)
             lo, _ = cvar_mu_bounds(samples[0], gamma, pi)
             assert abs(lo - mu_lower_exact) / abs(mu_lower_exact) < 0.01
 
@@ -208,18 +209,16 @@ class TestCateBounds:
         model, flow, [field] = make_pipeline(seed=6)
         x = np.random.default_rng(7).normal(size=(20, 2))
         [b] = cate_bounds(x, model, FakeProp(0.5), FakeProp(0.5), [field], flow,
-                          k=500, rng=np.random.default_rng(8),
-                          gamma_override=[np.ones(20)])
+                          k=500, gamma_override=[np.ones(20)])
         assert np.array_equal(b.lower, b.upper)
 
     def test_interval_contains_flow_mean_cate(self):
         model, flow, [field] = make_pipeline(seed=9)
         x = np.random.default_rng(10).normal(size=(15, 2))
         [b] = cate_bounds(x, model, FakeProp(0.6), FakeProp(0.5), [field], flow,
-                          k=2000, rng=np.random.default_rng(11))
+                          k=2000)
         [collapse] = cate_bounds(x, model, FakeProp(0.6), FakeProp(0.5), [field],
-                                 flow, k=2000, rng=np.random.default_rng(11),
-                                 gamma_override=[np.ones(15)])
+                                 flow, k=2000, gamma_override=[np.ones(15)])
         assert np.all(b.lower <= collapse.lower + 1e-9)
         assert np.all(b.upper >= collapse.upper - 1e-9)
 
@@ -228,7 +227,6 @@ class TestCateBounds:
         x = np.random.default_rng(13).normal(size=(10, 2))
         b1, b2 = cate_bounds(x, model, FakeProp(0.6), FakeProp(0.5),
                              [field, field], flow, k=1000,
-                             rng=np.random.default_rng(14),
                              gamma_override=[np.full(10, 1.5),
                                              np.full(10, 3.0)])
         assert np.all(b2.lower <= b1.lower + 1e-12)
@@ -238,9 +236,9 @@ class TestCateBounds:
         model, flow, [field] = make_pipeline(seed=15)
         x = np.random.default_rng(16).normal(size=(9, 2))
         [b1] = cate_bounds(x, model, FakeProp(0.55), FakeProp(0.5), [field],
-                           flow, k=300, rng=np.random.default_rng(17))
+                           flow, k=300)
         [b2] = cate_bounds(x, model, FakeProp(0.55), FakeProp(0.5), [field],
-                           flow, k=300, rng=np.random.default_rng(17))
+                           flow, k=300)
         assert np.array_equal(b1.lower, b2.lower)
         assert np.array_equal(b1.upper, b2.upper)
 
@@ -250,29 +248,29 @@ class TestCateBounds:
         model, flow, [field] = make_pipeline(seed=18)
         x = np.random.default_rng(19).normal(size=(6, 2))
         [b] = cate_bounds(x, model, FakeProp(0.5), FakeProp(0.5), [field], flow,
-                          k=100, rng=np.random.default_rng(20))
+                          k=100)
         assert np.array_equal(b.point, predict_point_cate(model, x))
 
     def test_invalid_k(self):
         model, flow, [field] = make_pipeline(seed=21)
         with pytest.raises(ValueError):
             cate_bounds(np.zeros((2, 2)), model, FakeProp(0.5), FakeProp(0.5),
-                        [field], flow, k=0, rng=np.random.default_rng(0))
+                        [field], flow, k=0)
 
     def test_needs_fields_and_one_override_per_field(self):
         model, flow, [field] = make_pipeline(seed=22)
         with pytest.raises(ValueError, match="at least one"):
             cate_bounds(np.zeros((2, 2)), model, FakeProp(0.5), FakeProp(0.5),
-                        [], flow, k=10, rng=np.random.default_rng(0))
+                        [], flow, k=10)
         with pytest.raises(ValueError, match="per gamma field"):
             cate_bounds(np.zeros((2, 2)), model, FakeProp(0.5), FakeProp(0.5),
-                        [field, field], flow, k=10, rng=np.random.default_rng(0),
+                        [field, field], flow, k=10,
                         gamma_override=[np.ones(2)])
 
     def test_csv_export(self, tmp_path):
         b = CateBounds(point=np.array([0.5]), lower=np.array([-0.1]),
                        upper=np.array([1.2]), gamma=np.array([1.7]),
-                       pi1_phi=np.array([0.45]), k=100)
+                       pi1_phi=np.array([0.45]))
         path = tmp_path / "bounds.csv"
         write_bounds_csv(path, b, decisions=["defer"])
         lines = path.read_text().strip().splitlines()
@@ -288,34 +286,36 @@ class TestCateBounds:
 
 
 class TestOnePass:
-    """Bounding several fields in one call against the per-field replay it
-    replaces: a single-field call with a freshly seeded generator."""
+    """Bounding several fields in one call against single-field calls, and
+    the result against the chunk size: each row's quantile nodes depend on
+    that row alone."""
 
     @settings(max_examples=30, deadline=None)
-    @given(n=st.integers(1, 40), chunk=st.integers(1, 16),
-           k=st.integers(1, 50),
+    @given(n=st.integers(1, 40), k=st.integers(1, 50),
            deltas=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=4),
            override=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_matches_single_field_calls_bit_for_bit(self, n, chunk, k, deltas,
+    def test_matches_single_field_calls_bit_for_bit(self, n, k, deltas,
                                                     override, seed):
         model, flow, fields = make_pipeline(seed=seed % 97, deltas=deltas)
         x = np.random.default_rng(seed).normal(size=(n, 2))
         gammas = ([np.full(n, 1.0 + d) for d in deltas] if override
                   else None)
-        common = dict(k=k, chunk=chunk)
-        together = cate_bounds(x, model, FakeProp(0.6), FakeProp(0.45), fields,
-                               flow, rng=np.random.default_rng(seed),
-                               gamma_override=gammas, **common)
-        assert len(together) == len(fields)
-        for i, (field, got) in enumerate(zip(fields, together)):
+        with pytest.MonkeyPatch.context() as mp:
+            per_chunk = []
+            for chunk in (1, 7, 128):
+                mp.setattr(bounds_module, "CHUNK", chunk)
+                per_chunk.append(cate_bounds(
+                    x, model, FakeProp(0.6), FakeProp(0.45), fields, flow,
+                    k=k, gamma_override=gammas))
+        assert [len(result) for result in per_chunk] == [len(fields)] * 3
+        for i, field in enumerate(fields):
             [alone] = cate_bounds(
-                x, model, FakeProp(0.6), FakeProp(0.45), [field], flow,
-                rng=np.random.default_rng(seed),
-                gamma_override=None if gammas is None else [gammas[i]],
-                **common)
-            for name in ("point", "lower", "upper", "gamma", "pi1_phi"):
-                assert np.array_equal(getattr(got, name), getattr(alone, name))
-            assert got.k == alone.k == k
+                x, model, FakeProp(0.6), FakeProp(0.45), [field], flow, k=k,
+                gamma_override=None if gammas is None else [gammas[i]])
+            for got in (result[i] for result in per_chunk):
+                for name in ("point", "lower", "upper", "gamma", "pi1_phi"):
+                    assert np.array_equal(getattr(got, name),
+                                          getattr(alone, name)), name
 
     @pytest.mark.parametrize("n,chunk", [(1, 128), (37, 8), (64, 16), (65, 16)])
     @pytest.mark.parametrize("n_fields", [1, 4])
@@ -326,13 +326,13 @@ class TestOnePass:
         calls = []
         original = ConditionalFlow.sample
 
-        def counted(self, a, phi, k, rng, *args, **kwargs):
+        def counted(self, a, phi, k):
             calls.append(len(a))
-            return original(self, a, phi, k, rng, *args, **kwargs)
+            return original(self, a, phi, k)
 
         monkeypatch.setattr(ConditionalFlow, "sample", counted)
+        monkeypatch.setattr(bounds_module, "CHUNK", chunk)
         x = np.random.default_rng(24).normal(size=(n, 2))
-        cate_bounds(x, model, FakeProp(0.6), FakeProp(0.5), fields, flow, k=20,
-                    rng=np.random.default_rng(25), chunk=chunk)
+        cate_bounds(x, model, FakeProp(0.6), FakeProp(0.5), fields, flow, k=20)
         assert len(calls) == 2 * -(-n // chunk)
         assert sum(calls) == 2 * n

@@ -22,7 +22,7 @@ def interval(lower, upper):
     upper = np.asarray(upper, dtype=np.float64)
     n = len(lower)
     return CateBounds(point=(lower + upper) / 2.0, lower=lower, upper=upper,
-                      gamma=np.ones(n), pi1_phi=np.full(n, 0.5), k=1)
+                      gamma=np.ones(n), pi1_phi=np.full(n, 0.5))
 
 
 class TestPointPolicy:

@@ -254,10 +254,15 @@ class TestFlowLikelihood:
 class TestSampling:
     def test_identity_flow_samples_standard_normal(self):
         flow = ConditionalFlow(FlowConfig(context_dim=2, hidden_units=4, seed=4))
-        s = flow.sample(np.array([1.0]), np.array([0.0]), 10_000,
-                        np.random.default_rng(12))
+        s = flow.sample(np.array([1.0]), np.array([0.0]), 10_000)
         stat = kstest(s[0], norm.cdf).statistic
         assert stat < 0.02
+
+    def test_identity_flow_returns_midpoint_normal_quantiles(self):
+        flow = ConditionalFlow(FlowConfig(context_dim=2, hidden_units=4, seed=4))
+        s = flow.sample(np.array([1.0, 0.0]), np.array([0.0, 1.5]), 1000)
+        nodes = norm.ppf((np.arange(1000) + 0.5) / 1000)
+        assert np.allclose(s, nodes[None, :], rtol=0.0, atol=1e-12)
 
     def test_samples_sorted_and_deterministic(self):
         flow = ConditionalFlow(FlowConfig(context_dim=2, hidden_units=4, seed=5))
@@ -265,8 +270,8 @@ class TestSampling:
         flow.context_net.w2.data[:] = 0.3 * rng.normal(size=flow.context_net.w2.data.shape)
         a = np.array([0.0, 1.0, 1.0])
         phi = np.array([0.1, -0.5, 2.0])
-        s1 = flow.sample(a, phi, 500, np.random.default_rng(77))
-        s2 = flow.sample(a, phi, 500, np.random.default_rng(77))
+        s1 = flow.sample(a, phi, 500)
+        s2 = flow.sample(a, phi, 500)
         assert np.array_equal(s1, s2)
         assert np.all(np.diff(s1, axis=1) >= 0.0)
 
@@ -276,7 +281,7 @@ class TestSampling:
         flow.context_net.w2.data[:] = 0.6 * rng.normal(size=flow.context_net.w2.data.shape)
         a = np.array([1.0])
         phi = np.array([0.7])
-        s = flow.sample(a, phi, 100_000, np.random.default_rng(15))[0]
+        s = flow.sample(a, phi, 100_000)[0]
         # CDF of samples vs numeric CDF from the density on a grid
         grid = np.linspace(-4.0, 4.0, 9)
         dens_grid = np.linspace(-8.0, 8.0, 4001)
@@ -303,7 +308,7 @@ class TestSampling:
             return out
 
         monkeypatch.setattr(Tensor, "_result", staticmethod(counted))
-        flow.sample(a, phi, 50, np.random.default_rng(0), chunk=2)
+        flow.sample(a, phi, 50)
         flow.log_density(np.array([0.3, -7.0, 1.0]), a, phi)
         assert recorded and not any(recorded)
         # the counter sees nodes when gradients are on
@@ -313,8 +318,7 @@ class TestSampling:
     def test_invalid_k_rejected(self):
         flow = ConditionalFlow(FlowConfig(context_dim=2, hidden_units=4, seed=7))
         with pytest.raises(ValueError):
-            flow.sample(np.array([1.0]), np.array([0.0]), 0,
-                        np.random.default_rng(0))
+            flow.sample(np.array([1.0]), np.array([0.0]), 0)
 
 
 class TestTraining:
@@ -342,10 +346,8 @@ class TestTraining:
                                           noise_y=0.05, noise_context=0.05))
         run = TrainRun(batch_size=128, learning_rate=0.01, n_iter=2000)
         train_cnf(flow, y, a, phi, run)
-        s1 = flow.sample(np.array([1.0]), np.array([0.5]), 4000,
-                         np.random.default_rng(18))
-        s0 = flow.sample(np.array([0.0]), np.array([-0.5]), 4000,
-                         np.random.default_rng(19))
+        s1 = flow.sample(np.array([1.0]), np.array([0.5]), 4000)
+        s0 = flow.sample(np.array([0.0]), np.array([-0.5]), 4000)
         assert abs(s1.mean() - 3.5) < 0.35
         assert abs(s0.mean() - (-1.5)) < 0.35
 

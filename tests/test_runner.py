@@ -74,6 +74,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             DatasetSpec(kind="tabular")
 
+    @pytest.mark.parametrize("n_grid", [0, -1])
+    def test_non_positive_n_grid_rejected(self, tmp_path, n_grid):
+        with pytest.raises(ValueError, match="n_grid must be positive"):
+            tiny_config(tmp_path, tuning="grid", n_grid=n_grid)
+
+    def test_duplicate_seeds_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=r"seeds must be distinct, got \(1, 1\)"):
+            tiny_config(tmp_path, seeds=(1, 1))
+        with pytest.raises(ValueError, match="seeds must be distinct"):
+            config_from_dict({"seeds": [0, 2, 0]})
+        assert tiny_config(tmp_path, seeds=(2, 0)).seeds == (2, 0)
+
     def test_hash_ignores_output_location_only(self, tmp_path):
         a = tiny_config(tmp_path / "a")
         b = tiny_config(tmp_path / "b", jobs=4)
