@@ -13,6 +13,11 @@ mean, bounds always sandwich the mean, and widths grow weakly in Gamma.
 
 CATE bounds per point combine the per-arm means:
 lower = mu1_lower - mu0_upper, upper = mu1_upper - mu0_lower.
+
+`cate_bounds` takes one `GammaField` that holds every delta of a run and
+returns one set of bounds per delta. It computes each point's representation
+once and derives the point CATE, the propensities and Gamma from it; the
+quantile nodes are shared by all deltas, since only Gamma differs among them.
 """
 
 from __future__ import annotations
@@ -156,43 +161,32 @@ def cate_bounds(
     model: Stage0Model,
     prop_x: PropensityModel,
     prop_phi: PropensityModel,
-    gamma_fields: Sequence[GammaField],
+    field: GammaField,
     flow: ConditionalFlow,
     k: int,
-    *,
-    gamma_override: Sequence[np.ndarray] | None = None,
 ) -> list[CateBounds]:
     """Interval bounds on the representation-level CATE at each row of `x`,
-    one CateBounds per field of `gamma_fields`, in order.
+    one CateBounds per delta of `field`, in the field's order.
 
-    Per point: read the representation, look up Gamma from each field (own
-    pointwise value included), take the flow's outcomes at k quantile nodes
-    per arm, and combine the per-arm extremal means. The nodes depend on
-    neither Gamma nor the chunk, so each chunk's are computed once per arm
-    and bounded under every field's Gamma: the result for a field equals a
-    single-field call. `gamma_override`, one per-point array per field,
-    replaces the field lookups (used for the Gamma = 1 collapse check).
+    Per point: compute the representation once, and from it the point CATE,
+    pi^phi and, with pi^x, the pointwise Gamma; look up Gamma at every delta
+    (own pointwise value included); take the flow's outcomes at k quantile
+    nodes per arm; and combine the per-arm extremal means. The nodes depend
+    on neither Gamma nor the chunk, so each chunk's are computed once per arm
+    and bounded under every delta's Gamma: the result for a delta equals that
+    of a field built for that delta alone.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if not gamma_fields:
-        raise ValueError("need at least one gamma field")
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
     phi = representation(model, x)
-    point = predict_point_cate(model, x)
+    point = predict_point_cate(model, phi)
     pi1_phi = prop_phi.predict(phi)
-    if gamma_override is not None:
-        if len(gamma_override) != len(gamma_fields):
-            raise ValueError("need one gamma_override array per gamma field")
-        gammas = [np.broadcast_to(np.asarray(g, dtype=np.float64), (n,)).copy()
-                  for g in gamma_override]
-    else:
-        own = gamma_pointwise(prop_x.predict(x), pi1_phi)
-        gammas = [field.at(phi, own) for field in gamma_fields]
+    gammas = field.at(phi, gamma_pointwise(prop_x.predict(x), pi1_phi))
 
-    lowers = [np.empty(n) for _ in gammas]
-    uppers = [np.empty(n) for _ in gammas]
+    lowers = np.empty_like(gammas)
+    uppers = np.empty_like(gammas)
     for lo in range(0, n, CHUNK):
         hi = min(lo + CHUNK, n)
         p1 = pi1_phi[lo:hi]

@@ -355,14 +355,15 @@ def representation(model: Stage0Model, x: np.ndarray) -> np.ndarray:
         return model.phi_net(np.asarray(x, dtype=np.float64)).data
 
 
-def predict_heads(model: Stage0Model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Potential-outcome head predictions (mu0_hat, mu1_hat), each (n,)."""
+def predict_heads(model: Stage0Model, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Potential-outcome head predictions (mu0_hat, mu1_hat), each (n,), from
+    representations `phi` (as `representation` returns them)."""
     with no_grad():
-        rep = model.phi_net(np.asarray(x, dtype=np.float64))
-        m0, m1 = model._head_outputs(rep)
+        m0, m1 = model._head_outputs(np.asarray(phi, dtype=np.float64))
         return m0.data[:, 0], m1.data[:, 0]
 
 
-def predict_point_cate(model: Stage0Model, x: np.ndarray) -> np.ndarray:
-    m0, m1 = predict_heads(model, x)
+def predict_point_cate(model: Stage0Model, phi: np.ndarray) -> np.ndarray:
+    """mu1_hat - mu0_hat at representations `phi`."""
+    m0, m1 = predict_heads(model, phi)
     return m1 - m0

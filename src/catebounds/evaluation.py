@@ -115,14 +115,18 @@ def rpehe(tau_hat: np.ndarray, tau_samples: np.ndarray) -> float:
     return float(np.sqrt(np.mean((tau_samples - tau_hat) ** 2)))
 
 
-def make_grid(x1_range: tuple[float, float] = (-2.0, 2.0),
-              x2_range: tuple[float, float] = (-3.0, 3.0),
-              resolution: int = 50) -> np.ndarray:
-    """Row-major 2-D covariate lattice for decision-boundary exports."""
+# the synthetic covariates' box that decision-boundary exports cover
+GRID_X1_RANGE = (-2.0, 2.0)
+GRID_X2_RANGE = (-3.0, 3.0)
+
+
+def make_grid(resolution: int = 50) -> np.ndarray:
+    """Row-major 2-D covariate lattice over GRID_X1_RANGE x GRID_X2_RANGE for
+    decision-boundary exports."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    g1 = np.linspace(x1_range[0], x1_range[1], resolution)
-    g2 = np.linspace(x2_range[0], x2_range[1], resolution)
+    g1 = np.linspace(*GRID_X1_RANGE, resolution)
+    g2 = np.linspace(*GRID_X2_RANGE, resolution)
     m1, m2 = np.meshgrid(g1, g2, indexing="ij")
     return np.column_stack([m1.ravel(), m2.ravel()])
 

@@ -105,17 +105,18 @@ def backward_gradients(loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarra
     return [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
 
 
-class AdamW:
-    """Adam with decoupled weight decay."""
+# AdamW's moment decay rates and denominator guard
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+# SgdMomentum's heavy-ball coefficient
+SGD_MOMENTUM = 0.9
 
-    def __init__(
-        self,
-        params: Sequence[Tensor],
-        lr: float,
-        weight_decay: float = 0.0,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-    ):
+
+class AdamW:
+    """Adam with decoupled weight decay, at ADAM_BETAS and ADAM_EPS."""
+
+    def __init__(self, params: Sequence[Tensor], lr: float,
+                 weight_decay: float = 0.0):
         if lr <= 0.0:
             raise ValueError("learning rate must be positive")
         if weight_decay < 0.0:
@@ -123,8 +124,6 @@ class AdamW:
         self.params = list(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.betas = betas
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -134,7 +133,7 @@ class AdamW:
             p.zero_grad()
 
     def step(self) -> None:
-        b1, b2 = self.betas
+        b1, b2 = ADAM_BETAS
         self.t += 1
         for i, p in enumerate(self.params):
             g = p.grad
@@ -147,15 +146,14 @@ class AdamW:
             m_hat = self.m[i] / (1.0 - b1**self.t)
             v_hat = self.v[i] / (1.0 - b2**self.t)
             p.data = p.data - self.lr * (
-                m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p.data
+                m_hat / (np.sqrt(v_hat) + ADAM_EPS) + self.weight_decay * p.data
             )
 
 
 class SgdMomentum:
-    """SGD with heavy-ball momentum 0.9 and optional L2 weight decay."""
+    """SGD with heavy-ball momentum SGD_MOMENTUM and optional L2 weight decay."""
 
-    def __init__(self, params: Sequence[Tensor], lr: float, weight_decay: float = 0.0,
-                 momentum: float = 0.9):
+    def __init__(self, params: Sequence[Tensor], lr: float, weight_decay: float = 0.0):
         if lr <= 0.0:
             raise ValueError("learning rate must be positive")
         if weight_decay < 0.0:
@@ -163,7 +161,6 @@ class SgdMomentum:
         self.params = list(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.momentum = momentum
         self.velocity = [np.zeros_like(p.data) for p in self.params]
 
     def zero_grad(self) -> None:
@@ -179,7 +176,7 @@ class SgdMomentum:
                 raise NonFiniteError("non-finite gradient in optimizer step")
             if self.weight_decay:
                 g = g + self.weight_decay * p.data
-            self.velocity[i] = self.momentum * self.velocity[i] + g
+            self.velocity[i] = SGD_MOMENTUM * self.velocity[i] + g
             p.data = p.data - self.lr * self.velocity[i]
 
 

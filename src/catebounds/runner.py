@@ -2,8 +2,8 @@
 
 A run goes: load/generate one train/test pair -> (optionally) tune each
 stage by randomized grid search with stratified 5-fold CV -> per seed, train
-stage 0, the two propensity nets, and the flow -> build the per-delta
-sensitivity fields -> bound the CATE on the test split -> score the point
+stage 0, the two propensity nets, and the flow -> build one sensitivity
+field for every delta -> bound the CATE on the test split -> score the point
 and interval policies -> persist per-point CSVs, checkpoints, and aggregate
 tables. Everything downstream of the config is seed-deterministic, so a
 re-run with the same config reproduces every emitted number.
@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import NonFiniteError, Tensor, no_grad
+from .autodiff import NonFiniteError, no_grad
 from .balancing import BalancingConfig, BalancingMetric
 from .bounds import cate_bounds, read_bounds_csv, write_bounds_csv
 from .data import (Dataset, HcMnistConfig, build_hcmnist, gen_synthetic,
@@ -156,8 +156,10 @@ class ExperimentConfig:
             raise ValueError(f"n_grid must be positive, got {self.n_grid}")
         if self.k < 1 or self.d_phi < 1:
             raise ValueError("k and d_phi must be positive")
-        if not self.deltas or any(d < 0.0 for d in self.deltas):
+        if not self.deltas or any(not d >= 0.0 for d in self.deltas):  # NaN too
             raise ValueError("deltas must be non-negative and non-empty")
+        if len(set(self.deltas)) != len(self.deltas):
+            raise ValueError(f"deltas must be distinct, got {self.deltas}")
         if self.cv_folds < 2:
             raise ValueError("cross-validation needs at least 2 folds")
         # normalize lists coming from JSON into hashable tuples
@@ -392,17 +394,16 @@ def _stratified_folds(a: np.ndarray, n_folds: int,
     return [np.sort(np.array(f, dtype=np.int64)) for f in folds]
 
 
-def _factual_mse(model: Stage0Model, x: np.ndarray, a: np.ndarray,
+def _factual_mse(model: Stage0Model, phi: np.ndarray, a: np.ndarray,
                  y: np.ndarray) -> float:
-    m0, m1 = predict_heads(model, x)
+    m0, m1 = predict_heads(model, phi)
     fitted = a * m1 + (1.0 - a) * m0
     return float(np.mean((y - fitted) ** 2))
 
 
-def _isw_bce(model: Stage0Model, x: np.ndarray, a: np.ndarray) -> float:
+def _isw_bce(model: Stage0Model, phi: np.ndarray, a: np.ndarray) -> float:
     with no_grad():
-        rep = model.phi_net(Tensor(x))
-        z = model.prop_phi_net(rep).data[:, 0]
+        z = model.prop_phi_net(phi).data[:, 0]
     return float(np.mean(np.logaddexp(0.0, z) - a * z))
 
 
@@ -419,10 +420,10 @@ def _candidate_score(stage: str, config: ExperimentConfig, params,
     if stage == "stage0":
         model = _fit_stage0(config, params, train.x[tr_idx], a_tr,
                             train.y[tr_idx], fit_seed)
-        x_va = train.x[va_idx]
-        score = _factual_mse(model, x_va, a_va, train.y[va_idx])
+        phi_va = representation(model, train.x[va_idx])
+        score = _factual_mse(model, phi_va, a_va, train.y[va_idx])
         if model.config.kind == EstimatorKind.CFR_ISW:
-            score += _isw_bce(model, x_va, a_va)
+            score += _isw_bce(model, phi_va, a_va)
         return score
     if stage in ("prop_x", "prop_phi"):
         inputs = train.x if stage == "prop_x" else phi
@@ -570,9 +571,9 @@ def train_seed(config: ExperimentConfig, train: Dataset, seed: int,
 
 def refute_seed(config: ExperimentConfig, train: Dataset, test: Dataset,
                 seed: int, model: Stage0Model | None = None) -> None:
-    """Stages 1-2 for one seed: propensities, flow, per-delta fields and
-    test-split interval bounds. Loads the stage-0 checkpoint when no model
-    is passed in; never modifies it."""
+    """Stages 1-2 for one seed: propensities, flow, one sensitivity field for
+    every delta, and test-split interval bounds. Loads the stage-0 checkpoint
+    when no model is passed in; never modifies it."""
     sdir = _seed_dir(config, seed)
     seeds = _component_seeds(seed)
     if model is None:
@@ -596,24 +597,19 @@ def refute_seed(config: ExperimentConfig, train: Dataset, test: Dataset,
 
     pi1_x_tr = prop_x.predict(train.x)
     pi1_phi_tr = prop_phi.predict(phi_tr)
-    _write_train_tau(sdir / "train_tau.csv",
-                     predict_point_cate(model, train.x))
+    _write_train_tau(sdir / "train_tau.csv", predict_point_cate(model, phi_tr))
 
-    fields = []
-    for delta in config.deltas:
-        gamma_field = build_gamma_field(phi_tr, pi1_x_tr, pi1_phi_tr, delta)
+    field = build_gamma_field(phi_tr, pi1_x_tr, pi1_phi_tr, config.deltas)
+    for delta, gamma_hat in zip(config.deltas, field.train_gamma_hat):
         write_gamma_csv(sdir / f"gamma_{delta!r}.csv", phi_tr, pi1_x_tr,
-                        pi1_phi_tr, gamma_field.train_gamma_points,
-                        gamma_field.train_gamma_hat)
-        fields.append(gamma_field)
-    # one set of quantile nodes serves every delta: widths differ by Gamma alone
-    per_delta = cate_bounds(test.x, model, prop_x, prop_phi, fields, flow, config.k)
+                        pi1_phi_tr, field.train_gamma_points, gamma_hat)
+    per_delta = cate_bounds(test.x, model, prop_x, prop_phi, field, flow, config.k)
     for delta, bounds in zip(config.deltas, per_delta):
         write_bounds_csv(sdir / _delta_file(delta), bounds,
                          [d.value for d in bounds_policy(bounds)])
 
     if config.grid_resolution > 0 and config.dataset.kind == "synthetic":
-        _emit_decision_grid(config, sdir, model, prop_x, prop_phi, flow, fields[0])
+        _emit_decision_grid(config, sdir, model, prop_x, prop_phi, flow, field)
 
 
 def _read_tau_csv(path: Path) -> np.ndarray:
@@ -674,12 +670,10 @@ def run_pipeline(config: ExperimentConfig, train: Dataset, test: Dataset,
 
 
 def _emit_decision_grid(config, sdir, model, prop_x, prop_phi, flow,
-                        gamma_field) -> None:
-    """Bounds and decisions over a covariate grid, under the first delta's
-    field."""
+                        field) -> None:
+    """Bounds and decisions over a covariate grid, at the first delta."""
     grid = make_grid(resolution=config.grid_resolution)
-    [bounds] = cate_bounds(grid, model, prop_x, prop_phi, [gamma_field], flow,
-                           config.k)
+    bounds = cate_bounds(grid, model, prop_x, prop_phi, field, flow, config.k)[0]
     write_decision_grid_csv(sdir / "decision_grid.csv", grid,
                             synthetic_tau(grid), bounds.point,
                             bounds_policy(bounds))

@@ -13,13 +13,18 @@ points whose standardized representation lies within a Euclidean delta-ball
 (the query's own Gamma_point included), which makes the field conservative and
 weakly increasing in delta.
 
-With a one-dimensional representation the ball maximum uses a sorted index,
-not an all-pairs comparison: each query's ball is the run of sorted training
-rows that pass the ball test, found by bisection with the same floating-point
-test, and a sparse-table range maximum answers it: O(n log n) per delta, then
-O(log n) per query. The result equals the all-pairs maximum bit for bit,
-points exactly on the edge included. With more dimensions every query is
-compared with every training row.
+A run evaluates the field at several radii delta. `build_gamma_field` builds
+one `GammaField` for all of them: it standardizes the training cloud, computes
+its Gamma_point and indexes it once, and the field's training values and its
+queries come back with one row per delta.
+
+With a one-dimensional representation the index is the sorted cloud plus a
+sparse table of range maxima, built once in O(n log n). Each query's ball is
+the run of sorted training rows that pass the ball test, found by bisection
+with the same floating-point test: O(log n) per query and delta. The result
+equals the all-pairs maximum bit for bit, points exactly on the edge
+included. With more dimensions every query is compared with every training
+row once, and the squared distances serve every delta.
 """
 
 from __future__ import annotations
@@ -158,14 +163,9 @@ def _first_false(holds, m: int, n: int) -> np.ndarray:
     return lo
 
 
-def _range_max(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """max(vals[lo[i]:hi[i]]) per i by a sparse table, -inf on an empty range.
-
-    Row k of the table holds the maxima of the windows of length 2**k, so a
-    range is covered by two windows of its largest power-of-two length:
-    O(n log n) to build and O(1) per range. A maximum is exact, so the overlap
-    of the two windows changes nothing.
-    """
+def _sparse_table(vals: np.ndarray) -> np.ndarray:
+    """Range-maximum table: row k holds the maxima of the windows of length
+    2**k, -inf where a window would run off the end. O(n log n) to build."""
     n = len(vals)
     table = np.full((n.bit_length(), n), -np.inf)
     table[0] = vals
@@ -173,6 +173,13 @@ def _range_max(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         w = 1 << (k - 1)
         table[k, :n - 2 * w + 1] = np.maximum(table[k - 1, :n - 2 * w + 1],
                                               table[k - 1, w:n - w + 1])
+    return table
+
+
+def _range_max(table: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """max(vals[lo[i]:hi[i]]) per i from `_sparse_table(vals)`, -inf on an
+    empty range. Two windows of the range's largest power-of-two length cover
+    it; a maximum is exact, so their overlap changes nothing."""
     out = np.full(len(lo), -np.inf)
     rows = np.flatnonzero(hi > lo)
     first, stop = lo[rows], hi[rows]
@@ -181,44 +188,74 @@ def _range_max(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _max_within_delta(query: np.ndarray, base: np.ndarray, base_vals: np.ndarray,
-                      self_vals: np.ndarray, delta: float) -> np.ndarray:
-    """Per query row: max of base_vals within the delta-ball, and its own value.
+class _BallIndex:
+    """A cloud of rows with one value each, ready for delta-ball maxima.
+
+    With one coordinate the rows are sorted once and a sparse table holds the
+    range maxima of their values, so every delta and every query reuses them.
+    With more coordinates the rows are kept as given.
+    """
+
+    def __init__(self, base: np.ndarray, base_vals: np.ndarray):
+        self.base, self.base_vals = base, base_vals
+        if base.shape[1] == 1 and len(base):
+            order = np.argsort(base[:, 0], kind="stable")
+            self.keys = base[order, 0]
+            self.table = _sparse_table(base_vals[order])
+
+
+def _max_within_delta(query: np.ndarray, index: _BallIndex,
+                      self_vals: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Per delta and query row: the max of the index's values within the
+    delta-ball, and the query's own value. Returns (len(deltas), len(query)).
 
     Base row b is in the ball of query q iff fl(sum_j fl((q_j - b_j)**2)) <=
-    fl(delta**2). With one coordinate the base rows are sorted, and rounding
-    is monotone, so each ball is one run [lo, hi) of that order, found per
-    query by bisection on that same test; a sparse table gives its maximum.
-    Ties and points exactly on the edge land as in the all-pairs test, bit for
-    bit. With more coordinates every query is tested against every base row.
-    Inputs must be finite.
+    fl(delta**2). With one coordinate rounding is monotone, so each ball is
+    one run [lo, hi) of the sorted keys, found per query by bisection on that
+    same test; the sparse table gives its maximum. Ties and points exactly on
+    the edge land as in the all-pairs test, bit for bit. With more coordinates
+    each block of queries is compared with every base row once, and the
+    squared distances are masked per delta. Inputs must be finite.
     """
-    out = np.array(self_vals, dtype=np.float64, copy=True)
-    d2_max = delta * delta
+    own = np.asarray(self_vals, dtype=np.float64)
+    out = np.tile(own, (len(deltas), 1))
+    d2_maxes = [delta * delta for delta in deltas]
+    base, base_vals = index.base, index.base_vals
     if query.shape[1] > 1:
         chunk = 512  # queries per all-pairs block
         for lo in range(0, len(query), chunk):
             hi = min(lo + chunk, len(query))
             diff = query[lo:hi, None, :] - base[None, :, :]
             d2 = np.einsum("ijk,ijk->ij", diff, diff)
-            masked = np.where(d2 <= d2_max, base_vals[None, :], -np.inf)
-            out[lo:hi] = np.maximum(out[lo:hi], masked.max(axis=1))
+            for row, d2_max in zip(out, d2_maxes):
+                masked = np.where(d2 <= d2_max, base_vals[None, :], -np.inf)
+                row[lo:hi] = np.maximum(row[lo:hi], masked.max(axis=1))
         return out
 
     m, n = len(query), len(base)
     if n == 0:
         return out
-    order = np.argsort(base[:, 0], kind="stable")
-    q, b, vals = query[:, 0], base[order, 0], base_vals[order]
+    q, b = query[:, 0], index.keys
 
-    def beyond(cols, side):
+    def beyond(cols, side, d2_max):
         # b[cols] is outside the ball, on `side` of q
         diff = q - b[cols]
         return (side * diff > 0.0) & (diff * diff > d2_max)
 
-    lo = _first_false(lambda cols: beyond(cols, 1.0), m, n)
-    hi = _first_false(lambda cols: ~beyond(cols, -1.0), m, n)
-    return np.maximum(out, _range_max(vals, lo, hi))
+    for row, d2_max in zip(out, d2_maxes):
+        lo = _first_false(lambda cols: beyond(cols, 1.0, d2_max), m, n)
+        hi = _first_false(lambda cols: ~beyond(cols, -1.0, d2_max), m, n)
+        row[:] = np.maximum(row, _range_max(index.table, lo, hi))
+    return out
+
+
+def _check_deltas(deltas) -> np.ndarray:
+    d = np.asarray(deltas, dtype=np.float64)
+    if d.ndim != 1 or len(d) == 0:
+        raise ValueError("need at least one delta, as a 1-D sequence")
+    if not np.all(d >= 0.0):  # NaN included
+        raise ValueError("delta must be non-negative")
+    return d
 
 
 def _check_field_inputs(phis: np.ndarray, gammas: np.ndarray, name: str) -> None:
@@ -234,59 +271,71 @@ def _check_field_inputs(phis: np.ndarray, gammas: np.ndarray, name: str) -> None
 
 
 def gamma_ball(phis_std: np.ndarray, gamma_points: np.ndarray,
-               delta: float) -> np.ndarray:
-    """Training-set field: Gamma_hat_i = max Gamma_point over the delta-ball.
+               deltas) -> np.ndarray:
+    """Training-set field: Gamma_hat_i = max Gamma_point over the delta-ball,
+    one row per delta.
 
     `phis_std` must already be standardized; each point's own Gamma_point is in
     its ball, so Gamma_hat >= Gamma_point >= 1 everywhere.
     """
-    if not delta >= 0.0:  # NaN included
-        raise ValueError("delta must be non-negative")
+    deltas = _check_deltas(deltas)
     phis_std = np.atleast_2d(np.asarray(phis_std, dtype=np.float64).T).T
     gamma_points = np.asarray(gamma_points, dtype=np.float64).reshape(-1)
     _check_field_inputs(phis_std, gamma_points, "gamma_points")
-    return _max_within_delta(phis_std, phis_std, gamma_points, gamma_points, delta)
+    return _max_within_delta(phis_std, _BallIndex(phis_std, gamma_points),
+                             gamma_points, deltas)
 
 
 @dataclass
 class GammaField:
-    """Conservative sensitivity field over representation space.
+    """Conservative sensitivity field over representation space, at every
+    ball radius of a run.
 
-    Stores the training cloud (standardized), its pointwise Gammas, and the
-    ball radius. Queries take a raw representation plus its own Gamma_point and
-    return max(own, ball maximum over training points within delta).
+    Stores the training cloud (standardized) and its pointwise Gammas, indexed
+    once for all radii. `train_gamma_hat` and `at` give one row per delta:
+    a query takes a raw representation plus its own Gamma_point and returns
+    max(own, ball maximum over training points within delta).
     """
 
-    delta: float
+    deltas: np.ndarray
     mean: np.ndarray
     std: np.ndarray
     train_phis_std: np.ndarray
     train_gamma_points: np.ndarray
     train_gamma_hat: np.ndarray
+    index: _BallIndex
 
     def standardize(self, phis: np.ndarray) -> np.ndarray:
         p = np.atleast_2d(np.asarray(phis, dtype=np.float64).T).T
+        if p.shape[1] != len(self.mean):
+            raise ValueError(
+                f"field is over {len(self.mean)}-dimensional representations, "
+                f"got {p.shape[1]}-dimensional ones")
         return (p - self.mean) / self.std
 
     def at(self, phis: np.ndarray, gamma_point: np.ndarray) -> np.ndarray:
         q = self.standardize(phis)
         own = np.asarray(gamma_point, dtype=np.float64).reshape(-1)
         _check_field_inputs(q, own, "gamma_point")
-        return _max_within_delta(q, self.train_phis_std, self.train_gamma_points,
-                                 own, self.delta)
+        return _max_within_delta(q, self.index, own, self.deltas)
 
 
 def build_gamma_field(train_phis: np.ndarray, train_pi1_x: np.ndarray,
-                      train_pi1_phi: np.ndarray, delta: float) -> GammaField:
-    """Standardize the training representations and precompute the field."""
+                      train_pi1_phi: np.ndarray, deltas) -> GammaField:
+    """Standardize the training representations, index them once and
+    precompute the field at every delta."""
+    deltas = _check_deltas(deltas)
     phis = np.atleast_2d(np.asarray(train_phis, dtype=np.float64).T).T
     mean = phis.mean(axis=0)
     std = np.maximum(phis.std(axis=0), 1e-8)
     phis_std = (phis - mean) / std
     gp = gamma_pointwise(train_pi1_x, train_pi1_phi)
-    gh = gamma_ball(phis_std, gp, delta)
-    return GammaField(delta=delta, mean=mean, std=std, train_phis_std=phis_std,
-                      train_gamma_points=gp, train_gamma_hat=gh)
+    _check_field_inputs(phis_std, gp, "gamma_points")
+    index = _BallIndex(phis_std, gp)
+    return GammaField(deltas=deltas, mean=mean, std=std, train_phis_std=phis_std,
+                      train_gamma_points=gp,
+                      train_gamma_hat=_max_within_delta(phis_std, index, gp, deltas),
+                      index=index)
 
 
 def write_gamma_csv(path: str | Path, phis: np.ndarray, pi1_x: np.ndarray,

@@ -72,8 +72,21 @@ from conftest import idx_images_bytes, idx_labels_bytes, write_ihdp_pair
 # ---------------------------------------------------------------------------
 # shared toy pipeline builder (small data, brief fits)
 
+class _ConstantPropensity:
+    def __init__(self, value):
+        self.value = value
+
+    def predict(self, inputs):
+        return np.full(len(inputs), self.value)
+
+
+# pi^x = pi^phi at every point: Gamma = 1 exactly, wherever the field is read
+_HALF = _ConstantPropensity(0.5)
+
+
 def _fit_toy_pipeline(i: int):
-    """One briefly fitted pipeline on 50 points with drawn hyperparameters."""
+    """A briefly fitted stage 0 and flow on 50 points with drawn
+    hyperparameters, and a Gamma = 1 field over their representations."""
     rng = np.random.default_rng(np.random.SeedSequence((31, i)))
     d_phi = int(rng.choice((1, 2)))
     hidden = int(rng.choice((2, 3, 4)))
@@ -87,17 +100,14 @@ def _fit_toy_pipeline(i: int):
     train_stage0(model, data.x, data.a, data.y, run)
     phi = representation(model, data.x)
 
-    prop_x = train_propensity(data.x, data.a, run, hidden_units=hidden, seed=i)
-    prop_phi = train_propensity(phi, data.a, run, hidden_units=hidden, seed=i + 1)
-
     flow = ConditionalFlow(FlowConfig(context_dim=1 + d_phi, hidden_units=hidden,
                                       knots=knots, seed=i))
     train_cnf(flow, data.y, data.a, phi,
               TrainRun(batch_size=25, learning_rate=0.005, n_iter=60))
 
-    field = build_gamma_field(phi, prop_x.predict(data.x), prop_phi.predict(phi),
-                              delta=0.001)
-    return model, prop_x, prop_phi, flow, field
+    half = np.full(len(phi), _HALF.value)
+    field = build_gamma_field(phi, half, half, [0.001])
+    return model, flow, field
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +145,10 @@ def test_criterion_01_gamma_one_collapse():
     max_width = 0.0
     min_se = np.inf
     for i in range(100):
-        model, prop_x, prop_phi, flow, field = _fit_toy_pipeline(i)
+        model, flow, field = _fit_toy_pipeline(i)
         x = np.random.default_rng(9000 + i).normal(size=(4, 2))
-        [b] = cate_bounds(x, model, prop_x, prop_phi, [field], flow, k=10_000,
-                          gamma_override=[np.ones(4)])
+        [b] = cate_bounds(x, model, _HALF, _HALF, field, flow, k=10_000)
+        assert np.all(b.gamma == 1.0)
         max_width = max(max_width, float(np.max(b.upper - b.lower)))
         # Monte-Carlo SE of the flow mean at the first test point, arm 1
         phi1 = representation(model, x[:1])
@@ -261,8 +271,8 @@ def test_criterion_04_sandwich_and_monotonicity():
     px, pp = prop_x.predict(data.x), prop_phi.predict(phi)
     prev_width = None
     n_delta = 0
-    fields = [build_gamma_field(phi, px, pp, delta) for delta in DELTA_PRESETS]
-    for b in cate_bounds(test.x, model, prop_x, prop_phi, fields, flow,
+    field = build_gamma_field(phi, px, pp, DELTA_PRESETS)
+    for b in cate_bounds(test.x, model, prop_x, prop_phi, field, flow,
                          k=1500):
         width = b.upper - b.lower
         if prev_width is not None:
@@ -342,7 +352,7 @@ def test_criterion_06_stage0_fidelity():
                               learning_rate=params.learning_rate,
                               weight_decay=params.weight_decay,
                               n_iter=params.n_iter))
-        tau_hat = predict_point_cate(model, test.x)
+        tau_hat = predict_point_cate(model, representation(model, test.x))
         raw_fit.append(rpehe(tau_hat, test.tau_oracle))
         rng = np.random.default_rng(1000 + seed)
         sampled_diff = (test.tau_oracle + rng.standard_normal(test.n)

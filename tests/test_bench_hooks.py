@@ -47,14 +47,16 @@ def test_stage2_work_counts(monkeypatch):
     rng = np.random.default_rng(0)
     field = build_gamma_field(rng.normal(size=(10, 1)),
                               rng.uniform(0.3, 0.7, 10),
-                              rng.uniform(0.3, 0.7, 10), delta=0.1)
+                              rng.uniform(0.3, 0.7, 10), (0.01, 0.1))
     tracer = tracing.Tracer()
     with tracer.installed():
         runner.cate_bounds(rng.normal(size=(n, 2)), model, _Prop(), _Prop(),
-                           [field], flow, k)
+                           field, flow, k)
 
     def work(name):
         return sum(s.work for s in tracer.spans if s.name == name)
 
     assert work("flow.sample") == 2 * n * k
     assert work("bounds.cate_bounds") == n
+    # one field lookup serves both deltas
+    assert [s.name for s in tracer.spans].count("sensitivity.gamma_field_at") == 1

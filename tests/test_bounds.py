@@ -182,9 +182,11 @@ class FakeProp:
         return np.full(len(np.atleast_2d(inputs)), self.value)
 
 
-def make_pipeline(seed=0, d_phi=1, deltas=(0.001,)):
+def make_pipeline(seed=0, d_phi=1, deltas=(0.001,), props=None):
     """A small stage-0 model, a flow with a non-trivial context net, and one
-    gamma field per delta over a random training cloud."""
+    gamma field over a random training cloud. `props`, a (pi^x, pi^phi)
+    pair, makes the cloud's propensities constant, so that FakeProps of the
+    same values fix Gamma at gamma_pointwise(pi^x, pi^phi) at every point."""
     from catebounds.estimators import (EstimatorConfig, EstimatorKind,
                                        build_stage0)
     from catebounds.sensitivity import build_gamma_field
@@ -200,72 +202,70 @@ def make_pipeline(seed=0, d_phi=1, deltas=(0.001,)):
     phis = rng.normal(size=(50, d_phi))
     px = rng.uniform(0.3, 0.7, size=50)
     pp = rng.uniform(0.3, 0.7, size=50)
-    fields = [build_gamma_field(phis, px, pp, delta=d) for d in deltas]
-    return model, flow, fields
+    if props is not None:
+        px, pp = np.full(50, props[0]), np.full(50, props[1])
+    return model, flow, build_gamma_field(phis, px, pp, deltas)
 
 
 class TestCateBounds:
-    def test_gamma_one_override_collapses_interval(self):
-        model, flow, [field] = make_pipeline(seed=6)
+    def test_gamma_one_collapses_interval(self):
+        model, flow, field = make_pipeline(seed=6, props=(0.5, 0.5))
         x = np.random.default_rng(7).normal(size=(20, 2))
-        [b] = cate_bounds(x, model, FakeProp(0.5), FakeProp(0.5), [field], flow,
-                          k=500, gamma_override=[np.ones(20)])
+        [b] = cate_bounds(x, model, FakeProp(0.5), FakeProp(0.5), field, flow,
+                          k=500)
+        assert np.array_equal(b.gamma, np.ones(20))
         assert np.array_equal(b.lower, b.upper)
 
     def test_interval_contains_flow_mean_cate(self):
-        model, flow, [field] = make_pipeline(seed=9)
+        model, flow, field = make_pipeline(seed=9)
+        _, _, gamma_one = make_pipeline(seed=9, props=(0.5, 0.5))
         x = np.random.default_rng(10).normal(size=(15, 2))
-        [b] = cate_bounds(x, model, FakeProp(0.6), FakeProp(0.5), [field], flow,
+        [b] = cate_bounds(x, model, FakeProp(0.6), FakeProp(0.5), field, flow,
                           k=2000)
-        [collapse] = cate_bounds(x, model, FakeProp(0.6), FakeProp(0.5), [field],
-                                 flow, k=2000, gamma_override=[np.ones(15)])
+        [collapse] = cate_bounds(x, model, FakeProp(0.5), FakeProp(0.5),
+                                 gamma_one, flow, k=2000)
+        assert np.all(collapse.gamma == 1.0) and np.all(b.gamma > 1.0)
         assert np.all(b.lower <= collapse.lower + 1e-9)
         assert np.all(b.upper >= collapse.upper - 1e-9)
 
     def test_wider_gamma_widens_interval_everywhere(self):
-        model, flow, [field] = make_pipeline(seed=12)
         x = np.random.default_rng(13).normal(size=(10, 2))
-        b1, b2 = cate_bounds(x, model, FakeProp(0.6), FakeProp(0.5),
-                             [field, field], flow, k=1000,
-                             gamma_override=[np.full(10, 1.5),
-                                             np.full(10, 3.0)])
+        results = []
+        for pi_x in (0.6, 0.75):  # Gamma = odds(pi_x) / odds(0.5) = 1.5, 3
+            model, flow, field = make_pipeline(seed=12, props=(pi_x, 0.5))
+            results += cate_bounds(x, model, FakeProp(pi_x), FakeProp(0.5),
+                                   field, flow, k=1000)
+        b1, b2 = results
+        assert np.allclose(b1.gamma, 1.5) and np.array_equal(b2.gamma,
+                                                             np.full(10, 3.0))
         assert np.all(b2.lower <= b1.lower + 1e-12)
         assert np.all(b2.upper >= b1.upper - 1e-12)
 
     def test_deterministic_given_rng_seed(self):
-        model, flow, [field] = make_pipeline(seed=15)
+        model, flow, field = make_pipeline(seed=15)
         x = np.random.default_rng(16).normal(size=(9, 2))
-        [b1] = cate_bounds(x, model, FakeProp(0.55), FakeProp(0.5), [field],
+        [b1] = cate_bounds(x, model, FakeProp(0.55), FakeProp(0.5), field,
                            flow, k=300)
-        [b2] = cate_bounds(x, model, FakeProp(0.55), FakeProp(0.5), [field],
+        [b2] = cate_bounds(x, model, FakeProp(0.55), FakeProp(0.5), field,
                            flow, k=300)
         assert np.array_equal(b1.lower, b2.lower)
         assert np.array_equal(b1.upper, b2.upper)
 
     def test_point_prediction_comes_from_heads(self):
-        from catebounds.estimators import predict_point_cate
+        from catebounds.estimators import predict_point_cate, representation
 
-        model, flow, [field] = make_pipeline(seed=18)
+        model, flow, field = make_pipeline(seed=18)
         x = np.random.default_rng(19).normal(size=(6, 2))
-        [b] = cate_bounds(x, model, FakeProp(0.5), FakeProp(0.5), [field], flow,
+        [b] = cate_bounds(x, model, FakeProp(0.5), FakeProp(0.5), field, flow,
                           k=100)
-        assert np.array_equal(b.point, predict_point_cate(model, x))
+        assert np.array_equal(b.point,
+                              predict_point_cate(model, representation(model, x)))
 
     def test_invalid_k(self):
-        model, flow, [field] = make_pipeline(seed=21)
+        model, flow, field = make_pipeline(seed=21)
         with pytest.raises(ValueError):
             cate_bounds(np.zeros((2, 2)), model, FakeProp(0.5), FakeProp(0.5),
-                        [field], flow, k=0)
-
-    def test_needs_fields_and_one_override_per_field(self):
-        model, flow, [field] = make_pipeline(seed=22)
-        with pytest.raises(ValueError, match="at least one"):
-            cate_bounds(np.zeros((2, 2)), model, FakeProp(0.5), FakeProp(0.5),
-                        [], flow, k=10)
-        with pytest.raises(ValueError, match="per gamma field"):
-            cate_bounds(np.zeros((2, 2)), model, FakeProp(0.5), FakeProp(0.5),
-                        [field, field], flow, k=10,
-                        gamma_override=[np.ones(2)])
+                        field, flow, k=0)
 
     def test_csv_export(self, tmp_path):
         b = CateBounds(point=np.array([0.5]), lower=np.array([-0.1]),
@@ -286,43 +286,39 @@ class TestCateBounds:
 
 
 class TestOnePass:
-    """Bounding several fields in one call against single-field calls, and
-    the result against the chunk size: each row's quantile nodes depend on
-    that row alone."""
+    """Bounding every delta of one field in one call against fields of one
+    delta each, and the result against the chunk size: each row's quantile
+    nodes depend on that row alone."""
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 40), k=st.integers(1, 50),
            deltas=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=4),
-           override=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_matches_single_field_calls_bit_for_bit(self, n, k, deltas,
-                                                    override, seed):
-        model, flow, fields = make_pipeline(seed=seed % 97, deltas=deltas)
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_single_field_calls_bit_for_bit(self, n, k, deltas, seed):
+        model, flow, field = make_pipeline(seed=seed % 97, deltas=deltas)
         x = np.random.default_rng(seed).normal(size=(n, 2))
-        gammas = ([np.full(n, 1.0 + d) for d in deltas] if override
-                  else None)
         with pytest.MonkeyPatch.context() as mp:
             per_chunk = []
             for chunk in (1, 7, 128):
                 mp.setattr(bounds_module, "CHUNK", chunk)
                 per_chunk.append(cate_bounds(
-                    x, model, FakeProp(0.6), FakeProp(0.45), fields, flow,
-                    k=k, gamma_override=gammas))
-        assert [len(result) for result in per_chunk] == [len(fields)] * 3
-        for i, field in enumerate(fields):
-            [alone] = cate_bounds(
-                x, model, FakeProp(0.6), FakeProp(0.45), [field], flow, k=k,
-                gamma_override=None if gammas is None else [gammas[i]])
+                    x, model, FakeProp(0.6), FakeProp(0.45), field, flow, k=k))
+        assert [len(result) for result in per_chunk] == [len(deltas)] * 3
+        for i, delta in enumerate(deltas):
+            _, _, one = make_pipeline(seed=seed % 97, deltas=[delta])
+            [alone] = cate_bounds(x, model, FakeProp(0.6), FakeProp(0.45), one,
+                                  flow, k=k)
             for got in (result[i] for result in per_chunk):
                 for name in ("point", "lower", "upper", "gamma", "pi1_phi"):
                     assert np.array_equal(getattr(got, name),
                                           getattr(alone, name)), name
 
     @pytest.mark.parametrize("n,chunk", [(1, 128), (37, 8), (64, 16), (65, 16)])
-    @pytest.mark.parametrize("n_fields", [1, 4])
+    @pytest.mark.parametrize("n_deltas", [1, 4])
     def test_samples_each_chunk_once_per_arm(self, monkeypatch, n, chunk,
-                                             n_fields):
-        model, flow, fields = make_pipeline(
-            seed=23, deltas=[0.1 * i for i in range(n_fields)])
+                                             n_deltas):
+        model, flow, field = make_pipeline(
+            seed=23, deltas=[0.1 * i for i in range(n_deltas)])
         calls = []
         original = ConditionalFlow.sample
 
@@ -333,6 +329,6 @@ class TestOnePass:
         monkeypatch.setattr(ConditionalFlow, "sample", counted)
         monkeypatch.setattr(bounds_module, "CHUNK", chunk)
         x = np.random.default_rng(24).normal(size=(n, 2))
-        cate_bounds(x, model, FakeProp(0.6), FakeProp(0.5), fields, flow, k=20)
+        cate_bounds(x, model, FakeProp(0.6), FakeProp(0.5), field, flow, k=20)
         assert len(calls) == 2 * -(-n // chunk)
         assert sum(calls) == 2 * n

@@ -173,7 +173,7 @@ class TestTraining:
         m = build_stage0(make_config(EstimatorKind.TARNET, seed=17))
         train_stage0(m, x, a, y, TrainRun(batch_size=32, learning_rate=0.01,
                                           n_iter=1000))
-        m0, m1 = predict_heads(m, x)
+        m0, m1 = predict_heads(m, representation(m, x))
         assert np.mean(np.abs(m0 - 2.5)) < 0.05
         assert np.mean(np.abs(m1 - 2.5)) < 0.05
         assert m.trained
@@ -186,7 +186,8 @@ class TestTraining:
         train_stage0(tar, x, a, y, run)
         train_stage0(cfr, x, a, y, run)
         assert tar.loss_trace == cfr.loss_trace
-        assert np.array_equal(predict_point_cate(tar, x), predict_point_cate(cfr, x))
+        assert np.array_equal(predict_point_cate(tar, representation(tar, x)),
+                              predict_point_cate(cfr, representation(cfr, x)))
 
     def test_balancing_shrinks_group_mean_gap(self):
         rng = np.random.default_rng(20)
@@ -211,7 +212,7 @@ class TestTraining:
         def fit(seed):
             m = build_stage0(make_config(EstimatorKind.CFR, seed=seed))
             train_stage0(m, x, a, y, run)
-            return predict_point_cate(m, x)
+            return predict_point_cate(m, representation(m, x))
 
         assert np.array_equal(fit(23), fit(23))
         assert not np.array_equal(fit(23), fit(24))
@@ -255,17 +256,18 @@ class TestPrediction:
     def test_point_cate_is_head_difference(self):
         x, a, y = toy_data(40, seed=33)
         m = build_stage0(make_config(EstimatorKind.TARNET, seed=34))
-        m0, m1 = predict_heads(m, x)
-        assert np.array_equal(predict_point_cate(m, x), m1 - m0)
+        phi = representation(m, x)
+        m0, m1 = predict_heads(m, phi)
+        assert np.array_equal(predict_point_cate(m, phi), m1 - m0)
 
     def test_prediction_batch_size_invariant(self):
         # BLAS reduction order may differ across batch shapes: equality up to ulp
         x, _, _ = toy_data(64, seed=35)
         for kind in (EstimatorKind.TARNET, EstimatorKind.BNN):
             m = build_stage0(make_config(kind, seed=36))
-            full = predict_point_cate(m, x)
-            parts = np.concatenate([predict_point_cate(m, x[:10]),
-                                    predict_point_cate(m, x[10:])])
+            full = predict_point_cate(m, representation(m, x))
+            parts = np.concatenate([predict_point_cate(m, representation(m, x[:10])),
+                                    predict_point_cate(m, representation(m, x[10:]))])
             assert np.allclose(full, parts, rtol=1e-12, atol=1e-12)
 
     def test_representation_shape(self):
@@ -282,7 +284,7 @@ class TestCheckpoint:
             train_stage0(m, x, a, y, TrainRun(batch_size=32, n_iter=10))
             payload = json.loads(json.dumps(m.to_checkpoint()))
             back = Stage0Model.from_checkpoint(payload)
-            assert np.array_equal(predict_point_cate(back, x),
-                                  predict_point_cate(m, x)), kind
+            assert np.array_equal(predict_point_cate(back, representation(back, x)),
+                                  predict_point_cate(m, representation(m, x))), kind
             assert back.loss_trace == m.loss_trace
             assert back.trained

@@ -86,6 +86,20 @@ class TestConfig:
             config_from_dict({"seeds": [0, 2, 0]})
         assert tiny_config(tmp_path, seeds=(2, 0)).seeds == (2, 0)
 
+    @pytest.mark.parametrize("deltas", [(float("nan"),), (0.01, float("nan")),
+                                        (-0.1,)])
+    def test_nan_or_negative_delta_rejected(self, tmp_path, deltas):
+        with pytest.raises(ValueError, match="non-negative"):
+            tiny_config(tmp_path, deltas=deltas)
+
+    def test_duplicate_deltas_rejected(self, tmp_path):
+        with pytest.raises(ValueError,
+                           match=r"deltas must be distinct, got \(0.01, 0.01\)"):
+            tiny_config(tmp_path, deltas=(0.01, 0.01))
+        with pytest.raises(ValueError, match="deltas must be distinct"):
+            config_from_dict({"deltas": [0.05, 0.001, 0.05]})
+        assert tiny_config(tmp_path, deltas=(0.05, 0.0)).deltas == (0.05, 0.0)
+
     def test_hash_ignores_output_location_only(self, tmp_path):
         a = tiny_config(tmp_path / "a")
         b = tiny_config(tmp_path / "b", jobs=4)
@@ -336,6 +350,36 @@ class TestPipeline:
         ba = (Path(cfg_a.out_dir) / "seed_5" / "bounds_0.001.csv").read_bytes()
         bb = (Path(cfg_b.out_dir) / "seed_5" / "bounds_0.001.csv").read_bytes()
         assert ba == bb
+
+    def test_one_forward_per_network_per_split(self, tmp_path, monkeypatch):
+        """refute_seed runs phi and each fitted propensity net once on the
+        training split and once on the test split, and reuses the results."""
+        from catebounds.nets import Mlp
+        from catebounds.sensitivity import PropensityModel
+
+        cfg = tiny_config(tmp_path / "fwd", deltas=(0.001, 0.01))
+        train, test = load_dataset(cfg.dataset)
+        model = train_seed(cfg, train, 0)
+        phi_rows, prop_rows = [], {}
+        call, predict = Mlp.__call__, PropensityModel.predict
+
+        def counted_call(self, x):
+            if self is model.phi_net:
+                phi_rows.append(len(x))
+            return call(self, x)
+
+        def counted_predict(self, inputs):
+            prop_rows.setdefault(id(self), []).append(len(inputs))
+            return predict(self, inputs)
+
+        monkeypatch.setattr(Mlp, "__call__", counted_call)
+        monkeypatch.setattr(PropensityModel, "predict", counted_predict)
+        refute_seed(cfg, train, test, 0, model=model)
+        splits = sorted([train.n, test.n])
+        assert sorted(phi_rows) == splits
+        assert len(prop_rows) == 2  # pi^x and pi^phi
+        for rows in prop_rows.values():
+            assert sorted(rows) == splits
 
     def test_refute_requires_stage0_checkpoint(self, tmp_path):
         cfg = tiny_config(tmp_path / "r2")

@@ -119,54 +119,56 @@ class TestGammaBall:
     def test_zero_delta_returns_pointwise(self):
         phis = np.array([[0.0], [1.0], [2.0]])
         gp = np.array([1.5, 3.0, 2.0])
-        assert np.array_equal(gamma_ball(phis, gp, 0.0), gp)
+        assert np.array_equal(gamma_ball(phis, gp, [0.0]), [gp])
 
     def test_huge_delta_returns_global_max(self):
         phis = np.random.default_rng(9).normal(size=(50, 2))
         gp = np.random.default_rng(10).uniform(1.0, 5.0, size=50)
-        assert np.allclose(gamma_ball(phis, gp, 1e9), gp.max())
+        assert np.allclose(gamma_ball(phis, gp, [1e9]), gp.max())
 
     def test_five_point_hand_oracle(self):
         phis = np.array([[0.0], [0.1], [0.2], [1.0], [1.05]])
         gp = np.array([2.0, 5.0, 1.0, 4.0, 3.0])
-        got = gamma_ball(phis, gp, 0.15)
+        got = gamma_ball(phis, gp, [0.15])
         # balls: {0,1}, {0,1,2}, {1,2}, {3,4}, {3,4}
-        assert np.array_equal(got, [5.0, 5.0, 5.0, 4.0, 4.0])
+        assert np.array_equal(got, [[5.0, 5.0, 5.0, 4.0, 4.0]])
 
     def test_monotone_in_delta(self):
         rng = np.random.default_rng(11)
         phis = rng.normal(size=(100, 2))
         gp = rng.uniform(1.0, 6.0, size=100)
-        prev = gamma_ball(phis, gp, 0.0)
-        for delta in DELTA_PRESETS:
-            cur = gamma_ball(phis, gp, delta)
-            assert np.all(cur >= prev - 1e-15)
-            prev = cur
+        rows = gamma_ball(phis, gp, (0.0,) + DELTA_PRESETS)
+        assert rows.shape == (1 + len(DELTA_PRESETS), 100)
+        assert np.all(np.diff(rows, axis=0) >= -1e-15)
 
     def test_identity_representation_keeps_gamma_one(self):
         # pi^x == pi^phi pointwise: no information lost, field stays at 1
         rng = np.random.default_rng(12)
         phis = rng.normal(size=(80, 1))
         gp = gamma_pointwise(np.full(80, 0.7), np.full(80, 0.7))
-        assert np.array_equal(gamma_ball(phis, gp, 0.05), np.ones(80))
+        assert np.array_equal(gamma_ball(phis, gp, [0.05]), np.ones((1, 80)))
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            gamma_ball(np.zeros((3, 1)), np.array([0.5, 1.0, 1.0]), 0.01)
+            gamma_ball(np.zeros((3, 1)), np.array([0.5, 1.0, 1.0]), [0.01])
         with pytest.raises(ValueError):
-            gamma_ball(np.zeros((3, 1)), np.ones(3), -0.1)
+            gamma_ball(np.zeros((3, 1)), np.ones(3), [0.01, -0.1])
         with pytest.raises(ValueError):
-            gamma_ball(np.zeros((3, 1)), np.ones(4), 0.01)
+            gamma_ball(np.zeros((3, 1)), np.ones(4), [0.01])
         with pytest.raises(ValueError):
-            gamma_ball(np.zeros((3, 1)), np.ones(3), np.nan)
+            gamma_ball(np.zeros((3, 1)), np.ones(3), [np.nan])
+        with pytest.raises(ValueError, match="at least one delta"):
+            gamma_ball(np.zeros((3, 1)), np.ones(3), [])
+        with pytest.raises(ValueError, match="1-D"):
+            gamma_ball(np.zeros((3, 1)), np.ones(3), 0.01)
 
     def test_non_finite_phi_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            gamma_ball(np.array([[0.0], [np.nan]]), np.array([2.0, 3.0]), 0.1)
+            gamma_ball(np.array([[0.0], [np.nan]]), np.array([2.0, 3.0]), [0.1])
 
     def test_non_finite_gamma_point_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            gamma_ball(np.array([[0.0], [0.05]]), np.array([2.0, np.nan]), 0.1)
+            gamma_ball(np.array([[0.0], [0.05]]), np.array([2.0, np.nan]), [0.1])
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 40),
@@ -175,45 +177,42 @@ class TestGammaBall:
         rng = np.random.default_rng(seed)
         phis = rng.normal(size=(n, 2))
         gp = rng.uniform(1.0, 10.0, size=n)
-        gh = gamma_ball(phis, gp, delta)
+        [gh] = gamma_ball(phis, gp, [delta])
         assert np.all(gh >= gp)
         assert np.all(gh <= gp.max())
 
 
+def _cloud(seed, n=60, d=1):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(n, d)), rng.uniform(0.2, 0.8, size=n),
+            rng.uniform(0.2, 0.8, size=n))
+
+
 class TestGammaField:
-    def make_field(self, delta: float = 0.5) -> GammaField:
-        rng = np.random.default_rng(13)
-        phis = rng.normal(size=(60, 1))
-        px = rng.uniform(0.2, 0.8, size=60)
-        pp = rng.uniform(0.2, 0.8, size=60)
-        return build_gamma_field(phis, px, pp, delta)
+    def make_field(self, deltas=(0.5,), d=1) -> GammaField:
+        return build_gamma_field(*_cloud(13, d=d), deltas)
 
     def test_training_values_match_ball(self):
-        field = self.make_field()
+        field = self.make_field(deltas=(0.0, 0.1, 0.5))
         raw = field.train_phis_std * field.std + field.mean
         got = field.at(raw, field.train_gamma_points)
+        assert got.shape == field.train_gamma_hat.shape == (3, 60)
         assert np.allclose(got, field.train_gamma_hat)
 
     def test_query_monotone_in_delta_with_own_gamma(self):
         rng = np.random.default_rng(14)
-        phis = rng.normal(size=(50, 1))
-        px = rng.uniform(0.2, 0.8, size=50)
-        pp = rng.uniform(0.2, 0.8, size=50)
         q = rng.normal(size=(20, 1))
         q_gamma = rng.uniform(1.0, 8.0, size=20)
-        prev = None
-        for delta in (0.0, 0.01, 0.1, 1.0, 10.0):
-            field = build_gamma_field(phis, px, pp, delta)
-            cur = field.at(q, q_gamma)
-            assert np.all(cur >= q_gamma)  # own value always included
-            if prev is not None:
-                assert np.all(cur >= prev - 1e-15)
-            prev = cur
+        field = build_gamma_field(*_cloud(14, n=50),
+                                  (0.0, 0.01, 0.1, 1.0, 10.0))
+        rows = field.at(q, q_gamma)
+        assert np.all(rows >= q_gamma)  # own value always included
+        assert np.all(np.diff(rows, axis=0) >= -1e-15)
 
     def test_far_query_keeps_own_gamma(self):
-        field = self.make_field(delta=0.001)
+        field = self.make_field(deltas=(0.001,))
         got = field.at(np.array([[1e6]]), np.array([3.3]))
-        assert np.array_equal(got, [3.3])
+        assert np.array_equal(got, [[3.3]])
 
     def test_non_finite_query_phi_rejected(self):
         field = self.make_field()
@@ -230,9 +229,24 @@ class TestGammaField:
         with pytest.raises(ValueError, match="equal length"):
             field.at(np.array([[0.0], [0.1]]), np.array([2.0]))
 
+    def test_wider_query_than_field_rejected(self):
+        field = self.make_field(d=1)
+        with pytest.raises(ValueError, match="1-dimensional.*2-dimensional"):
+            field.at(np.zeros((4, 2)), np.ones(4))
+
+    def test_narrower_query_than_field_rejected(self):
+        field = self.make_field(d=2)
+        with pytest.raises(ValueError, match="2-dimensional.*1-dimensional"):
+            field.at(np.zeros(4), np.ones(4))
+
+    def test_needs_at_least_one_delta(self):
+        with pytest.raises(ValueError, match="at least one delta"):
+            self.make_field(deltas=())
+
 
 class TestBallIndex:
-    """The ball maximum against the all-pairs oracle, bit for bit.
+    """The ball maximum against the all-pairs oracle, bit for bit, at every
+    delta of a vector.
 
     d = 1 runs the sorted index; d > 1 checks that wider representations
     still take the all-pairs path."""
@@ -241,9 +255,10 @@ class TestBallIndex:
     @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from((1, 2, 3)),
            n=st.integers(1, 200), m=st.integers(1, 200),
            dyadic=st.booleans(),
-           delta=st.sampled_from((0.0, 1 / 64, 3 / 64, 5 / 64, 0.125, 0.5)
-                                 + DELTA_PRESETS))
-    def test_matches_all_pairs_oracle(self, seed, d, n, m, dyadic, delta):
+           deltas=st.lists(st.sampled_from((0.0, 1 / 64, 3 / 64, 5 / 64, 0.125,
+                                            0.5) + DELTA_PRESETS),
+                           min_size=1, max_size=4))
+    def test_matches_all_pairs_oracle(self, seed, d, n, m, dyadic, deltas):
         rng = np.random.default_rng(seed)
         if dyadic:
             # multiples of 1/64 in a small box: exact squared distances, so
@@ -260,10 +275,24 @@ class TestBallIndex:
         query[rng.random(m) < 0.1] += 1e3
         base_vals = np.round(rng.uniform(1.0, 10.0, size=n), 1)
         self_vals = np.round(rng.uniform(1.0, 10.0, size=m), 1)
-        want = _brute_ball_max(query, base, base_vals, self_vals, delta)
-        got = sensitivity._max_within_delta(query, base, base_vals, self_vals,
-                                            delta)
-        assert np.array_equal(got, want)
+        index = sensitivity._BallIndex(base, base_vals)
+        got = sensitivity._max_within_delta(query, index, self_vals,
+                                            np.array(deltas))
+        # a field whose standardization is the identity keeps the edges exact
+        field = GammaField(deltas=np.array(deltas), mean=np.zeros(d),
+                           std=np.ones(d), train_phis_std=base,
+                           train_gamma_points=base_vals,
+                           train_gamma_hat=gamma_ball(base, base_vals, deltas),
+                           index=index)
+        at = field.at(query, self_vals)
+        assert got.shape == at.shape == (len(deltas), m)
+        for i, delta in enumerate(deltas):
+            want = _brute_ball_max(query, base, base_vals, self_vals, delta)
+            assert np.array_equal(got[i], want)
+            assert np.array_equal(at[i], want)
+            assert np.array_equal(
+                field.train_gamma_hat[i],
+                _brute_ball_max(base, base, base_vals, base_vals, delta))
 
     def test_hcmnist_size(self):
         # HC-MNIST has 60 000 training rows; an all-pairs field at this size
@@ -277,15 +306,16 @@ class TestBallIndex:
         q_gamma = rng.uniform(1.0, 3.0, size=10_000)
         sub = rng.choice(n, size=300, replace=False)
         q_sub = rng.choice(10_000, size=300, replace=False)
-        for delta in DELTA_PRESETS:
-            field = build_gamma_field(phis, px, pp, delta)
-            gp, z = field.train_gamma_points, field.train_phis_std
-            assert np.array_equal(field.train_gamma_hat[sub],
+        field = build_gamma_field(phis, px, pp, DELTA_PRESETS)
+        gp, z = field.train_gamma_points, field.train_phis_std
+        got = field.at(queries, q_gamma)
+        for i, delta in enumerate(DELTA_PRESETS):
+            assert np.array_equal(field.train_gamma_hat[i, sub],
                                   _brute_ball_max(z[sub], z, gp, gp[sub], delta))
-            got = field.at(queries, q_gamma)
             assert np.array_equal(
-                got[q_sub], _brute_ball_max(field.standardize(queries[q_sub]), z,
-                                            gp, q_gamma[q_sub], delta))
+                got[i, q_sub],
+                _brute_ball_max(field.standardize(queries[q_sub]), z, gp,
+                                q_gamma[q_sub], delta))
 
 
 class TestCsvExport:
