@@ -29,7 +29,8 @@ from scipy.special import expit
 
 from .autodiff import Tensor, constant, no_grad, slice_last, take_rows
 from .balancing import BalancingConfig, BalancingMetric, balancing_penalty
-from .nets import AdamW, Mlp, MlpConfig, TrainRun, fit
+from .nets import (AdamW, Mlp, MlpConfig, TrainRun, checkpoint, fit,
+                   load_checkpoint, read_checkpoint)
 
 __all__ = [
     "EstimatorKind",
@@ -107,21 +108,16 @@ class Stage0Model:
     prop_phi_net: Mlp | None = None
     prop_x_net: Mlp | None = None
     shuffle_seed: int = 0
-    trained: bool = False
     loss_trace: list[float] = field(default_factory=list)
 
     # -- parameter bookkeeping -------------------------------------------------
 
     def _subnets(self) -> dict[str, Mlp]:
-        nets = {"phi": self.phi_net}
-        for name in ("head0", "head1", "snet", "decoder", "weight",
-                     "prop_phi", "prop_x"):
-            attr = {"weight": "weight_net", "prop_phi": "prop_phi_net",
-                    "prop_x": "prop_x_net"}.get(name, name)
-            net = getattr(self, attr)
-            if net is not None:
-                nets[name] = net
-        return nets
+        nets = {"phi": self.phi_net, "head0": self.head0, "head1": self.head1,
+                "snet": self.snet, "decoder": self.decoder,
+                "weight": self.weight_net, "prop_phi": self.prop_phi_net,
+                "prop_x": self.prop_x_net}
+        return {name: net for name, net in nets.items() if net is not None}
 
     def main_parameters(self) -> list[Tensor]:
         """Parameters driven by the factual loss (everything but cfr_isw's
@@ -151,41 +147,20 @@ class Stage0Model:
 
     def to_checkpoint(self) -> dict:
         cfg = self.config
-        bal = None
+        raw = dict(asdict(cfg), kind=cfg.kind.value)
         if cfg.balancing is not None:
-            bal = dict(asdict(cfg.balancing), metric=cfg.balancing.metric.value)
-        return {
-            "kind": cfg.kind.value,
-            "config": {
-                "d_x": cfg.d_x,
-                "d_phi": cfg.d_phi,
-                "rep_hidden": cfg.rep_hidden,
-                "head_hidden": cfg.head_hidden,
-                "seed": cfg.seed,
-                "balancing": bal,
-            },
-            "params": {name: net.param_arrays()
-                       for name, net in self._subnets().items()},
-            "loss_trace": self.loss_trace,
-            "trained": self.trained,
-        }
+            raw["balancing"]["metric"] = cfg.balancing.metric.value
+        return checkpoint("stage0", raw, self._subnets(), {}, self.loss_trace)
 
     @staticmethod
     def from_checkpoint(payload: dict) -> "Stage0Model":
-        kind = EstimatorKind(payload["kind"])
-        raw = payload["config"]
-        b = raw.get("balancing")
-        bal = None if b is None else BalancingConfig(
-            **dict(b, metric=BalancingMetric(b["metric"])))
-        model = build_stage0(EstimatorConfig(
-            kind=kind, d_x=raw["d_x"], d_phi=raw["d_phi"],
-            rep_hidden=raw["rep_hidden"], head_hidden=raw["head_hidden"],
-            balancing=bal, seed=raw["seed"],
-        ))
-        for name, arrays in payload["params"].items():
-            model._subnets()[name].load_param_arrays(arrays)
-        model.loss_trace = list(payload.get("loss_trace", []))
-        model.trained = bool(payload.get("trained", False))
+        raw = read_checkpoint(payload, "stage0")
+        b = raw["balancing"]
+        model = build_stage0(EstimatorConfig(**dict(
+            raw, kind=EstimatorKind(raw["kind"]),
+            balancing=None if b is None else BalancingConfig(
+                **dict(b, metric=BalancingMetric(b["metric"]))))))
+        model.loss_trace = load_checkpoint(payload, model._subnets(), {})
         return model
 
 
@@ -346,7 +321,6 @@ def train_stage0(model: Stage0Model, x: np.ndarray, a: np.ndarray, y: np.ndarray
     model.loss_trace = list(fit(
         lambda idx: stage0_loss(model, x[idx], a[idx], y[idx])[0], optimizers,
         len(x), run, np.random.default_rng(model.shuffle_seed)))
-    model.trained = True
     return model
 
 

@@ -21,7 +21,9 @@ import numpy as np
 from scipy.special import expit, ndtri
 
 from .autodiff import NonFiniteError, Tensor, as_tensor, no_grad, slice_last
-from .nets import Mlp, MlpConfig, SgdMomentum, TrainRun, fit
+from .nets import (Mlp, MlpConfig, SgdMomentum, Standardizer, TrainRun,
+                   checkpoint, fit, fit_standardizer, load_checkpoint,
+                   read_checkpoint)
 
 __all__ = [
     "FlowConfig",
@@ -294,25 +296,6 @@ def _rq_inverse(z, cumw, w, cumh, h, d) -> np.ndarray:
 # -- conditional flow ----------------------------------------------------------
 
 
-@dataclass
-class _Scaler:
-    mean: np.ndarray
-    std: np.ndarray
-
-    @staticmethod
-    def identity(dim: int) -> "_Scaler":
-        return _Scaler(np.zeros(dim), np.ones(dim))
-
-    @staticmethod
-    def fit(values: np.ndarray) -> "_Scaler":
-        v = np.atleast_2d(np.asarray(values, dtype=np.float64).T).T
-        return _Scaler(v.mean(axis=0), np.maximum(v.std(axis=0), 1e-8))
-
-    def transform(self, values: np.ndarray) -> np.ndarray:
-        v = np.asarray(values, dtype=np.float64)
-        return (v - self.mean) / self.std
-
-
 class ConditionalFlow:
     """One-layer conditional spline flow with a standard normal base."""
 
@@ -324,8 +307,9 @@ class ConditionalFlow:
         )
         # start at the identity transform: base density at initialization
         self.context_net.zero_output_layer()
-        self.y_scaler = _Scaler.identity(1)
-        self.context_scaler = _Scaler.identity(cfg.context_dim - 1)
+        self.y_scaler = Standardizer(np.zeros(1), np.ones(1))
+        self.context_scaler = Standardizer(np.zeros(cfg.context_dim - 1),
+                                           np.ones(cfg.context_dim - 1))
         self.loss_trace: list[float] = []
         self.validation_nll: float | None = None
 
@@ -339,7 +323,8 @@ class ConditionalFlow:
                 f"representation dim {phi.shape[1]} does not match context_dim "
                 f"{self.cfg.context_dim}"
             )
-        return np.concatenate([a, self.context_scaler.transform(phi)], axis=1)
+        scaler = self.context_scaler
+        return np.concatenate([a, (phi - scaler.mean) / scaler.std], axis=1)
 
     def _spline_params(self, ctx: np.ndarray):
         return spline_params(self.context_net(ctx), self.cfg)
@@ -354,7 +339,8 @@ class ConditionalFlow:
         standardized outcome and context.
         """
         ctx = self._context(a, phi)
-        y_std = self.y_scaler.transform(np.asarray(y, dtype=np.float64).reshape(-1, 1))
+        y_std = ((np.asarray(y, dtype=np.float64).reshape(-1, 1) - self.y_scaler.mean)
+                 / self.y_scaler.std)
         if noise_rng is not None:
             if self.cfg.noise_y > 0.0:
                 y_std = y_std + self.cfg.noise_y * noise_rng.standard_normal(y_std.shape)
@@ -406,31 +392,22 @@ class ConditionalFlow:
 
     # serialization ------------------------------------------------------------
 
+    def _arrays(self) -> dict[str, np.ndarray]:
+        return {"y_mean": self.y_scaler.mean, "y_std": self.y_scaler.std,
+                "context_mean": self.context_scaler.mean,
+                "context_std": self.context_scaler.std}
+
     def to_checkpoint(self) -> dict:
-        return {
-            "kind": "conditional_flow",
-            "config": asdict(self.cfg),
-            "y_scaler": {"mean": self.y_scaler.mean.tolist(),
-                         "std": self.y_scaler.std.tolist()},
-            "context_scaler": {"mean": self.context_scaler.mean.tolist(),
-                               "std": self.context_scaler.std.tolist()},
-            "params": self.context_net.param_arrays(),
-            "loss_trace": self.loss_trace,
-        }
+        return checkpoint("conditional_flow", asdict(self.cfg),
+                          {"context": self.context_net}, self._arrays(),
+                          self.loss_trace)
 
     @staticmethod
     def from_checkpoint(payload: dict) -> "ConditionalFlow":
-        if payload.get("kind") != "conditional_flow":
-            raise ValueError("not a conditional flow checkpoint")
-        flow = ConditionalFlow(FlowConfig(**payload["config"]))
-        flow.context_net.load_param_arrays(payload["params"])
-        flow.y_scaler = _Scaler(np.asarray(payload["y_scaler"]["mean"]),
-                                np.asarray(payload["y_scaler"]["std"]))
-        flow.context_scaler = _Scaler(
-            np.asarray(payload["context_scaler"]["mean"]),
-            np.asarray(payload["context_scaler"]["std"]),
-        )
-        flow.loss_trace = list(payload.get("loss_trace", []))
+        flow = ConditionalFlow(FlowConfig(**read_checkpoint(payload,
+                                                            "conditional_flow")))
+        flow.loss_trace = load_checkpoint(payload, {"context": flow.context_net},
+                                          flow._arrays())
         return flow
 
 
@@ -460,8 +437,8 @@ def train_cnf(
     if len(y) < 2:
         raise ValueError("need at least 2 training points")
 
-    flow.y_scaler = _Scaler.fit(y.reshape(-1, 1))
-    flow.context_scaler = _Scaler.fit(phi)
+    flow.y_scaler = fit_standardizer(y.reshape(-1, 1))
+    flow.context_scaler = fit_standardizer(phi)
 
     seq = np.random.SeedSequence(flow.cfg.seed)
     shuffle_rng, noise_rng = [np.random.default_rng(s) for s in seq.spawn(2)]

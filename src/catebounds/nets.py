@@ -1,4 +1,5 @@
-"""Fully connected building blocks: one-hidden-layer MLPs, optimizers, checks.
+"""Fully connected building blocks: one-hidden-layer MLPs, optimizers, checks,
+standardizers, and the one record layout every saved model uses.
 
 Every network in the pipeline is a single-hidden-layer ELU MLP.
 Initialization is uniform He-style fan-in scaling with zero biases, drawn from
@@ -9,7 +10,7 @@ bitwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,6 +29,11 @@ __all__ = [
     "finite_difference_check",
     "MinibatchSampler",
     "fit",
+    "Standardizer",
+    "fit_standardizer",
+    "checkpoint",
+    "read_checkpoint",
+    "load_checkpoint",
 ]
 
 
@@ -71,16 +77,6 @@ class Mlp:
         """Zero the output layer (used to start flows at the identity map)."""
         self.w2.data[:] = 0.0
         self.b2.data[:] = 0.0
-
-    def param_arrays(self) -> list[list]:
-        return [p.data.tolist() for p in self.parameters()]
-
-    def load_param_arrays(self, arrays: Sequence) -> None:
-        for p, a in zip(self.parameters(), arrays, strict=True):
-            arr = np.asarray(a, dtype=np.float64)
-            if arr.shape != p.data.shape:
-                raise ValueError("checkpoint parameter shape mismatch")
-            p.data = arr
 
 
 def forward_mlp(cfg: MlpConfig, params: Sequence[Tensor], x) -> Tensor:
@@ -303,3 +299,76 @@ def fit(batch_loss: Callable[[np.ndarray], Tensor], optimizers: Sequence,
         for opt in optimizers:
             opt.step()
         yield float(loss.data)
+
+
+class Standardizer(NamedTuple):
+    """Per-column training mean and standard deviation."""
+
+    mean: np.ndarray
+    std: np.ndarray
+
+
+def fit_standardizer(values: np.ndarray) -> Standardizer:
+    """Column means and standard deviations of `values`, one row per
+    observation (a 1-D array is one column). The deviations are floored at
+    1e-8, so a constant column standardizes to zero."""
+    v = np.atleast_2d(np.asarray(values, dtype=np.float64).T).T
+    return Standardizer(v.mean(axis=0), np.maximum(v.std(axis=0), 1e-8))
+
+
+# -- the model record ----------------------------------------------------------
+#
+# Every saved model is one JSON object: {"kind", "config", "nets": {name:
+# [w1, b1, w2, b2]}, "arrays": {name: [...]}, "loss_trace"}. `kind` names the
+# model class and `config` what rebuilds its networks; `arrays` holds its
+# other fitted arrays (standardizers). Each array is written by one
+# `tolist()`, so the record adds no pass over the floats.
+
+
+def checkpoint(kind: str, config: dict, nets: dict[str, Mlp],
+               arrays: dict[str, np.ndarray], loss_trace: Sequence[float]) -> dict:
+    """The JSON-ready record of one model."""
+    return {"kind": kind, "config": config,
+            "nets": {name: [p.data.tolist() for p in net.parameters()]
+                     for name, net in nets.items()},
+            "arrays": {name: a.tolist() for name, a in arrays.items()},
+            "loss_trace": list(loss_trace)}
+
+
+def read_checkpoint(payload: dict, kind: str) -> dict:
+    """The config of a record, after checking that it is a `kind` record."""
+    got = payload.get("kind") if isinstance(payload, dict) else None
+    if got != kind:
+        raise ValueError(f"expected a {kind} checkpoint, got kind {got!r}")
+    return payload["config"]
+
+
+def load_checkpoint(payload: dict, nets: dict[str, Mlp],
+                    arrays: dict[str, np.ndarray]) -> list[float]:
+    """Fill a model built from its record's config: the parameters of `nets`
+    and, in place, `arrays`, under the names `checkpoint` gave them. Each
+    saved array must have the shape of the one it replaces. Returns the
+    record's loss trace."""
+    kind = payload["kind"]
+
+    def loaded(what: str, saved: list, current: list) -> list[np.ndarray]:
+        new = [np.asarray(a, dtype=np.float64) for a in saved]
+        got, want = [a.shape for a in new], [c.shape for c in current]
+        if got != want:
+            raise ValueError(f"{kind} checkpoint: {what} has shapes {got}, "
+                             f"expected {want}")
+        return new
+
+    for what, saved, expected in (("nets", payload["nets"], nets),
+                                  ("arrays", payload["arrays"], arrays)):
+        if set(saved) != set(expected):
+            raise ValueError(f"{kind} checkpoint holds {what} {sorted(saved)}, "
+                             f"expected {sorted(expected)}")
+    for name, net in nets.items():
+        params = net.parameters()
+        new = loaded(f"net {name!r}", payload["nets"][name], [p.data for p in params])
+        for p, a in zip(params, new):
+            p.data = a
+    for name, dst in arrays.items():
+        dst[...] = loaded(f"array {name!r}", [payload["arrays"][name]], [dst])[0]
+    return list(payload["loss_trace"])

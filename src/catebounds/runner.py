@@ -542,9 +542,15 @@ def _seed_dir(config: ExperimentConfig, seed: int) -> Path:
     return d
 
 
-def _save_checkpoint(path: Path, payload: dict) -> None:
+def _save_checkpoint(path: Path, model) -> None:
+    """Write a model's record (`nets.checkpoint`) as JSON."""
     # json.dumps encodes in C; json.dump streams through the Python encoder
-    path.write_text(json.dumps(payload, sort_keys=True))
+    path.write_text(json.dumps(model.to_checkpoint(), sort_keys=True))
+
+
+def _load_checkpoint(path: Path, cls):
+    """The `cls` model saved at `path` by `_save_checkpoint`."""
+    return cls.from_checkpoint(json.loads(path.read_text()))
 
 
 def _write_train_tau(path: Path, tau: np.ndarray) -> None:
@@ -565,7 +571,7 @@ def train_seed(config: ExperimentConfig, train: Dataset, seed: int,
     if model is None:
         model = _fit_stage0(config, config.stage0, train.x, train.a, train.y,
                             _component_seeds(seed)["stage0"])
-    _save_checkpoint(sdir / "stage0.json", model.to_checkpoint())
+    _save_checkpoint(sdir / "stage0.json", model)
     return model
 
 
@@ -581,19 +587,19 @@ def refute_seed(config: ExperimentConfig, train: Dataset, test: Dataset,
         if not path.exists():
             raise FileNotFoundError(
                 f"{path} missing; run the train step for seed {seed} first")
-        model = Stage0Model.from_checkpoint(json.loads(path.read_text()))
+        model = _load_checkpoint(path, Stage0Model)
     phi_tr = representation(model, train.x)
 
     prop_x = _fit_propensity(config, config.prop_x, train.x, train.a,
                              seeds["prop_x"])
     prop_phi = _fit_propensity(config, config.prop_phi, phi_tr, train.a,
                                seeds["prop_phi"])
-    _save_checkpoint(sdir / "prop_x.json", prop_x.to_checkpoint())
-    _save_checkpoint(sdir / "prop_phi.json", prop_phi.to_checkpoint())
+    _save_checkpoint(sdir / "prop_x.json", prop_x)
+    _save_checkpoint(sdir / "prop_phi.json", prop_phi)
 
     flow = _fit_flow(config, config.flow, train.y, train.a, phi_tr,
                      seeds["flow"])
-    _save_checkpoint(sdir / "flow.json", flow.to_checkpoint())
+    _save_checkpoint(sdir / "flow.json", flow)
 
     pi1_x_tr = prop_x.predict(train.x)
     pi1_phi_tr = prop_phi.predict(phi_tr)
@@ -673,7 +679,9 @@ def _emit_decision_grid(config, sdir, model, prop_x, prop_phi, flow,
                         field) -> None:
     """Bounds and decisions over a covariate grid, at the first delta."""
     grid = make_grid(resolution=config.grid_resolution)
-    bounds = cate_bounds(grid, model, prop_x, prop_phi, field, flow, config.k)[0]
+    first = replace(field, deltas=field.deltas[:1],
+                    train_gamma_hat=field.train_gamma_hat[:1])
+    [bounds] = cate_bounds(grid, model, prop_x, prop_phi, first, flow, config.k)
     write_decision_grid_csv(sdir / "decision_grid.csv", grid,
                             synthetic_tau(grid), bounds.point,
                             bounds_policy(bounds))

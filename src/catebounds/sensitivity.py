@@ -38,14 +38,14 @@ from scipy.special import expit
 from .autodiff import no_grad
 from .data import write_table
 from .estimators import PROPENSITY_CLIP, bce_logits
-from .nets import AdamW, Mlp, MlpConfig, TrainRun, fit
+from .nets import (AdamW, Mlp, MlpConfig, TrainRun, checkpoint, fit,
+                   fit_standardizer, load_checkpoint, read_checkpoint)
 
 __all__ = [
     "DELTA_PRESETS",
     "PropensityModel",
     "train_propensity",
     "gamma_pointwise",
-    "gamma_ball",
     "GammaField",
     "build_gamma_field",
     "write_gamma_csv",
@@ -76,31 +76,20 @@ class PropensityModel:
         return np.clip(expit(logits), *PROPENSITY_CLIP)
 
     def to_checkpoint(self) -> dict:
-        return {
-            "kind": "propensity",
-            "config": {
-                "input_dim": self.net.cfg.input_dim,
-                "hidden_units": self.net.cfg.hidden_units,
-                "seed": self.net.cfg.seed,
-            },
-            "mean": self.mean.tolist(),
-            "std": self.std.tolist(),
-            "params": self.net.param_arrays(),
-            "loss_trace": self.loss_trace,
-        }
+        cfg = self.net.cfg
+        return checkpoint("propensity",
+                          {"input_dim": cfg.input_dim,
+                           "hidden_units": cfg.hidden_units, "seed": cfg.seed},
+                          {"net": self.net}, {"mean": self.mean, "std": self.std},
+                          self.loss_trace)
 
     @staticmethod
     def from_checkpoint(payload: dict) -> "PropensityModel":
-        if payload.get("kind") != "propensity":
-            raise ValueError("not a propensity checkpoint")
-        cfg = payload["config"]
-        net = Mlp(MlpConfig(cfg["input_dim"], cfg["hidden_units"], 1,
-                            seed=cfg["seed"]))
-        net.load_param_arrays(payload["params"])
-        model = PropensityModel(net=net,
-                                mean=np.asarray(payload["mean"], dtype=np.float64),
-                                std=np.asarray(payload["std"], dtype=np.float64))
-        model.loss_trace = list(payload.get("loss_trace", []))
+        net = Mlp(MlpConfig(output_dim=1, **read_checkpoint(payload, "propensity")))
+        d = net.cfg.input_dim
+        model = PropensityModel(net=net, mean=np.zeros(d), std=np.ones(d))
+        model.loss_trace = load_checkpoint(
+            payload, {"net": net}, {"mean": model.mean, "std": model.std})
         return model
 
 
@@ -115,8 +104,7 @@ def train_propensity(inputs: np.ndarray, treatments: np.ndarray, run: TrainRun,
         raise ValueError("treatment must be binary")
     if a.min() == a.max():
         raise ValueError("dataset has a single treatment group")
-    mean = x.mean(axis=0)
-    std = np.maximum(x.std(axis=0), 1e-8)
+    mean, std = fit_standardizer(x)
     z = (x - mean) / std
 
     seq = np.random.SeedSequence(seed).spawn(2)
@@ -270,22 +258,6 @@ def _check_field_inputs(phis: np.ndarray, gammas: np.ndarray, name: str) -> None
         raise ValueError(f"{name} must be >= 1")
 
 
-def gamma_ball(phis_std: np.ndarray, gamma_points: np.ndarray,
-               deltas) -> np.ndarray:
-    """Training-set field: Gamma_hat_i = max Gamma_point over the delta-ball,
-    one row per delta.
-
-    `phis_std` must already be standardized; each point's own Gamma_point is in
-    its ball, so Gamma_hat >= Gamma_point >= 1 everywhere.
-    """
-    deltas = _check_deltas(deltas)
-    phis_std = np.atleast_2d(np.asarray(phis_std, dtype=np.float64).T).T
-    gamma_points = np.asarray(gamma_points, dtype=np.float64).reshape(-1)
-    _check_field_inputs(phis_std, gamma_points, "gamma_points")
-    return _max_within_delta(phis_std, _BallIndex(phis_std, gamma_points),
-                             gamma_points, deltas)
-
-
 @dataclass
 class GammaField:
     """Conservative sensitivity field over representation space, at every
@@ -326,8 +298,7 @@ def build_gamma_field(train_phis: np.ndarray, train_pi1_x: np.ndarray,
     precompute the field at every delta."""
     deltas = _check_deltas(deltas)
     phis = np.atleast_2d(np.asarray(train_phis, dtype=np.float64).T).T
-    mean = phis.mean(axis=0)
-    std = np.maximum(phis.std(axis=0), 1e-8)
+    mean, std = fit_standardizer(phis)
     phis_std = (phis - mean) / std
     gp = gamma_pointwise(train_pi1_x, train_pi1_phi)
     _check_field_inputs(phis_std, gp, "gamma_points")

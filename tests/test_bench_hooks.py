@@ -3,14 +3,20 @@ the names their callers look up. Installing it raises KeyError as soon as
 one of those names is gone, so a rename that would break
 `perfbench/run.py --trace 1` fails here first. It also counts work from
 the wrapped calls' arguments, so a reordered signature fails here instead
-of silently corrupting `flow.samples_drawn` and `bounds.points_bounded`."""
+of silently corrupting `flow.samples_drawn` and `bounds.points_bounded`.
 
+The benchmark's output checks (perfbench/checks.py) rebuild stage 0 and the
+flow from the checkpoint files a seed wrote, so a checkpoint format they can
+no longer read fails here too."""
+
+import json
 from pathlib import Path
 
 import numpy as np
 
 from catebounds import bounds, runner
-from catebounds.estimators import EstimatorConfig, EstimatorKind, build_stage0
+from catebounds.estimators import (EstimatorConfig, EstimatorKind, build_stage0,
+                                   representation)
 from catebounds.flow import ConditionalFlow, FlowConfig
 from catebounds.sensitivity import build_gamma_field
 
@@ -60,3 +66,42 @@ def test_stage2_work_counts(monkeypatch):
     assert work("bounds.cate_bounds") == n
     # one field lookup serves both deltas
     assert [s.name for s in tracer.spans].count("sensitivity.gamma_field_at") == 1
+
+
+def test_checks_rebuild_models_from_checkpoint_files(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+
+    saved = {}
+    save = runner._save_checkpoint
+
+    def keep(path, model):
+        saved[path.name] = model
+        save(path, model)
+
+    monkeypatch.setattr(runner, "_save_checkpoint", keep)
+    config = runner.ExperimentConfig(
+        dataset=runner.DatasetSpec(n_train=100, n_test=40), d_phi=1,
+        deltas=(0.001,), k=50, seeds=(0,), out_dir=str(tmp_path),
+        stage0=runner.Stage0Params(n_iter=20, batch_size=32),
+        prop_x=runner.PropensityParams(n_iter=20),
+        prop_phi=runner.PropensityParams(n_iter=20),
+        flow=runner.FlowParams(n_iter=20))
+    train, test = runner.load_dataset(config.dataset)
+    runner.run_pipeline(config, train, test, 0)
+    sdir = tmp_path / "seed_0"
+
+    got_train, got_test = checks.representations(
+        (sdir / "stage0.json").read_bytes(), train.x, test.x)
+    model = saved["stage0.json"]
+    assert got_train.tobytes() == representation(model, train.x).tobytes()
+    assert got_test.tobytes() == representation(model, test.x).tobytes()
+
+    flow = ConditionalFlow.from_checkpoint(
+        json.loads((sdir / "flow.json").read_text()))
+    kept = saved["flow.json"]
+    a, phi = test.a[:5], got_test[:5]
+    assert flow.sample(a, phi, 30).tobytes() == kept.sample(a, phi, 30).tobytes()
+    # the quadrature check lays its outcome grid out in the flow's own units
+    assert flow.y_scaler.std[0] == kept.y_scaler.std[0]
+    assert flow.y_scaler.mean[0] == kept.y_scaler.mean[0]

@@ -176,7 +176,6 @@ class TestTraining:
         m0, m1 = predict_heads(m, representation(m, x))
         assert np.mean(np.abs(m0 - 2.5)) < 0.05
         assert np.mean(np.abs(m1 - 2.5)) < 0.05
-        assert m.trained
 
     def test_cfr_alpha_zero_matches_tarnet_trajectory(self):
         x, a, y = toy_data(80, seed=18)
@@ -282,9 +281,29 @@ class TestCheckpoint:
         for kind in EstimatorKind:
             m = build_stage0(make_config(kind, seed=40))
             train_stage0(m, x, a, y, TrainRun(batch_size=32, n_iter=10))
-            payload = json.loads(json.dumps(m.to_checkpoint()))
-            back = Stage0Model.from_checkpoint(payload)
+            text = json.dumps(m.to_checkpoint(), sort_keys=True)
+            back = Stage0Model.from_checkpoint(json.loads(text))
             assert np.array_equal(predict_point_cate(back, representation(back, x)),
                                   predict_point_cate(m, representation(m, x))), kind
             assert back.loss_trace == m.loss_trace
-            assert back.trained
+            assert back.config == m.config
+            # save -> load -> save writes the same bytes
+            assert json.dumps(back.to_checkpoint(), sort_keys=True) == text, kind
+
+    def test_wrong_kind_rejected(self):
+        payload = build_stage0(make_config(EstimatorKind.TARNET)).to_checkpoint()
+        payload["kind"] = "propensity"
+        with pytest.raises(ValueError, match="stage0.*'propensity'"):
+            Stage0Model.from_checkpoint(payload)
+
+    def test_wrong_shape_names_the_net(self):
+        payload = build_stage0(make_config(EstimatorKind.CFR)).to_checkpoint()
+        payload["nets"]["head1"][2] = [[0.0]] * 3   # w2 is (8, 1)
+        with pytest.raises(ValueError, match=r"stage0.*'head1'.*\(3, 1\)"):
+            Stage0Model.from_checkpoint(payload)
+
+    def test_missing_net_rejected(self):
+        payload = build_stage0(make_config(EstimatorKind.BWCFR)).to_checkpoint()
+        del payload["nets"]["prop_x"]
+        with pytest.raises(ValueError, match="stage0.*prop_x"):
+            Stage0Model.from_checkpoint(payload)

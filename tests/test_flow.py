@@ -427,19 +427,38 @@ class TestCheckpoint:
         flow.context_net.w2.data[:] = rng.normal(size=flow.context_net.w2.data.shape)
         flow.y_scaler.mean[:] = 1.25
         flow.y_scaler.std[:] = 0.75
+        flow.context_scaler.mean[:] = [0.5, -0.25]
         flow.loss_trace = [3.0, 2.0, 1.0]
-        payload = json.loads(json.dumps(flow.to_checkpoint()))
-        back = ConditionalFlow.from_checkpoint(payload)
+        text = json.dumps(flow.to_checkpoint(), sort_keys=True)
+        back = ConditionalFlow.from_checkpoint(json.loads(text))
         y = np.array([0.4, -1.0])
         a = np.array([1.0, 0.0])
         phi = np.array([[0.1, 0.2], [0.3, -0.4]])
         assert np.array_equal(back.log_density(y, a, phi),
                               flow.log_density(y, a, phi))
+        assert np.array_equal(back.sample(a, phi, 9), flow.sample(a, phi, 9))
         assert back.loss_trace == flow.loss_trace
+        # save -> load -> save writes the same bytes
+        assert json.dumps(back.to_checkpoint(), sort_keys=True) == text
 
     def test_wrong_kind_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="conditional_flow.*'something_else'"):
             ConditionalFlow.from_checkpoint({"kind": "something_else"})
+
+    def test_wrong_shape_names_the_array(self):
+        payload = ConditionalFlow(FlowConfig(context_dim=3, hidden_units=5,
+                                             knots=6)).to_checkpoint()
+        payload["arrays"]["context_std"] = [1.0]
+        with pytest.raises(ValueError,
+                           match=r"conditional_flow.*'context_std'.*\(1,\)"):
+            ConditionalFlow.from_checkpoint(payload)
+
+    def test_wrong_shape_names_the_net(self):
+        payload = ConditionalFlow(FlowConfig(context_dim=3, hidden_units=5,
+                                             knots=6)).to_checkpoint()
+        payload["nets"]["context"][0] = [[0.0] * 5] * 2   # w1 is (3, 5)
+        with pytest.raises(ValueError, match="conditional_flow.*'context'"):
+            ConditionalFlow.from_checkpoint(payload)
 
 
 class TestConfigValidation:

@@ -11,7 +11,12 @@ import pytest
 from conftest import idx_images_bytes, idx_labels_bytes, toy_mnist, write_ihdp_pair
 
 from catebounds import runner
-from catebounds.data import gen_synthetic
+from catebounds.bounds import cate_bounds
+from catebounds.data import gen_synthetic, synthetic_tau
+from catebounds.estimators import Stage0Model, representation
+from catebounds.evaluation import bounds_policy, make_grid, write_decision_grid_csv
+from catebounds.flow import ConditionalFlow
+from catebounds.sensitivity import PropensityModel, build_gamma_field
 from catebounds.runner import (
     DatasetSpec,
     DeltaMetrics,
@@ -419,14 +424,41 @@ class TestPipeline:
         assert payload["schema"] == "v1"
         assert "wall_time" not in json.dumps(payload)
 
-    def test_decision_grid_emitted_when_requested(self, tmp_path):
-        cfg = tiny_config(tmp_path / "grid", grid_resolution=4, k=60)
+    def test_decision_grid_emitted_when_requested(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path / "grid", grid_resolution=4, k=60,
+                          deltas=(0.001, 0.05))
         train, test = load_dataset(cfg.dataset)
+        fields = []
+
+        def spy(x, model, prop_x, prop_phi, field, flow, k):
+            fields.append(field)
+            return cate_bounds(x, model, prop_x, prop_phi, field, flow, k)
+
+        monkeypatch.setattr(runner, "cate_bounds", spy)
         run_pipeline(cfg, train, test, 0)
-        path = Path(cfg.out_dir) / "seed_0" / "decision_grid.csv"
+        sdir = Path(cfg.out_dir) / "seed_0"
+        path = sdir / "decision_grid.csv"
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x1,x2,tau_oracle,tau_hat,decision"
         assert len(lines) == 17
+        # the grid is bounded at the first delta only
+        assert [len(f.deltas) for f in fields] == [2, 1]
+        # ... and matches the first delta of a full-field call
+        model = runner._load_checkpoint(sdir / "stage0.json", Stage0Model)
+        prop_x, prop_phi = (runner._load_checkpoint(sdir / f"{name}.json",
+                                                    PropensityModel)
+                            for name in ("prop_x", "prop_phi"))
+        flow = runner._load_checkpoint(sdir / "flow.json", ConditionalFlow)
+        phi = representation(model, train.x)
+        field = build_gamma_field(phi, prop_x.predict(train.x),
+                                  prop_phi.predict(phi), cfg.deltas)
+        grid = make_grid(resolution=4)
+        full = cate_bounds(grid, model, prop_x, prop_phi, field, flow, cfg.k)
+        assert len(full) == 2
+        expected = tmp_path / "expected.csv"
+        write_decision_grid_csv(expected, grid, synthetic_tau(grid),
+                                full[0].point, bounds_policy(full[0]))
+        assert path.read_bytes() == expected.read_bytes()
 
 
 class TestTrainTau:

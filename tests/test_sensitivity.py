@@ -12,7 +12,6 @@ from catebounds.sensitivity import (
     GammaField,
     PropensityModel,
     build_gamma_field,
-    gamma_ball,
     gamma_pointwise,
     train_propensity,
     write_gamma_csv,
@@ -80,9 +79,36 @@ class TestPropensity:
         a = (rng.random(200) < 0.5).astype(float)
         model = train_propensity(x, a, TrainRun(batch_size=64, n_iter=30),
                                  hidden_units=4, seed=7)
-        back = PropensityModel.from_checkpoint(
-            json.loads(json.dumps(model.to_checkpoint())))
+        text = json.dumps(model.to_checkpoint(), sort_keys=True)
+        back = PropensityModel.from_checkpoint(json.loads(text))
         assert np.array_equal(back.predict(x), model.predict(x))
+        assert back.loss_trace == model.loss_trace
+        # save -> load -> save writes the same bytes
+        assert json.dumps(back.to_checkpoint(), sort_keys=True) == text
+
+    def _payload(self):
+        x = np.random.default_rng(8).normal(size=(20, 3))
+        a = np.tile([0.0, 1.0], 10)
+        return train_propensity(x, a, TrainRun(n_iter=2), hidden_units=4,
+                                seed=9).to_checkpoint()
+
+    def test_checkpoint_wrong_kind_rejected(self):
+        payload = self._payload()
+        payload["kind"] = "stage0"
+        with pytest.raises(ValueError, match="propensity.*'stage0'"):
+            PropensityModel.from_checkpoint(payload)
+
+    def test_checkpoint_wrong_shape_names_the_array(self):
+        payload = self._payload()
+        payload["arrays"]["std"] = [1.0, 1.0]
+        with pytest.raises(ValueError, match=r"propensity.*'std'.*\(2,\)"):
+            PropensityModel.from_checkpoint(payload)
+
+    def test_checkpoint_wrong_shape_names_the_net(self):
+        payload = self._payload()
+        payload["nets"]["net"][1] = [0.0] * 5   # b1 has 4 hidden units
+        with pytest.raises(ValueError, match=r"propensity.*'net'.*\(5,\)"):
+            PropensityModel.from_checkpoint(payload)
 
 
 class TestGammaPointwise:
@@ -115,21 +141,29 @@ class TestGammaPointwise:
             gamma_pointwise(np.array([px]), np.array([pp]))
 
 
+def _ball_max(phis, gp, deltas):
+    """Per delta, each row's max of the chosen Gamma_point values `gp` over
+    its delta-ball, with `phis` taken as already standardized."""
+    phis = np.atleast_2d(np.asarray(phis, dtype=np.float64).T).T
+    return sensitivity._max_within_delta(phis, sensitivity._BallIndex(phis, gp),
+                                         gp, np.asarray(deltas, dtype=np.float64))
+
+
 class TestGammaBall:
     def test_zero_delta_returns_pointwise(self):
         phis = np.array([[0.0], [1.0], [2.0]])
         gp = np.array([1.5, 3.0, 2.0])
-        assert np.array_equal(gamma_ball(phis, gp, [0.0]), [gp])
+        assert np.array_equal(_ball_max(phis, gp, [0.0]), [gp])
 
     def test_huge_delta_returns_global_max(self):
         phis = np.random.default_rng(9).normal(size=(50, 2))
         gp = np.random.default_rng(10).uniform(1.0, 5.0, size=50)
-        assert np.allclose(gamma_ball(phis, gp, [1e9]), gp.max())
+        assert np.allclose(_ball_max(phis, gp, [1e9]), gp.max())
 
     def test_five_point_hand_oracle(self):
         phis = np.array([[0.0], [0.1], [0.2], [1.0], [1.05]])
         gp = np.array([2.0, 5.0, 1.0, 4.0, 3.0])
-        got = gamma_ball(phis, gp, [0.15])
+        got = _ball_max(phis, gp, [0.15])
         # balls: {0,1}, {0,1,2}, {1,2}, {3,4}, {3,4}
         assert np.array_equal(got, [[5.0, 5.0, 5.0, 4.0, 4.0]])
 
@@ -137,7 +171,7 @@ class TestGammaBall:
         rng = np.random.default_rng(11)
         phis = rng.normal(size=(100, 2))
         gp = rng.uniform(1.0, 6.0, size=100)
-        rows = gamma_ball(phis, gp, (0.0,) + DELTA_PRESETS)
+        rows = _ball_max(phis, gp, (0.0,) + DELTA_PRESETS)
         assert rows.shape == (1 + len(DELTA_PRESETS), 100)
         assert np.all(np.diff(rows, axis=0) >= -1e-15)
 
@@ -145,30 +179,37 @@ class TestGammaBall:
         # pi^x == pi^phi pointwise: no information lost, field stays at 1
         rng = np.random.default_rng(12)
         phis = rng.normal(size=(80, 1))
-        gp = gamma_pointwise(np.full(80, 0.7), np.full(80, 0.7))
-        assert np.array_equal(gamma_ball(phis, gp, [0.05]), np.ones((1, 80)))
+        field = build_gamma_field(phis, np.full(80, 0.7), np.full(80, 0.7), [0.05])
+        assert np.array_equal(field.train_gamma_hat, np.ones((1, 80)))
 
     def test_invalid_inputs(self):
+        half = np.full(3, 0.5)
+        field = build_gamma_field(np.zeros((3, 1)), half, half, [0.01])
+        with pytest.raises(ValueError, match=">= 1"):
+            field.at(np.zeros((3, 1)), np.array([0.5, 1.0, 1.0]))
         with pytest.raises(ValueError):
-            gamma_ball(np.zeros((3, 1)), np.array([0.5, 1.0, 1.0]), [0.01])
+            build_gamma_field(np.zeros((3, 1)), half, half, [0.01, -0.1])
         with pytest.raises(ValueError):
-            gamma_ball(np.zeros((3, 1)), np.ones(3), [0.01, -0.1])
+            build_gamma_field(np.zeros((3, 1)), np.full(4, 0.5), np.full(4, 0.5),
+                              [0.01])
         with pytest.raises(ValueError):
-            gamma_ball(np.zeros((3, 1)), np.ones(4), [0.01])
-        with pytest.raises(ValueError):
-            gamma_ball(np.zeros((3, 1)), np.ones(3), [np.nan])
+            build_gamma_field(np.zeros((3, 1)), half, half, [np.nan])
         with pytest.raises(ValueError, match="at least one delta"):
-            gamma_ball(np.zeros((3, 1)), np.ones(3), [])
+            build_gamma_field(np.zeros((3, 1)), half, half, [])
         with pytest.raises(ValueError, match="1-D"):
-            gamma_ball(np.zeros((3, 1)), np.ones(3), 0.01)
+            build_gamma_field(np.zeros((3, 1)), half, half, 0.01)
 
     def test_non_finite_phi_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            gamma_ball(np.array([[0.0], [np.nan]]), np.array([2.0, 3.0]), [0.1])
+            build_gamma_field(np.array([[0.0], [np.nan]]), np.full(2, 0.5),
+                              np.full(2, 0.5), [0.1])
 
     def test_non_finite_gamma_point_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            gamma_ball(np.array([[0.0], [0.05]]), np.array([2.0, np.nan]), [0.1])
+        # a pi^phi this small overflows its odds, so Gamma_point is infinite
+        with pytest.raises(ValueError, match="finite"), \
+                np.errstate(divide="ignore", over="ignore"):
+            build_gamma_field(np.array([[0.0], [0.05]]), np.full(2, 0.5),
+                              np.array([0.5, 5e-324]), [0.1])
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 40),
@@ -177,7 +218,7 @@ class TestGammaBall:
         rng = np.random.default_rng(seed)
         phis = rng.normal(size=(n, 2))
         gp = rng.uniform(1.0, 10.0, size=n)
-        [gh] = gamma_ball(phis, gp, [delta])
+        [gh] = _ball_max(phis, gp, [delta])
         assert np.all(gh >= gp)
         assert np.all(gh <= gp.max())
 
@@ -282,7 +323,8 @@ class TestBallIndex:
         field = GammaField(deltas=np.array(deltas), mean=np.zeros(d),
                            std=np.ones(d), train_phis_std=base,
                            train_gamma_points=base_vals,
-                           train_gamma_hat=gamma_ball(base, base_vals, deltas),
+                           train_gamma_hat=sensitivity._max_within_delta(
+                               base, index, base_vals, np.array(deltas)),
                            index=index)
         at = field.at(query, self_vals)
         assert got.shape == at.shape == (len(deltas), m)
