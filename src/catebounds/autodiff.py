@@ -271,14 +271,15 @@ class Tensor:
 
         return Tensor._result(out_data, (self,), backward, "relu")
 
-    def elu(self, alpha: float = 1.0):
+    def elu(self):
+        """ELU with alpha = 1."""
         # expm1 on the clipped values so the discarded branch cannot overflow
         out_data = np.where(
-            self.data > 0.0, self.data, alpha * np.expm1(np.minimum(self.data, 0.0))
+            self.data > 0.0, self.data, np.expm1(np.minimum(self.data, 0.0))
         )
 
         def backward(g):
-            self._accumulate(g * np.where(self.data > 0.0, 1.0, out_data + alpha))
+            self._accumulate(g * np.where(self.data > 0.0, 1.0, out_data + 1.0))
 
         return Tensor._result(out_data, (self,), backward, "elu")
 

@@ -34,44 +34,12 @@ from .flow import ConditionalFlow
 from .sensitivity import GammaField, PropensityModel, gamma_pointwise
 
 __all__ = [
-    "ShiftCoefficients",
-    "shift_coefficients",
     "cvar_mu_bounds",
     "CateBounds",
     "cate_bounds",
     "read_bounds_csv",
     "write_bounds_csv",
 ]
-
-
-@dataclass(frozen=True)
-class ShiftCoefficients:
-    """Tail weights and quantile splits for one (Gamma, pi) pair."""
-
-    s_minus: float
-    s_plus: float
-    c_minus: float
-    c_plus: float
-
-
-def shift_coefficients(gamma: float, pi: float) -> ShiftCoefficients:
-    """Coefficients of the extremal density tilts.
-
-    s_minus = ((1-Gamma)*pi + Gamma)^-1, s_plus = ((1-1/Gamma)*pi + 1/Gamma)^-1,
-    c_minus = 1/(1+Gamma), c_plus = Gamma/(1+Gamma). Requires Gamma >= 1 and
-    pi in (0, 1). The weights satisfy (1/s_minus)*c_minus +
-    (1/s_plus)*(1-c_minus) = 1 exactly.
-    """
-    if gamma < 1.0:
-        raise ValueError("gamma must be >= 1")
-    if not 0.0 < pi < 1.0:
-        raise ValueError("pi must lie strictly inside (0, 1)")
-    s_minus = 1.0 / ((1.0 - gamma) * pi + gamma)
-    inv_gamma = 1.0 / gamma
-    s_plus = 1.0 / ((1.0 - inv_gamma) * pi + inv_gamma)
-    c_minus = 1.0 / (1.0 + gamma)
-    c_plus = gamma / (1.0 + gamma)
-    return ShiftCoefficients(s_minus, s_plus, c_minus, c_plus)
 
 
 def _partial_mean(sorted_samples: np.ndarray, csum: np.ndarray, cut: np.ndarray,

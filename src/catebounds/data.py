@@ -32,6 +32,8 @@ __all__ = [
     "IHDP_COVARIATES",
     "parse_idx",
     "HcMnistConfig",
+    "HCMNIST_GAMMA_STAR",
+    "HCMNIST_CLIP",
     "phi_from_images",
     "build_hcmnist",
     "write_table",
@@ -46,6 +48,13 @@ _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801
 
 _SPLIT_STREAM = {"train": 0, "test": 1}
+
+# HC-MNIST's confounding strength: the odds ratio the hidden confounder U
+# moves treatment by
+HCMNIST_GAMMA_STAR = math.e
+# standardized image intensities are clipped to +-HCMNIST_CLIP before they
+# are mapped onto their class's bin
+HCMNIST_CLIP = 1.4
 
 
 @dataclass
@@ -275,20 +284,16 @@ def parse_idx(path: str | Path) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HcMnistConfig:
-    """Per-class intensity statistics plus the confounding strength."""
+    """Per-class intensity statistics of the training images."""
 
     class_means: tuple[float, ...]
     class_stds: tuple[float, ...]
-    gamma_star: float = math.e
-    clip: float = 1.4
 
     def __post_init__(self) -> None:
         if len(self.class_means) != 10 or len(self.class_stds) != 10:
             raise ValueError("need statistics for all 10 classes")
         if any(s <= 0.0 for s in self.class_stds):
             raise ValueError("class intensity stds must be positive")
-        if self.gamma_star < 1.0 or self.clip <= 0.0:
-            raise ValueError("gamma_star must be >= 1 and clip positive")
 
     @classmethod
     def from_data(cls, images: np.ndarray, labels: np.ndarray) -> "HcMnistConfig":
@@ -318,9 +323,9 @@ def phi_from_images(images: np.ndarray, labels: np.ndarray,
     labels = np.asarray(labels)
     mu = np.asarray(config.class_means)[labels]
     sd = np.asarray(config.class_stds)[labels]
-    z = np.clip((intensity - mu) / sd, -config.clip, config.clip)
+    z = np.clip((intensity - mu) / sd, -HCMNIST_CLIP, HCMNIST_CLIP)
     lo, hi = _class_range(labels)
-    return lo + (z + config.clip) * (hi - lo) / (2.0 * config.clip)
+    return lo + (z + HCMNIST_CLIP) * (hi - lo) / (2.0 * HCMNIST_CLIP)
 
 
 def _alpha_beta(phi: np.ndarray, gamma_star: float) -> tuple[np.ndarray, np.ndarray]:
@@ -353,7 +358,7 @@ def build_hcmnist(images: np.ndarray, labels: np.ndarray, seed: int,
     n = len(images)
     u = (rng.uniform(size=n) < 0.5).astype(np.float64)
     phi = phi_from_images(images, labels, config)
-    alpha, beta = _alpha_beta(phi, config.gamma_star)
+    alpha, beta = _alpha_beta(phi, HCMNIST_GAMMA_STAR)
     p_treat = u / alpha + (1.0 - u) / beta
     a = (rng.uniform(size=n) < p_treat).astype(np.float64)
     lean = -2.0 * (2.0 * u - 1.0) * (1.0 + 0.5 * phi)

@@ -22,7 +22,7 @@ loss re-weighting:
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.special import expit
@@ -96,52 +96,40 @@ def _subnet_seeds(seed: int) -> dict[str, int]:
     return {n: int(c.generate_state(1)[0]) for n, c in zip(names, children)}
 
 
+def _subnet_sizes(c: EstimatorConfig) -> dict[str, tuple[int, int, int]]:
+    """Each subnet of `c.kind`, by the name that seeds and saves it, with its
+    (input, hidden, output) sizes."""
+    head = (c.d_phi, c.head_hidden, 1)
+    outcome = ({"snet": (c.d_phi, c.head_hidden, 2)}
+               if c.kind is EstimatorKind.BNN else {"head0": head, "head1": head})
+    extra = {EstimatorKind.INV_TARNET: {"decoder": (c.d_phi, c.rep_hidden, c.d_x)},
+             EstimatorKind.RCFR: {"weight": head},
+             EstimatorKind.CFR_ISW: {"prop_phi": head},
+             EstimatorKind.BWCFR: {"prop_x": (c.d_x, c.rep_hidden, 1)}}
+    return {"phi": (c.d_x, c.rep_hidden, c.d_phi), **outcome,
+            **extra.get(c.kind, {})}
+
+
 @dataclass
 class Stage0Model:
+    """The subnets of one stage-0 estimator, keyed as in `_subnet_sizes`."""
+
     config: EstimatorConfig
-    phi_net: Mlp
-    head0: Mlp | None = None
-    head1: Mlp | None = None
-    snet: Mlp | None = None
-    decoder: Mlp | None = None
-    weight_net: Mlp | None = None
-    prop_phi_net: Mlp | None = None
-    prop_x_net: Mlp | None = None
-    shuffle_seed: int = 0
+    nets: dict[str, Mlp]
+    shuffle_seed: int
     loss_trace: list[float] = field(default_factory=list)
-
-    # -- parameter bookkeeping -------------------------------------------------
-
-    def _subnets(self) -> dict[str, Mlp]:
-        nets = {"phi": self.phi_net, "head0": self.head0, "head1": self.head1,
-                "snet": self.snet, "decoder": self.decoder,
-                "weight": self.weight_net, "prop_phi": self.prop_phi_net,
-                "prop_x": self.prop_x_net}
-        return {name: net for name, net in nets.items() if net is not None}
 
     def main_parameters(self) -> list[Tensor]:
         """Parameters driven by the factual loss (everything but cfr_isw's
         propensity net, which has its own optimizer settings)."""
-        params: list[Tensor] = []
-        for name, net in self._subnets().items():
-            if name == "prop_phi" and self.config.kind is EstimatorKind.CFR_ISW:
-                continue
-            params.extend(net.parameters())
-        return params
-
-    def prop_parameters(self) -> list[Tensor]:
-        return self.prop_phi_net.parameters() if self.prop_phi_net else []
-
-    def parameters(self) -> list[Tensor]:
-        return [p for net in self._subnets().values() for p in net.parameters()]
-
-    # -- inference -------------------------------------------------------------
+        return [p for name, net in self.nets.items() if name != "prop_phi"
+                for p in net.parameters()]
 
     def _head_outputs(self, rep: Tensor) -> tuple[Tensor, Tensor]:
         if self.config.kind is EstimatorKind.BNN:
-            out = self.snet(rep)
+            out = self.nets["snet"](rep)
             return slice_last(out, 0, 1), slice_last(out, 1, 2)
-        return self.head0(rep), self.head1(rep)
+        return self.nets["head0"](rep), self.nets["head1"](rep)
 
     # -- serialization ---------------------------------------------------------
 
@@ -150,49 +138,27 @@ class Stage0Model:
         raw = dict(asdict(cfg), kind=cfg.kind.value)
         if cfg.balancing is not None:
             raw["balancing"]["metric"] = cfg.balancing.metric.value
-        return checkpoint("stage0", raw, self._subnets(), {}, self.loss_trace)
+        return checkpoint("stage0", raw, self.nets, {}, self.loss_trace)
 
     @staticmethod
     def from_checkpoint(payload: dict) -> "Stage0Model":
-        raw = read_checkpoint(payload, "stage0")
+        raw = read_checkpoint(payload, "stage0",
+                              [f.name for f in fields(EstimatorConfig)])
         b = raw["balancing"]
         model = build_stage0(EstimatorConfig(**dict(
             raw, kind=EstimatorKind(raw["kind"]),
             balancing=None if b is None else BalancingConfig(
                 **dict(b, metric=BalancingMetric(b["metric"]))))))
-        model.loss_trace = load_checkpoint(payload, model._subnets(), {})
+        model.loss_trace = load_checkpoint(payload, model.nets, {})
         return model
 
 
 def build_stage0(config: EstimatorConfig) -> Stage0Model:
     """Instantiate the subnetworks for `config.kind` under the seed protocol."""
     seeds = _subnet_seeds(config.seed)
-    k = config.kind
-    phi_net = Mlp(MlpConfig(config.d_x, config.rep_hidden, config.d_phi,
-                            seed=seeds["phi"]))
-    model = Stage0Model(config=config, phi_net=phi_net,
-                        shuffle_seed=seeds["shuffle"])
-    if k is EstimatorKind.BNN:
-        model.snet = Mlp(MlpConfig(config.d_phi, config.head_hidden, 2,
-                                   seed=seeds["snet"]))
-    else:
-        model.head0 = Mlp(MlpConfig(config.d_phi, config.head_hidden, 1,
-                                    seed=seeds["head0"]))
-        model.head1 = Mlp(MlpConfig(config.d_phi, config.head_hidden, 1,
-                                    seed=seeds["head1"]))
-    if k is EstimatorKind.INV_TARNET:
-        model.decoder = Mlp(MlpConfig(config.d_phi, config.rep_hidden, config.d_x,
-                                      seed=seeds["decoder"]))
-    if k is EstimatorKind.RCFR:
-        model.weight_net = Mlp(MlpConfig(config.d_phi, config.head_hidden, 1,
-                                         seed=seeds["weight"]))
-    if k is EstimatorKind.CFR_ISW:
-        model.prop_phi_net = Mlp(MlpConfig(config.d_phi, config.head_hidden, 1,
-                                           seed=seeds["prop_phi"]))
-    if k is EstimatorKind.BWCFR:
-        model.prop_x_net = Mlp(MlpConfig(config.d_x, config.rep_hidden, 1,
-                                         seed=seeds["prop_x"]))
-    return model
+    nets = {name: Mlp(MlpConfig(*sizes, seed=seeds[name]))
+            for name, sizes in _subnet_sizes(config).items()}
+    return Stage0Model(config, nets, shuffle_seed=seeds["shuffle"])
 
 
 def bce_logits(logits: Tensor, a: np.ndarray) -> Tensor:
@@ -203,7 +169,7 @@ def bce_logits(logits: Tensor, a: np.ndarray) -> Tensor:
 
 def _isw_weights(model: Stage0Model, rep_data: np.ndarray, a: np.ndarray) -> np.ndarray:
     with no_grad():
-        logits = model.prop_phi_net(rep_data).data[:, 0]
+        logits = model.nets["prop_phi"](rep_data).data[:, 0]
     p1 = np.clip(expit(logits), *PROPENSITY_CLIP)
     p_a = np.where(a == 1, p1, 1.0 - p1)
     p_not_a = 1.0 - p_a
@@ -216,7 +182,7 @@ def _isw_weights(model: Stage0Model, rep_data: np.ndarray, a: np.ndarray) -> np.
 
 def _overlap_weights(model: Stage0Model, x: np.ndarray, a: np.ndarray) -> np.ndarray:
     with no_grad():
-        logits = model.prop_x_net(x).data[:, 0]
+        logits = model.nets["prop_x"](x).data[:, 0]
     p1 = np.clip(expit(logits), *PROPENSITY_CLIP)
     return np.where(a == 1, 1.0 - p1, p1)
 
@@ -233,7 +199,7 @@ def stage0_loss(model: Stage0Model, x: np.ndarray, a: np.ndarray,
     a = np.asarray(a, dtype=np.float64).reshape(-1)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     kind = model.config.kind
-    rep = model.phi_net(x)
+    rep = model.nets["phi"](x)
     m0, m1 = model._head_outputs(rep)
     a_col = constant(a.reshape(-1, 1))
     pred = a_col * m1 + (1.0 - a_col) * m0
@@ -242,7 +208,7 @@ def stage0_loss(model: Stage0Model, x: np.ndarray, a: np.ndarray,
     parts: dict[str, float] = {}
     weights_t: Tensor | None = None
     if kind is EstimatorKind.RCFR:
-        raw_w = model.weight_net(rep).softplus()
+        raw_w = model.nets["weight"](rep).softplus()
         weights_t = raw_w / raw_w.mean()
         parts["mean_weight"] = float(weights_t.data.mean())
         mse = (weights_t * sq).mean()
@@ -274,18 +240,18 @@ def stage0_loss(model: Stage0Model, x: np.ndarray, a: np.ndarray,
             loss = loss + bal.alpha * pen
 
     if kind is EstimatorKind.INV_TARNET:
-        recon = model.decoder(rep)
+        recon = model.nets["decoder"](rep)
         l_rec = ((recon - constant(x)) ** 2).mean()
         parts["reconstruction"] = float(l_rec.data)
         loss = loss + l_rec
 
     if kind is EstimatorKind.CFR_ISW:
-        logits = model.prop_phi_net(rep.detach())
+        logits = model.nets["prop_phi"](rep.detach())
         bce = bce_logits(logits, a)
         parts["bce"] = float(bce.data)
         loss = loss + bce
     elif kind is EstimatorKind.BWCFR:
-        logits = model.prop_x_net(constant(x))
+        logits = model.nets["prop_x"](constant(x))
         bce = bce_logits(logits, a)
         parts["bce"] = float(bce.data)
         loss = loss + bce
@@ -312,8 +278,9 @@ def train_stage0(model: Stage0Model, x: np.ndarray, a: np.ndarray, y: np.ndarray
                         weight_decay=run.weight_decay)]
     if model.config.kind is EstimatorKind.CFR_ISW:
         optimizers.append(AdamW(
-            model.prop_parameters(),
-            lr=run.prop_learning_rate or run.learning_rate,
+            model.nets["prop_phi"].parameters(),
+            lr=(run.prop_learning_rate if run.prop_learning_rate is not None
+                else run.learning_rate),
             weight_decay=(run.prop_weight_decay
                           if run.prop_weight_decay is not None
                           else run.weight_decay),
@@ -326,7 +293,7 @@ def train_stage0(model: Stage0Model, x: np.ndarray, a: np.ndarray, y: np.ndarray
 
 def representation(model: Stage0Model, x: np.ndarray) -> np.ndarray:
     with no_grad():
-        return model.phi_net(np.asarray(x, dtype=np.float64)).data
+        return model.nets["phi"](np.asarray(x, dtype=np.float64)).data
 
 
 def predict_heads(model: Stage0Model, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,15 +6,16 @@ A single monotone rational-quadratic spline layer with K knots on
 standard normal base distribution. Outcomes are standardized by training
 mean/std inside the model; densities are reported in original units.
 
-The spline parameterization follows the usual recipe: softmax-normalized bin
-widths/heights with a minimum bin size, softplus-transformed interior knot
-derivatives with a minimum, and boundary derivatives pinned to 1 so the
-transform continues as the identity outside [-B, B].
+The spline parameterization follows the usual recipe (Durkan et al. 2019):
+softmax-normalized bin widths/heights with a minimum bin size MIN_BIN,
+softplus-transformed interior knot derivatives with a minimum MIN_DERIVATIVE,
+and boundary derivatives pinned to 1 so the transform continues as the
+identity outside [-B, B], B = TAIL_BOUND.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -31,11 +32,20 @@ __all__ = [
     "FlowDivergenceError",
     "spline_params",
     "rq_spline",
+    "rq_inverse",
     "train_cnf",
-    "integrate_density",
+    "TAIL_BOUND",
+    "MIN_BIN",
+    "MIN_DERIVATIVE",
 ]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+# the spline acts on [-TAIL_BOUND, TAIL_BOUND] in standardized units; every
+# bin is at least MIN_BIN of that range wide and high, and every interior
+# knot derivative is at least MIN_DERIVATIVE
+TAIL_BOUND = 5.0
+MIN_BIN = 1e-3
+MIN_DERIVATIVE = 1e-3
 # training aborts once the minibatch NLL has stayed above DIVERGENCE_FACTOR x
 # |initial NLL| for DIVERGENCE_PATIENCE consecutive steps
 DIVERGENCE_FACTOR = 10.0
@@ -51,9 +61,6 @@ class FlowConfig:
     context_dim: int                 # 1 (treatment) + representation dim
     hidden_units: int
     knots: int = 10
-    tail_bound: float = 5.0
-    min_bin: float = 1e-3
-    min_derivative: float = 1e-3
     noise_y: float = 0.1             # train-time Gaussian noise, standardized units
     noise_context: float = 0.05
     seed: int = 0
@@ -61,14 +68,8 @@ class FlowConfig:
     def __post_init__(self):
         if self.context_dim < 2:
             raise ValueError("context_dim must cover treatment plus representation")
-        if self.knots < 2:
-            raise ValueError("need at least 2 knots")
-        if self.tail_bound <= 0.0:
-            raise ValueError("tail_bound must be positive")
-        if self.min_bin <= 0.0 or self.min_bin * self.knots >= 1.0:
-            raise ValueError("min_bin must be positive and < 1/knots")
-        if self.min_derivative <= 0.0 or self.min_derivative >= 1.0:
-            raise ValueError("min_derivative must be in (0, 1)")
+        if self.knots < 2 or MIN_BIN * self.knots >= 1.0:
+            raise ValueError("knots must be at least 2 and below 1/MIN_BIN")
         if self.noise_y < 0.0 or self.noise_context < 0.0:
             raise ValueError("noise intensities must be non-negative")
 
@@ -79,8 +80,8 @@ class FlowConfig:
 # `no_grad` and read `.data`. Each step is one tape node with a hand-written
 # backward: the knot grids and derivatives of `spline_params`, and the
 # gathers, rational-quadratic map and log-det of `rq_spline`, whose
-# derivatives follow Durkan et al. (2019). The inverse, used only for
-# sampling, runs on plain arrays and skips the log-det.
+# derivatives follow Durkan et al. (2019). The inverse, `rq_inverse`, is used
+# only for sampling; it runs on plain arrays and skips the log-det.
 
 
 def spline_params(raw: Tensor, cfg: FlowConfig):
@@ -98,12 +99,12 @@ def spline_params(raw: Tensor, cfg: FlowConfig):
 
 def _knots(raw: Tensor, lo: int, cfg: FlowConfig) -> Tensor:
     """Knot grid (n, K+1) from the softmax of columns lo:lo+K of `raw`."""
-    k, b = cfg.knots, cfg.tail_bound
+    k, b = cfg.knots, TAIL_BOUND
     u = raw.data[:, lo:lo + k]
     e = np.exp(u - np.max(u, axis=-1, keepdims=True))
     soft = e / e.sum(axis=-1, keepdims=True)
-    scale = 1.0 - cfg.min_bin * k
-    widths = soft * scale + cfg.min_bin
+    scale = 1.0 - MIN_BIN * k
+    widths = soft * scale + MIN_BIN
     inner = np.cumsum(widths, axis=-1)[:, :k - 1] * (2.0 * b) - b
     edge = np.full((len(u), 1), b)
     cum = np.concatenate([-edge, inner, edge], axis=-1)
@@ -135,10 +136,10 @@ def _derivatives(raw: Tensor, cfg: FlowConfig) -> Tensor:
     """Knot derivatives (n, K+1): softplus of the last K-1 raw columns,
     shifted so that zero maps to 1, floored at the minimum; both ends 1."""
     k = cfg.knots
-    shift = float(np.log(np.expm1(1.0 - cfg.min_derivative)))
+    shift = float(np.log(np.expm1(1.0 - MIN_DERIVATIVE)))
     ud = raw.data[:, 2 * k:] + shift
     one = np.ones((len(ud), 1))
-    d = np.concatenate([one, np.logaddexp(0.0, ud) + cfg.min_derivative, one], axis=-1)
+    d = np.concatenate([one, np.logaddexp(0.0, ud) + MIN_DERIVATIVE, one], axis=-1)
 
     def backward(g):
         full = np.zeros_like(raw.data)
@@ -177,39 +178,21 @@ def _scatter(values: np.ndarray, idx: np.ndarray, width: int) -> np.ndarray:
                        minlength=n * width).reshape(n, width)
 
 
-def rq_spline(
-    inputs: np.ndarray,
-    cumw: Tensor,
-    w: Tensor,
-    cumh: Tensor,
-    h: Tensor,
-    d: Tensor,
-    *,
-    inverse: bool = False,
-    tail_bound: float = 5.0,
-):
-    """Apply the spline (or its inverse) elementwise with per-row parameters.
+def rq_spline(inputs: np.ndarray, cumw: Tensor, w: Tensor, cumh: Tensor,
+              h: Tensor, d: Tensor) -> tuple[Tensor, Tensor]:
+    """Apply the spline elementwise with per-row parameters, on the tape.
 
     `inputs` is a plain array of shape (n,) or (n, k); the parameters come
-    from :func:`spline_params`. Outside [-tail_bound, tail_bound] the map is
-    the identity with logabsdet 0.
-
-    Forward: returns (outputs, logabsdet) tensors of the shape of `inputs`,
-    both slices of one tape op with a hand-written backward. Inverse:
-    returns the outputs alone as a plain array; the parameters may be plain
-    arrays, and nothing is recorded.
+    from :func:`spline_params`. Outside [-TAIL_BOUND, TAIL_BOUND] the map is
+    the identity with logabsdet 0. Returns (outputs, logabsdet) tensors of
+    the shape of `inputs`, both slices of one tape op with a hand-written
+    backward.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     squeeze = inputs.ndim == 1
     vals = inputs[:, None] if squeeze else inputs
-    inside = np.abs(vals) <= tail_bound
-    clamped = np.clip(vals, -tail_bound, tail_bound)
-    if inverse:
-        arrays = [p.data if isinstance(p, Tensor) else np.asarray(p)
-                  for p in (cumw, w, cumh, h, d)]
-        out = np.where(inside, _rq_inverse(clamped, *arrays), vals)
-        return out.reshape(inputs.shape)
-
+    inside = np.abs(vals) <= TAIL_BOUND
+    clamped = np.clip(vals, -TAIL_BOUND, TAIL_BOUND)
     packed = _rq_forward(vals, clamped, inside,
                          *(as_tensor(p) for p in (cumw, w, cumh, h, d)))
     m = vals.shape[-1]
@@ -274,13 +257,22 @@ def _rq_forward(vals, clamped, inside, cumw, w, cumh, h, d) -> Tensor:
     return Tensor._result(packed, (cumw, w, cumh, h, d), backward, "rq_spline")
 
 
-def _rq_inverse(z, cumw, w, cumh, h, d) -> np.ndarray:
-    """Inverse map on plain arrays: the root in [0, 1] of the bin's quadratic
-    gives the position within the input bin."""
-    idx = _bin_index(z, cumh)
+def rq_inverse(z: np.ndarray, cumw: np.ndarray, w: np.ndarray,
+               cumh: np.ndarray, h: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`rq_spline` on plain arrays, without the log-det.
+
+    `z` has shape (n,) or (n, k) and the parameters are the arrays of
+    :func:`spline_params`. Outside [-TAIL_BOUND, TAIL_BOUND] the map is the
+    identity; inside, the root in [0, 1] of the bin's quadratic gives the
+    position within the input bin.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    vals = z[:, None] if z.ndim == 1 else z
+    clamped = np.clip(vals, -TAIL_BOUND, TAIL_BOUND)
+    idx = _bin_index(clamped, cumh)
     wk, hk, cwk, chk, dk, dk1 = _gather(idx, cumw, w, cumh, h, d)
     s = hk / wk
-    zbar = z - chk
+    zbar = clamped - chk
     two_s = dk1 + dk - 2.0 * s
     qa = hk * (s - dk) + zbar * two_s
     qb = hk * dk - zbar * two_s
@@ -290,7 +282,15 @@ def _rq_inverse(z, cumw, w, cumh, h, d) -> np.ndarray:
         raise FloatingPointError("negative discriminant in spline inverse")
     disc = np.maximum(disc, 0.0)
     theta = np.clip((2.0 * qc) / (-qb - np.sqrt(disc)), 0.0, 1.0)
-    return theta * wk + cwk
+    out = np.where(np.abs(vals) <= TAIL_BOUND, theta * wk + cwk, vals)
+    return out.reshape(z.shape)
+
+
+def _neg_log_density(z, logabsdet):
+    """-log p per point in standardized units, from the spline's output and
+    log-det under the standard normal base: z^2/2 + log(2 pi)/2 - logabsdet.
+    Training applies it to tensors, `log_density` to their arrays."""
+    return z * z * 0.5 + (0.5 * LOG_2PI) - logabsdet
 
 
 # -- conditional flow ----------------------------------------------------------
@@ -311,7 +311,6 @@ class ConditionalFlow:
         self.context_scaler = Standardizer(np.zeros(cfg.context_dim - 1),
                                            np.ones(cfg.context_dim - 1))
         self.loss_trace: list[float] = []
-        self.validation_nll: float | None = None
 
     # context assembly ---------------------------------------------------------
 
@@ -349,9 +348,8 @@ class ConditionalFlow:
                     (ctx.shape[0], ctx.shape[1] - 1)
                 )
                 ctx = np.concatenate([ctx[:, :1], ctx[:, 1:] + noise], axis=1)
-        z, logabsdet = rq_spline(y_std, *self._spline_params(ctx),
-                                 tail_bound=self.cfg.tail_bound)
-        nll = (z * z * 0.5 + (0.5 * LOG_2PI) - logabsdet).mean()
+        z, logabsdet = rq_spline(y_std, *self._spline_params(ctx))
+        nll = _neg_log_density(z, logabsdet).mean()
         return nll + float(np.log(self.y_scaler.std[0]))
 
     def nll(self, y, a, phi) -> float:
@@ -364,9 +362,8 @@ class ConditionalFlow:
         y_std = (y - self.y_scaler.mean[0]) / self.y_scaler.std[0]
         with no_grad():
             params = self._spline_params(self._context(a, phi))
-            z, logabsdet = rq_spline(y_std, *params, tail_bound=self.cfg.tail_bound)
-        z = z.data
-        return (-0.5 * z * z - 0.5 * LOG_2PI + logabsdet.data
+            z, logabsdet = rq_spline(y_std, *params)
+        return (-_neg_log_density(z.data, logabsdet.data)
                 - np.log(self.y_scaler.std[0]))
 
     def sample(self, a, phi, k: int) -> np.ndarray:
@@ -383,8 +380,7 @@ class ConditionalFlow:
         with no_grad():
             params = [p.data[:n] for p in self._spline_params(
                 np.repeat(ctx, 2 if n == 1 else 1, axis=0))]
-        out = rq_spline(np.broadcast_to(z, (n, k)), *params,
-                        inverse=True, tail_bound=self.cfg.tail_bound)
+        out = rq_inverse(np.broadcast_to(z, (n, k)), *params)
         out = out * self.y_scaler.std[0] + self.y_scaler.mean[0]
         if not np.all(np.isfinite(out)):
             raise NonFiniteError("non-finite flow samples")
@@ -404,8 +400,8 @@ class ConditionalFlow:
 
     @staticmethod
     def from_checkpoint(payload: dict) -> "ConditionalFlow":
-        flow = ConditionalFlow(FlowConfig(**read_checkpoint(payload,
-                                                            "conditional_flow")))
+        flow = ConditionalFlow(FlowConfig(**read_checkpoint(
+            payload, "conditional_flow", [f.name for f in fields(FlowConfig)])))
         flow.loss_trace = load_checkpoint(payload, {"context": flow.context_net},
                                           flow._arrays())
         return flow
@@ -420,7 +416,6 @@ def train_cnf(
     a: np.ndarray,
     phi: np.ndarray,
     run: TrainRun,
-    validation: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> ConditionalFlow:
     """Fit the flow by SGD with momentum 0.9 on noise-regularized NLL.
 
@@ -460,27 +455,4 @@ def train_cnf(
                 )
         else:
             high_streak = 0
-    if validation is not None:
-        vy, va, vphi = validation
-        flow.validation_nll = flow.nll(vy, va, vphi)
     return flow
-
-
-def integrate_density(flow: ConditionalFlow, a, phi, n_grid: int = 20_001) -> float:
-    """Total probability mass of p(. | a, phi) for a single context row.
-
-    Trapezoid rule over the spline support plus the exact Gaussian tail mass
-    (the transform is the identity outside [-B, B] in standardized units).
-    """
-    from scipy.integrate import trapezoid
-    from scipy.stats import norm
-
-    b = flow.cfg.tail_bound
-    grid_std = np.linspace(-b, b, n_grid)
-    y_grid = grid_std * flow.y_scaler.std[0] + flow.y_scaler.mean[0]
-    a_rep = np.full(n_grid, np.asarray(a, dtype=np.float64).reshape(-1)[0])
-    phi_row = np.atleast_2d(np.asarray(phi, dtype=np.float64).T).T[0]
-    phi_rep = np.tile(phi_row, (n_grid, 1))
-    dens = np.exp(flow.log_density(y_grid, a_rep, phi_rep))
-    inner = trapezoid(dens, y_grid)
-    return float(inner + 2.0 * norm.cdf(-b))

@@ -1,4 +1,4 @@
-"""Fully connected building blocks: one-hidden-layer MLPs, optimizers, checks,
+"""Fully connected building blocks: one-hidden-layer MLPs, optimizers,
 standardizers, and the one record layout every saved model uses.
 
 Every network in the pipeline is a single-hidden-layer ELU MLP.
@@ -9,8 +9,8 @@ bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Callable, Collection, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,13 +20,9 @@ __all__ = [
     "MlpConfig",
     "Mlp",
     "forward_mlp",
-    "backward_gradients",
     "AdamW",
     "SgdMomentum",
     "TrainRun",
-    "GradCheckReport",
-    "grad_check",
-    "finite_difference_check",
     "MinibatchSampler",
     "fit",
     "Standardizer",
@@ -91,14 +87,6 @@ def forward_mlp(cfg: MlpConfig, params: Sequence[Tensor], x) -> Tensor:
         )
     w1, b1, w2, b2 = params
     return (x @ w1 + b1).elu() @ w2 + b2
-
-
-def backward_gradients(loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:
-    """Gradient of a scalar loss for every parameter; unreachable ones get zero."""
-    for p in params:
-        p.zero_grad()
-    loss.backward()
-    return [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
 
 
 # AdamW's moment decay rates and denominator guard
@@ -197,65 +185,10 @@ class TrainRun:
             raise ValueError("weight_decay must be non-negative")
         if self.n_iter < 1:
             raise ValueError("n_iter must be positive")
-
-
-@dataclass
-class GradCheckReport:
-    max_rel_error: float
-    passed: bool
-    per_param: list[float] = field(default_factory=list)
-
-
-def finite_difference_check(
-    f: Callable[[], Tensor],
-    params: Sequence[Tensor],
-    tolerance: float,
-    h: float = 1e-5,
-) -> GradCheckReport:
-    """Compare analytic gradients of the scalar `f()` with central differences."""
-    loss = f()
-    analytic = backward_gradients(loss, params)
-    per_param: list[float] = []
-    worst = 0.0
-    for p, a in zip(params, analytic):
-        flat = p.data.ravel()
-        num = np.zeros_like(flat)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + h
-            up = float(f().data)
-            flat[j] = orig - h
-            down = float(f().data)
-            flat[j] = orig
-            num[j] = (up - down) / (2.0 * h)
-        a_flat = a.ravel()
-        denom = np.maximum(np.maximum(np.abs(a_flat), np.abs(num)), 1e-6)
-        rel = float(np.max(np.abs(a_flat - num) / denom)) if flat.size else 0.0
-        per_param.append(rel)
-        worst = max(worst, rel)
-    return GradCheckReport(max_rel_error=worst, passed=worst < tolerance,
-                           per_param=per_param)
-
-
-def grad_check(
-    net: Mlp,
-    x: np.ndarray,
-    tolerance: float = 1e-4,
-    loss_fn: Callable[[Tensor], Tensor] | None = None,
-    h: float = 1e-5,
-) -> GradCheckReport:
-    """Finite-difference check of a network's parameter gradients.
-
-    The default probe loss is mean(out^2), which exercises every unit.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if loss_fn is None:
-        loss_fn = lambda out: (out * out).mean()
-
-    def f() -> Tensor:
-        return loss_fn(net(x))
-
-    return finite_difference_check(f, net.parameters(), tolerance, h=h)
+        if self.prop_learning_rate is not None and self.prop_learning_rate <= 0.0:
+            raise ValueError("prop_learning_rate must be positive")
+        if self.prop_weight_decay is not None and self.prop_weight_decay < 0.0:
+            raise ValueError("prop_weight_decay must be non-negative")
 
 
 class MinibatchSampler:
@@ -335,11 +268,26 @@ def checkpoint(kind: str, config: dict, nets: dict[str, Mlp],
             "loss_trace": list(loss_trace)}
 
 
-def read_checkpoint(payload: dict, kind: str) -> dict:
-    """The config of a record, after checking that it is a `kind` record."""
+_RECORD_KEYS = ("kind", "config", "nets", "arrays", "loss_trace")
+
+
+def _check_keys(what: str, got, expected: Collection[str]) -> None:
+    missing = sorted(set(expected) - set(got))
+    unexpected = sorted(set(got) - set(expected))
+    if missing or unexpected:
+        raise ValueError(f"{what}: missing keys {missing}, "
+                         f"unexpected keys {unexpected}")
+
+
+def read_checkpoint(payload: dict, kind: str, config_keys: Collection[str]) -> dict:
+    """The config of a record, after checking that it is a `kind` record
+    with exactly the keys `checkpoint` writes and a config with exactly
+    `config_keys`, the fields that rebuild the model."""
     got = payload.get("kind") if isinstance(payload, dict) else None
     if got != kind:
         raise ValueError(f"expected a {kind} checkpoint, got kind {got!r}")
+    _check_keys(f"{kind} checkpoint", payload, _RECORD_KEYS)
+    _check_keys(f"{kind} checkpoint config", payload["config"], config_keys)
     return payload["config"]
 
 

@@ -162,6 +162,11 @@ class ExperimentConfig:
             raise ValueError(f"deltas must be distinct, got {self.deltas}")
         if self.cv_folds < 2:
             raise ValueError("cross-validation needs at least 2 folds")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        if self.grid_resolution < 0 or self.grid_resolution == 1:
+            raise ValueError("grid_resolution must be 0 (no grid) or at least "
+                             f"2, got {self.grid_resolution}")
         # normalize lists coming from JSON into hashable tuples
         object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
@@ -403,7 +408,7 @@ def _factual_mse(model: Stage0Model, phi: np.ndarray, a: np.ndarray,
 
 def _isw_bce(model: Stage0Model, phi: np.ndarray, a: np.ndarray) -> float:
     with no_grad():
-        z = model.prop_phi_net(phi).data[:, 0]
+        z = model.nets["prop_phi"](phi).data[:, 0]
     return float(np.mean(np.logaddexp(0.0, z) - a * z))
 
 

@@ -55,6 +55,10 @@ __all__ = [
 DELTA_PRESETS = (0.0005, 0.001, 0.005, 0.01, 0.05)
 
 
+# the MlpConfig fields a propensity record keeps; the output is one logit
+_PROPENSITY_CONFIG = ("input_dim", "hidden_units", "seed")
+
+
 @dataclass
 class PropensityModel:
     """Binary treatment probability P(A=1 | inputs), clamped to (0.01, 0.99).
@@ -76,16 +80,14 @@ class PropensityModel:
         return np.clip(expit(logits), *PROPENSITY_CLIP)
 
     def to_checkpoint(self) -> dict:
-        cfg = self.net.cfg
-        return checkpoint("propensity",
-                          {"input_dim": cfg.input_dim,
-                           "hidden_units": cfg.hidden_units, "seed": cfg.seed},
-                          {"net": self.net}, {"mean": self.mean, "std": self.std},
-                          self.loss_trace)
+        config = {k: getattr(self.net.cfg, k) for k in _PROPENSITY_CONFIG}
+        return checkpoint("propensity", config, {"net": self.net},
+                          {"mean": self.mean, "std": self.std}, self.loss_trace)
 
     @staticmethod
     def from_checkpoint(payload: dict) -> "PropensityModel":
-        net = Mlp(MlpConfig(output_dim=1, **read_checkpoint(payload, "propensity")))
+        net = Mlp(MlpConfig(output_dim=1, **read_checkpoint(
+            payload, "propensity", _PROPENSITY_CONFIG)))
         d = net.cfg.input_dim
         model = PropensityModel(net=net, mean=np.zeros(d), std=np.ones(d))
         model.loss_trace = load_checkpoint(

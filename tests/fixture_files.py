@@ -1,4 +1,4 @@
-"""Shared fixture builders: IHDP replicate files, IDX byte blobs, toy MNIST."""
+"""Shared input builders: IHDP replicate files, IDX byte blobs, toy MNIST."""
 
 import struct
 

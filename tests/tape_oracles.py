@@ -15,7 +15,8 @@ import numpy as np
 
 from catebounds.autodiff import Tensor, as_tensor, constant, slice_last
 from catebounds.balancing import _group_weights, _pairwise_sq_dists, _transpose
-from catebounds.flow import FlowConfig, _bin_index
+from catebounds.flow import (MIN_BIN, MIN_DERIVATIVE, TAIL_BOUND, FlowConfig,
+                             _bin_index)
 
 
 def assert_close(fused: np.ndarray, oracle: np.ndarray, rtol: float = 1e-9):
@@ -121,7 +122,7 @@ def sinkhorn_wasserstein(rep_a, rep_b, *, epsilon: float = 0.1, iters: int = 10,
 
 def spline_params(raw: Tensor, cfg: FlowConfig):
     k = cfg.knots
-    b = cfg.tail_bound
+    b = TAIL_BOUND
     n = raw.shape[0]
     uw = slice_last(raw, 0, k)
     uh = slice_last(raw, k, 2 * k)
@@ -131,7 +132,7 @@ def spline_params(raw: Tensor, cfg: FlowConfig):
     pos_b = constant(np.full((n, 1), b))
 
     def _bins(u: Tensor):
-        widths = softmax_last(u) * (1.0 - cfg.min_bin * k) + cfg.min_bin
+        widths = softmax_last(u) * (1.0 - MIN_BIN * k) + MIN_BIN
         inner = slice_last(cumsum_last(widths), 0, k - 1) * (2.0 * b) - b
         cum = concat_last([neg_b, inner, pos_b])
         eff = slice_last(cum, 1, k + 1) - slice_last(cum, 0, k)
@@ -139,20 +140,20 @@ def spline_params(raw: Tensor, cfg: FlowConfig):
 
     cumw, w = _bins(uw)
     cumh, h = _bins(uh)
-    shift = float(np.log(np.expm1(1.0 - cfg.min_derivative)))
-    inner_d = (ud + shift).softplus() + cfg.min_derivative
+    shift = float(np.log(np.expm1(1.0 - MIN_DERIVATIVE)))
+    inner_d = (ud + shift).softplus() + MIN_DERIVATIVE
     one = constant(np.ones((n, 1)))
     d = concat_last([one, inner_d, one])
     return cumw, w, cumh, h, d
 
 
-def rq_spline(inputs, cumw, w, cumh, h, d, *, tail_bound: float = 5.0):
+def rq_spline(inputs, cumw, w, cumh, h, d):
     """Forward spline and logabsdet, from gathers and elementwise tape ops."""
     inputs = np.asarray(inputs, dtype=np.float64)
     squeeze = inputs.ndim == 1
     vals = inputs[:, None] if squeeze else inputs
-    inside = np.abs(vals) <= tail_bound
-    clamped = np.clip(vals, -tail_bound, tail_bound)
+    inside = np.abs(vals) <= TAIL_BOUND
+    clamped = np.clip(vals, -TAIL_BOUND, TAIL_BOUND)
     idx = _bin_index(clamped, cumw.data)
 
     wk = take_along_last(w, idx)

@@ -13,7 +13,7 @@ from catebounds.balancing import (
     mmd,
     sinkhorn_wasserstein,
 )
-from catebounds.nets import finite_difference_check
+from numeric_oracles import finite_difference_check
 
 import tape_oracles
 from tape_oracles import assert_close

@@ -15,9 +15,9 @@ from catebounds.bounds import (
     cate_bounds,
     cvar_mu_bounds,
     read_bounds_csv,
-    shift_coefficients,
     write_bounds_csv,
 )
+from numeric_oracles import shift_coefficients
 from catebounds.flow import ConditionalFlow, FlowConfig
 
 

@@ -101,7 +101,7 @@ class TestDatasetValidation:
                     tau_oracle=np.zeros(3))
 
 
-from conftest import (idx_images_bytes, idx_labels_bytes, toy_mnist,
+from fixture_files import (idx_images_bytes, idx_labels_bytes, toy_mnist,
                       write_ihdp_pair)
 
 

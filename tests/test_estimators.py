@@ -42,18 +42,18 @@ def toy_data(n: int = 64, seed: int = 0):
 
 class TestBuild:
     def test_subnets_per_kind(self):
-        m = build_stage0(make_config(EstimatorKind.TARNET))
-        assert m.head0 is not None and m.head1 is not None and m.snet is None
-        m = build_stage0(make_config(EstimatorKind.BNN))
-        assert m.snet is not None and m.head0 is None
-        m = build_stage0(make_config(EstimatorKind.INV_TARNET))
-        assert m.decoder is not None
-        m = build_stage0(make_config(EstimatorKind.RCFR))
-        assert m.weight_net is not None
-        m = build_stage0(make_config(EstimatorKind.CFR_ISW))
-        assert m.prop_phi_net is not None
-        m = build_stage0(make_config(EstimatorKind.BWCFR))
-        assert m.prop_x_net is not None
+        heads = {"phi", "head0", "head1"}
+        expected = {
+            EstimatorKind.TARNET: heads,
+            EstimatorKind.BNN: {"phi", "snet"},
+            EstimatorKind.CFR: heads,
+            EstimatorKind.INV_TARNET: heads | {"decoder"},
+            EstimatorKind.RCFR: heads | {"weight"},
+            EstimatorKind.CFR_ISW: heads | {"prop_phi"},
+            EstimatorKind.BWCFR: heads | {"prop_x"},
+        }
+        for kind, names in expected.items():
+            assert set(build_stage0(make_config(kind)).nets) == names, kind
 
     def test_balancing_required_where_applicable(self):
         with pytest.raises(ValueError):
@@ -69,15 +69,17 @@ class TestBuild:
     def test_seed_protocol_reproducible(self):
         a = build_stage0(make_config(EstimatorKind.CFR, seed=5))
         b = build_stage0(make_config(EstimatorKind.CFR, seed=5))
-        for pa, pb in zip(a.parameters(), b.parameters()):
-            assert np.array_equal(pa.data, pb.data)
+        assert set(a.nets) == set(b.nets)
+        for name in a.nets:
+            for pa, pb in zip(a.nets[name].parameters(), b.nets[name].parameters()):
+                assert np.array_equal(pa.data, pb.data)
 
     def test_cfr_and_tarnet_share_common_subnet_init(self):
         cfr = build_stage0(make_config(EstimatorKind.CFR, seed=9))
         tar = build_stage0(make_config(EstimatorKind.TARNET, seed=9))
-        for nc, nt in zip((cfr.phi_net, cfr.head0, cfr.head1),
-                          (tar.phi_net, tar.head0, tar.head1)):
-            for pc, pt in zip(nc.parameters(), nt.parameters()):
+        for name in ("phi", "head0", "head1"):
+            for pc, pt in zip(cfr.nets[name].parameters(),
+                              tar.nets[name].parameters()):
                 assert np.array_equal(pc.data, pt.data)
 
 
@@ -88,7 +90,7 @@ class TestLoss:
         m = build_stage0(cfg)
         x, a, _ = toy_data(40, seed=1)
         y = np.where(a == 1, 3.0, -1.0)
-        for net, value in ((m.head0, -1.0), (m.head1, 3.0)):
+        for net, value in ((m.nets["head0"], -1.0), (m.nets["head1"], 3.0)):
             for p in net.parameters():
                 p.data[:] = 0.0
             net.b2.data[:] = value
@@ -118,7 +120,7 @@ class TestLoss:
         cfg = EstimatorConfig(kind=EstimatorKind.INV_TARNET, d_x=2, d_phi=2,
                               rep_hidden=2, head_hidden=4, seed=0)
         m = build_stage0(cfg)
-        for net in (m.phi_net, m.decoder):
+        for net in (m.nets["phi"], m.nets["decoder"]):
             net.w1.data[:] = np.eye(2)
             net.b1.data[:] = 0.0
             net.w2.data[:] = np.eye(2)
@@ -306,4 +308,18 @@ class TestCheckpoint:
         payload = build_stage0(make_config(EstimatorKind.BWCFR)).to_checkpoint()
         del payload["nets"]["prop_x"]
         with pytest.raises(ValueError, match="stage0.*prop_x"):
+            Stage0Model.from_checkpoint(payload)
+
+    def test_record_without_loss_trace_names_the_key(self):
+        payload = build_stage0(make_config(EstimatorKind.TARNET)).to_checkpoint()
+        del payload["loss_trace"]
+        with pytest.raises(ValueError, match=r"stage0 checkpoint: missing keys "
+                                             r"\['loss_trace'\], unexpected keys \[\]"):
+            Stage0Model.from_checkpoint(payload)
+
+    def test_config_without_balancing_names_the_key(self):
+        payload = build_stage0(make_config(EstimatorKind.CFR)).to_checkpoint()
+        del payload["config"]["balancing"]
+        with pytest.raises(ValueError, match=r"stage0 checkpoint config: missing "
+                                             r"keys \['balancing'\]"):
             Stage0Model.from_checkpoint(payload)

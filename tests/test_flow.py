@@ -12,13 +12,15 @@ from catebounds.flow import (
     ConditionalFlow,
     FlowConfig,
     FlowDivergenceError,
+    TAIL_BOUND,
     _bin_index,
-    integrate_density,
+    rq_inverse,
     rq_spline,
     spline_params,
     train_cnf,
 )
-from catebounds.nets import TrainRun, finite_difference_check
+from catebounds.nets import TrainRun
+from numeric_oracles import finite_difference_check, integrate_density
 
 import tape_oracles
 from tape_oracles import assert_close
@@ -48,7 +50,7 @@ def random_params(n: int, knots: int, seed: int, scale: float = 1.0):
 def inverse_slope(params, z: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Five-point central difference of the inverse spline at `z`."""
     def inv(v):
-        return rq_spline(v, *params, inverse=True)
+        return rq_inverse(v, *(p.data for p in params))
 
     return (inv(z - 2 * h) - 8 * inv(z - h) + 8 * inv(z + h) - inv(z + 2 * h)) / (12 * h)
 
@@ -65,7 +67,7 @@ class TestSpline:
     def test_identity_outside_tail_bound(self):
         (params, _, cfg) = random_params(2, 10, seed=0)
         y = np.array([7.5, -6.1])
-        out, logdet = rq_spline(y, *params, tail_bound=cfg.tail_bound)
+        out, logdet = rq_spline(y, *params)
         assert np.array_equal(out.data, y)
         assert np.array_equal(logdet.data, 0.0 * y)
 
@@ -74,7 +76,7 @@ class TestSpline:
         rng = np.random.default_rng(2)
         y = rng.uniform(-4.9, 4.9, size=50)
         z, logdet_f = rq_spline(y, *params)
-        back = rq_spline(z.data, *params, inverse=True)
+        back = rq_inverse(z.data, *(p.data for p in params))
         assert np.max(np.abs(back - y)) < 1e-8
         # the inverse's slope at z is exp(-logdet) of the forward at y
         slope = inverse_slope(params, z.data)
@@ -111,7 +113,7 @@ class TestSpline:
         cfg = FlowConfig(context_dim=2, hidden_units=4, knots=knots)
         raw = rng.normal(scale=2.0, size=(5, 3 * knots - 1))
         cum = spline_params(constant(raw), cfg)[0].data
-        b = cfg.tail_bound
+        b = TAIL_BOUND
         # random points, every knot of the row exactly, and both bounds
         v = np.concatenate([rng.uniform(-b, b, size=(5, 7)), cum,
                             np.full((5, 1), -b), np.full((5, 1), b)], axis=1)
@@ -128,7 +130,7 @@ class TestSpline:
         params = spline_params(constant(raw), cfg)
         y = rng.uniform(-5.0, 5.0, size=4)
         z, _ = rq_spline(y, *params)
-        back = rq_spline(z.data, *params, inverse=True)
+        back = rq_inverse(z.data, *(p.data for p in params))
         assert np.max(np.abs(back - y)) < 1e-8
 
 
@@ -143,12 +145,12 @@ class TestFusedSpline:
         cfg = FlowConfig(context_dim=2, hidden_units=4, knots=knots)
         raw = rng.normal(scale=scale, size=(4, 3 * knots - 1))
         arrays = [p.data for p in spline_params(constant(raw), cfg)]
-        y = spline_points(rng, arrays[0], cfg.tail_bound)
+        y = spline_points(rng, arrays[0], TAIL_BOUND)
         c_out, c_lad = rng.normal(size=y.shape), rng.normal(size=y.shape)
         results = []
         for fn in (rq_spline, tape_oracles.rq_spline):
             params = [Tensor(a, requires_grad=True) for a in arrays]
-            out, lad = fn(y, *params, tail_bound=cfg.tail_bound)
+            out, lad = fn(y, *params)
             ((out * constant(c_out)).sum() + (lad * constant(c_lad)).sum()).backward()
             results.append([out.data, lad.data] + [p.grad for p in params])
         for fused, oracle in zip(*results):
@@ -382,17 +384,6 @@ class TestTraining:
 
         assert not np.array_equal(fit(0.5), fit(0.0))
 
-    def test_validation_nll_recorded(self):
-        rng = np.random.default_rng(22)
-        y = rng.normal(size=200)
-        a = rng.integers(0, 2, size=200).astype(float)
-        phi = rng.normal(size=200)
-        flow = ConditionalFlow(FlowConfig(context_dim=2, hidden_units=4, seed=12))
-        train_cnf(flow, y[:150], a[:150], phi[:150],
-                  TrainRun(batch_size=64, learning_rate=0.005, n_iter=60),
-                  validation=(y[150:], a[150:], phi[150:]))
-        assert flow.validation_nll is not None and np.isfinite(flow.validation_nll)
-
     def test_divergence_aborts(self, monkeypatch):
         monkeypatch.setattr(flow_module, "DIVERGENCE_PATIENCE", 50)
         rng = np.random.default_rng(23)
@@ -460,6 +451,27 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="conditional_flow.*'context'"):
             ConditionalFlow.from_checkpoint(payload)
 
+    def test_misspelt_config_key_named(self):
+        payload = ConditionalFlow(FlowConfig(context_dim=3, hidden_units=5)
+                                  ).to_checkpoint()
+        payload["config"]["hiden_units"] = payload["config"].pop("hidden_units")
+        with pytest.raises(ValueError, match=(
+                r"conditional_flow checkpoint config: missing keys "
+                r"\['hidden_units'\], unexpected keys \['hiden_units'\]")):
+            ConditionalFlow.from_checkpoint(payload)
+
+    def test_config_with_spline_constants_named(self):
+        # the layout written while FlowConfig still carried the spline's
+        # tail bound, minimum bin and minimum derivative
+        payload = ConditionalFlow(FlowConfig(context_dim=3, hidden_units=5)
+                                  ).to_checkpoint()
+        payload["config"].update(tail_bound=5.0, min_bin=1e-3,
+                                 min_derivative=1e-3)
+        with pytest.raises(ValueError, match=(
+                r"conditional_flow checkpoint config: missing keys \[\], "
+                r"unexpected keys \['min_bin', 'min_derivative', 'tail_bound'\]")):
+            ConditionalFlow.from_checkpoint(payload)
+
 
 class TestConfigValidation:
     def test_bad_configs_rejected(self):
@@ -468,8 +480,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             FlowConfig(context_dim=2, hidden_units=4, knots=1)
         with pytest.raises(ValueError):
-            FlowConfig(context_dim=2, hidden_units=4, tail_bound=0.0)
-        with pytest.raises(ValueError):
-            FlowConfig(context_dim=2, hidden_units=4, min_bin=0.2, knots=10)
+            FlowConfig(context_dim=2, hidden_units=4, knots=1000)  # MIN_BIN * K = 1
         with pytest.raises(ValueError):
             FlowConfig(context_dim=2, hidden_units=4, noise_y=-0.1)

@@ -7,16 +7,18 @@ from hypothesis import given, settings, strategies as st
 from catebounds.autodiff import NonFiniteError, Tensor, constant, no_grad, take_rows
 from catebounds.nets import (
     AdamW,
-    GradCheckReport,
     MinibatchSampler,
     Mlp,
     MlpConfig,
     SgdMomentum,
     TrainRun,
-    backward_gradients,
-    finite_difference_check,
     fit,
     forward_mlp,
+)
+from numeric_oracles import (
+    GradCheckReport,
+    backward_gradients,
+    finite_difference_check,
     grad_check,
 )
 from tape_oracles import (
@@ -201,6 +203,19 @@ class TestOptimizers:
         p.grad = np.array([np.nan])
         with pytest.raises(NonFiniteError):
             opt.step()
+
+
+class TestTrainRun:
+    @pytest.mark.parametrize("settings", [{"prop_learning_rate": 0.0},
+                                          {"prop_learning_rate": -0.01},
+                                          {"prop_weight_decay": -0.1}])
+    def test_bad_propensity_settings_rejected(self, settings):
+        with pytest.raises(ValueError, match=next(iter(settings))):
+            TrainRun(**settings)
+
+    def test_unset_or_zero_decay_propensity_settings_accepted(self):
+        assert TrainRun().prop_learning_rate is None
+        assert TrainRun(prop_weight_decay=0.0).prop_weight_decay == 0.0
 
 
 class TestNanPolicy:

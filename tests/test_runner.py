@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import idx_images_bytes, idx_labels_bytes, toy_mnist, write_ihdp_pair
+from fixture_files import idx_images_bytes, idx_labels_bytes, toy_mnist, write_ihdp_pair
 
 from catebounds import runner
 from catebounds.bounds import cate_bounds
@@ -83,6 +83,15 @@ class TestConfig:
     def test_non_positive_n_grid_rejected(self, tmp_path, n_grid):
         with pytest.raises(ValueError, match="n_grid must be positive"):
             tiny_config(tmp_path, tuning="grid", n_grid=n_grid)
+
+    @pytest.mark.parametrize("name, value", [("grid_resolution", 1),
+                                             ("grid_resolution", -2),
+                                             ("jobs", 0)])
+    def test_grid_and_jobs_checked_at_load(self, tmp_path, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            tiny_config(tmp_path, **{name: value})
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            config_from_dict({name: value})
 
     def test_duplicate_seeds_rejected(self, tmp_path):
         with pytest.raises(ValueError, match=r"seeds must be distinct, got \(1, 1\)"):
@@ -369,7 +378,7 @@ class TestPipeline:
         call, predict = Mlp.__call__, PropensityModel.predict
 
         def counted_call(self, x):
-            if self is model.phi_net:
+            if self is model.nets["phi"]:
                 phi_rows.append(len(x))
             return call(self, x)
 
