@@ -104,10 +104,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return self.data.item()
 
@@ -253,15 +249,6 @@ class Tensor:
             self._accumulate(g * out_data)
 
         return Tensor._result(out_data, (self,), backward, "exp")
-
-    def log(self):
-        with _quiet():
-            out_data = np.log(self.data)
-
-        def backward(g):
-            self._accumulate(g / self.data)
-
-        return Tensor._result(out_data, (self,), backward, "log")
 
     def relu(self):
         out_data = np.maximum(self.data, 0.0)

@@ -17,7 +17,8 @@ lower = mu1_lower - mu0_upper, upper = mu1_upper - mu0_lower.
 `cate_bounds` takes one `GammaField` that holds every delta of a run and
 returns one set of bounds per delta. It computes each point's representation
 once and derives the point CATE, the propensities and Gamma from it; the
-quantile nodes are shared by all deltas, since only Gamma differs among them.
+quantile nodes are shared by all deltas, since only Gamma differs among them,
+and one `cvar_mu_bounds` call per arm bounds them under every delta's Gamma.
 """
 
 from __future__ import annotations
@@ -47,12 +48,11 @@ def _partial_mean(sorted_samples: np.ndarray, csum: np.ndarray, cut: np.ndarray,
     """Row-wise weighted mean with the low/high split at fractional rank `cut`.
 
     sorted_samples: (n, k) ascending rows, csum their row-wise prefix sums.
-    cut = k*c in [0, k]; the boundary order statistic is split between blocks
-    by cut's fractional part. low_w and high_w are the per-row block weights
-    (1/s values).
+    cut = k*c in [0, k], of shape (..., n); the boundary order statistic is
+    split between blocks by cut's fractional part. low_w and high_w are the
+    per-row block weights (1/s values), shaped like cut.
     """
     n, k = sorted_samples.shape
-    cut = np.asarray(cut, dtype=np.float64)
     i0 = np.minimum(np.floor(cut).astype(np.int64), k)
     frac = cut - i0
     total = csum[:, -1]
@@ -69,8 +69,10 @@ def cvar_mu_bounds(sorted_samples: np.ndarray, gamma: np.ndarray,
                    pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Worst-case outcome-mean interval per row of a sorted sample matrix.
 
-    sorted_samples: (n, k) or (k,), ascending. gamma and pi broadcast to (n,).
-    Returns (mu_lower, mu_upper), each (n,) (scalars for 1-D input).
+    sorted_samples: (n, k) or (k,), ascending. pi broadcasts to (n,) and
+    gamma to (..., n). Returns (mu_lower, mu_upper), each of gamma's shape:
+    row d of a (D, n) gamma's bounds equals a call with gamma[d], bit for
+    bit. 1-D samples drop the n axis (scalars for a scalar gamma).
     """
     samples = np.asarray(sorted_samples, dtype=np.float64)
     squeeze = samples.ndim == 1
@@ -81,8 +83,9 @@ def cvar_mu_bounds(sorted_samples: np.ndarray, gamma: np.ndarray,
     if np.any(np.diff(samples, axis=1) < 0.0):
         raise ValueError("samples must be sorted ascending")
     n, k = samples.shape
-    gamma = np.broadcast_to(np.asarray(gamma, dtype=np.float64), (n,)).copy()
-    pi = np.broadcast_to(np.asarray(pi, dtype=np.float64), (n,)).copy()
+    gamma = np.asarray(gamma, dtype=np.float64)
+    gamma = np.broadcast_to(gamma, (*gamma.shape[:-1], n))
+    pi = np.broadcast_to(np.asarray(pi, dtype=np.float64), (n,))
     if np.any(gamma < 1.0):
         raise ValueError("gamma must be >= 1")
     if np.any((pi <= 0.0) | (pi >= 1.0)):
@@ -105,7 +108,7 @@ def cvar_mu_bounds(sorted_samples: np.ndarray, gamma: np.ndarray,
         mu_lower = np.where(identity, mean, mu_lower)
         mu_upper = np.where(identity, mean, mu_upper)
     if squeeze:
-        return float(mu_lower[0]), float(mu_upper[0])
+        return mu_lower.take(0, axis=-1), mu_upper.take(0, axis=-1)
     return mu_lower, mu_upper
 
 
@@ -140,9 +143,9 @@ def cate_bounds(
     pi^phi and, with pi^x, the pointwise Gamma; look up Gamma at every delta
     (own pointwise value included); take the flow's outcomes at k quantile
     nodes per arm; and combine the per-arm extremal means. The nodes depend
-    on neither Gamma nor the chunk, so each chunk's are computed once per arm
-    and bounded under every delta's Gamma: the result for a delta equals that
-    of a field built for that delta alone.
+    on neither Gamma nor the chunk, so each chunk's are computed and bounded
+    once per arm, under every delta's Gamma at once: the result for a delta
+    equals that of a field built for that delta alone.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -157,15 +160,13 @@ def cate_bounds(
     uppers = np.empty_like(gammas)
     for lo in range(0, n, CHUNK):
         hi = min(lo + CHUNK, n)
-        p1 = pi1_phi[lo:hi]
+        p1, g = pi1_phi[lo:hi], gammas[:, lo:hi]
         s1 = flow.sample(np.ones(hi - lo), phi[lo:hi], k)
         s0 = flow.sample(np.zeros(hi - lo), phi[lo:hi], k)
-        for gamma, lower, upper in zip(gammas, lowers, uppers):
-            g = gamma[lo:hi]
-            mu1_lo, mu1_hi = cvar_mu_bounds(s1, g, p1)
-            mu0_lo, mu0_hi = cvar_mu_bounds(s0, g, 1.0 - p1)
-            lower[lo:hi] = mu1_lo - mu0_hi
-            upper[lo:hi] = mu1_hi - mu0_lo
+        mu1_lo, mu1_hi = cvar_mu_bounds(s1, g, p1)
+        mu0_lo, mu0_hi = cvar_mu_bounds(s0, g, 1.0 - p1)
+        lowers[:, lo:hi] = mu1_lo - mu0_hi
+        uppers[:, lo:hi] = mu1_hi - mu0_lo
     return [CateBounds(point=point, lower=lower, upper=upper, gamma=gamma,
                        pi1_phi=pi1_phi)
             for gamma, lower, upper in zip(gammas, lowers, uppers)]

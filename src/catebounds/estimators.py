@@ -29,8 +29,8 @@ from scipy.special import expit
 
 from .autodiff import Tensor, constant, no_grad, slice_last, take_rows
 from .balancing import BalancingConfig, BalancingMetric, balancing_penalty
-from .nets import (AdamW, Mlp, MlpConfig, TrainRun, checkpoint, fit,
-                   load_checkpoint, read_checkpoint)
+from .nets import (AdamW, Mlp, MlpConfig, TrainRun, checkpoint, child_seeds,
+                   fit, load_checkpoint, read_checkpoint)
 
 __all__ = [
     "EstimatorKind",
@@ -89,11 +89,10 @@ class EstimatorConfig:
                 raise ValueError("bnn uses MMD balancing with alpha fixed at 0.1")
 
 
-def _subnet_seeds(seed: int) -> dict[str, int]:
-    names = ["phi", "head0", "head1", "snet", "decoder", "weight",
-             "prop_phi", "prop_x", "shuffle"]
-    children = np.random.SeedSequence(seed).spawn(len(names))
-    return {n: int(c.generate_state(1)[0]) for n, c in zip(names, children)}
+# the names `build_stage0` seeds, in spawn order: every subnet any kind can
+# have, then the minibatch shuffle. A seed depends on its name's position.
+_SEEDED = ("phi", "head0", "head1", "snet", "decoder", "weight", "prop_phi",
+           "prop_x", "shuffle")
 
 
 def _subnet_sizes(c: EstimatorConfig) -> dict[str, tuple[int, int, int]]:
@@ -155,7 +154,7 @@ class Stage0Model:
 
 def build_stage0(config: EstimatorConfig) -> Stage0Model:
     """Instantiate the subnetworks for `config.kind` under the seed protocol."""
-    seeds = _subnet_seeds(config.seed)
+    seeds = child_seeds(config.seed, _SEEDED)
     nets = {name: Mlp(MlpConfig(*sizes, seed=seeds[name]))
             for name, sizes in _subnet_sizes(config).items()}
     return Stage0Model(config, nets, shuffle_seed=seeds["shuffle"])

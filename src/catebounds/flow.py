@@ -23,8 +23,8 @@ from scipy.special import expit, ndtri
 
 from .autodiff import NonFiniteError, Tensor, as_tensor, no_grad, slice_last
 from .nets import (Mlp, MlpConfig, SgdMomentum, Standardizer, TrainRun,
-                   checkpoint, fit, fit_standardizer, load_checkpoint,
-                   read_checkpoint)
+                   as_columns, checkpoint, fit, fit_standardizer,
+                   load_checkpoint, read_checkpoint)
 
 __all__ = [
     "FlowConfig",
@@ -316,14 +316,13 @@ class ConditionalFlow:
 
     def _context(self, a: np.ndarray, phi: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.float64).reshape(-1, 1)
-        phi = np.atleast_2d(np.asarray(phi, dtype=np.float64).T).T
+        phi = as_columns(phi)
         if phi.shape[1] != self.cfg.context_dim - 1:
             raise ValueError(
                 f"representation dim {phi.shape[1]} does not match context_dim "
                 f"{self.cfg.context_dim}"
             )
-        scaler = self.context_scaler
-        return np.concatenate([a, (phi - scaler.mean) / scaler.std], axis=1)
+        return np.concatenate([a, self.context_scaler.apply(phi)], axis=1)
 
     def _spline_params(self, ctx: np.ndarray):
         return spline_params(self.context_net(ctx), self.cfg)
@@ -338,8 +337,7 @@ class ConditionalFlow:
         standardized outcome and context.
         """
         ctx = self._context(a, phi)
-        y_std = ((np.asarray(y, dtype=np.float64).reshape(-1, 1) - self.y_scaler.mean)
-                 / self.y_scaler.std)
+        y_std = self.y_scaler.apply(np.ravel(y))
         if noise_rng is not None:
             if self.cfg.noise_y > 0.0:
                 y_std = y_std + self.cfg.noise_y * noise_rng.standard_normal(y_std.shape)
@@ -426,13 +424,13 @@ def train_cnf(
     """
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     a = np.asarray(a, dtype=np.float64).reshape(-1)
-    phi = np.atleast_2d(np.asarray(phi, dtype=np.float64).T).T
+    phi = as_columns(phi)
     if not (len(y) == len(a) == len(phi)):
         raise ValueError("y, a, phi must have equal length")
     if len(y) < 2:
         raise ValueError("need at least 2 training points")
 
-    flow.y_scaler = fit_standardizer(y.reshape(-1, 1))
+    flow.y_scaler = fit_standardizer(y)
     flow.context_scaler = fit_standardizer(phi)
 
     seq = np.random.SeedSequence(flow.cfg.seed)

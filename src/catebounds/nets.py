@@ -27,6 +27,8 @@ __all__ = [
     "fit",
     "Standardizer",
     "fit_standardizer",
+    "as_columns",
+    "child_seeds",
     "checkpoint",
     "read_checkpoint",
     "load_checkpoint",
@@ -234,18 +236,35 @@ def fit(batch_loss: Callable[[np.ndarray], Tensor], optimizers: Sequence,
         yield float(loss.data)
 
 
+def child_seeds(seed: int, names: Sequence[str]) -> dict[str, int]:
+    """One integer seed per name: `SeedSequence(seed)` spawns one child per
+    name, in the order of `names`, and each child gives its first word."""
+    children = np.random.SeedSequence(seed).spawn(len(names))
+    return {name: int(c.generate_state(1)[0]) for name, c in zip(names, children)}
+
+
+def as_columns(values) -> np.ndarray:
+    """`values` as a float64 matrix with one row per observation; a 1-D
+    array is one column."""
+    return np.atleast_2d(np.asarray(values, dtype=np.float64).T).T
+
+
 class Standardizer(NamedTuple):
     """Per-column training mean and standard deviation."""
 
     mean: np.ndarray
     std: np.ndarray
 
+    def apply(self, values) -> np.ndarray:
+        """`values` (rows of observations, or one 1-D column) standardized."""
+        return (as_columns(values) - self.mean) / self.std
+
 
 def fit_standardizer(values: np.ndarray) -> Standardizer:
     """Column means and standard deviations of `values`, one row per
     observation (a 1-D array is one column). The deviations are floored at
     1e-8, so a constant column standardizes to zero."""
-    v = np.atleast_2d(np.asarray(values, dtype=np.float64).T).T
+    v = as_columns(values)
     return Standardizer(v.mean(axis=0), np.maximum(v.std(axis=0), 1e-8))
 
 

@@ -36,7 +36,7 @@ from .evaluation import (PolicyReport, bounds_policy, make_grid, point_policy,
                          rpehe, score_policy, write_decision_grid_csv,
                          write_er_dr_curve_csv)
 from .flow import (ConditionalFlow, FlowConfig, FlowDivergenceError, train_cnf)
-from .nets import TrainRun
+from .nets import TrainRun, child_seeds
 from .sensitivity import (DELTA_PRESETS, PropensityModel, build_gamma_field,
                           train_propensity, write_gamma_csv)
 
@@ -65,6 +65,10 @@ _WEIGHT_DECAYS = (0.0, 0.001, 0.01, 0.1)
 _HIDDEN_MULTIPLIERS = (1.0, 1.5, 2.0)
 _KNOT_COUNTS = (5, 10, 20)
 _NOISE_LEVELS = (0.05, 0.1, 0.5)
+
+# the trained stages: each one's config section, seed name (in spawn order)
+# and checkpoint name
+_STAGES = ("stage0", "prop_x", "prop_phi", "flow")
 
 
 @dataclass(frozen=True)
@@ -167,6 +171,20 @@ class ExperimentConfig:
         if self.grid_resolution < 0 or self.grid_resolution == 1:
             raise ValueError("grid_resolution must be 0 (no grid) or at least "
                              f"2, got {self.grid_resolution}")
+        # build what each stage will build from its section, so that a bad
+        # setting fails here and not after the stages before it have trained
+        for section in _STAGES:
+            params = getattr(self, section)
+            try:
+                _train_run(params)
+                for name, value in dataclasses.asdict(params).items():
+                    if name.endswith("multiplier") and not value > 0.0:
+                        raise ValueError(f"{name} must be positive")
+                if section == "flow":
+                    _flow_config(self, params, seed=0)
+            except ValueError as err:
+                raise ValueError(f"{section}: {err}") from None
+        _balancing_config(self)
         # normalize lists coming from JSON into hashable tuples
         object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
@@ -303,14 +321,27 @@ def _estimator_config(config: ExperimentConfig, d_x: int, seed: int,
 # and trains its network from (config, params, training arrays, seed).
 
 
+def _train_run(params) -> TrainRun:
+    """The training run a stage's params set: every TrainRun field they
+    have (the flow's has no weight decay, so it keeps TrainRun's 0)."""
+    values = dataclasses.asdict(params)
+    shared = [f.name for f in dataclasses.fields(TrainRun) if f.name in values]
+    return TrainRun(**{name: values[name] for name in shared})
+
+
+def _flow_config(config: ExperimentConfig, params: FlowParams,
+                 seed: int) -> FlowConfig:
+    hidden = _hidden_units(params.hidden_multiplier, config.r_multiplier,
+                           config.d_phi)
+    return FlowConfig(
+        context_dim=1 + config.d_phi, hidden_units=hidden, knots=params.knots,
+        noise_y=params.noise_y, noise_context=params.noise_context, seed=seed)
+
+
 def _fit_stage0(config: ExperimentConfig, params: Stage0Params, x: np.ndarray,
                 a: np.ndarray, y: np.ndarray, seed: int) -> Stage0Model:
     model = build_stage0(_estimator_config(config, x.shape[1], seed, params))
-    return train_stage0(model, x, a, y, TrainRun(
-        batch_size=params.batch_size, learning_rate=params.learning_rate,
-        weight_decay=params.weight_decay, n_iter=params.n_iter,
-        prop_learning_rate=params.prop_learning_rate,
-        prop_weight_decay=params.prop_weight_decay))
+    return train_stage0(model, x, a, y, _train_run(params))
 
 
 def _fit_propensity(config: ExperimentConfig, params: PropensityParams,
@@ -318,22 +349,14 @@ def _fit_propensity(config: ExperimentConfig, params: PropensityParams,
                     seed: int) -> PropensityModel:
     hidden = _hidden_units(params.hidden_multiplier, config.r_multiplier,
                            inputs.shape[1])
-    return train_propensity(inputs, a, TrainRun(
-        batch_size=params.batch_size, learning_rate=params.learning_rate,
-        weight_decay=params.weight_decay, n_iter=params.n_iter),
-        hidden_units=hidden, seed=seed)
+    return train_propensity(inputs, a, _train_run(params),
+                            hidden_units=hidden, seed=seed)
 
 
 def _fit_flow(config: ExperimentConfig, params: FlowParams, y: np.ndarray,
               a: np.ndarray, phi: np.ndarray, seed: int) -> ConditionalFlow:
-    hidden = _hidden_units(params.hidden_multiplier, config.r_multiplier,
-                           config.d_phi)
-    flow = ConditionalFlow(FlowConfig(
-        context_dim=1 + config.d_phi, hidden_units=hidden, knots=params.knots,
-        noise_y=params.noise_y, noise_context=params.noise_context, seed=seed))
-    return train_cnf(flow, y, a, phi, TrainRun(
-        batch_size=params.batch_size, learning_rate=params.learning_rate,
-        n_iter=params.n_iter))
+    return train_cnf(ConditionalFlow(_flow_config(config, params, seed)),
+                     y, a, phi, _train_run(params))
 
 
 # ---------------------------------------------------------------------------
@@ -483,27 +506,20 @@ def tune_config(config: ExperimentConfig, train: Dataset) -> ExperimentConfig:
     """Resolve tuning mode 'grid' into concrete per-stage winners.
 
     Stages are tuned sequentially: the propensity-on-representation and flow
-    searches condition on a stage-0 model trained with the stage-0 winner.
+    searches condition on the representation of the stage-0 winner, fitted
+    on the full training split as `train_seed` fits it for `seeds[0]`.
     """
-    return _tune(config, train)[0]
-
-
-def _tune(config: ExperimentConfig,
-          train: Dataset) -> tuple[ExperimentConfig, Stage0Model | None]:
-    """`tune_config`, plus the stage-0 model it fitted on the full training
-    split. That model is the one `train_seed` would fit for `seeds[0]` under
-    the resolved config; None in fixed mode."""
     if config.tuning == "fixed":
-        return config, None
+        return config
     cfg = replace(config, stage0=grid_search_cv("stage0", config, train))
     model = _fit_stage0(cfg, cfg.stage0, train.x, train.a, train.y,
-                        _component_seeds(cfg.seeds[0])["stage0"])
+                        child_seeds(cfg.seeds[0], _STAGES)["stage0"])
     phi = representation(model, train.x)
     cfg = replace(cfg,
                   prop_x=grid_search_cv("prop_x", cfg, train),
                   prop_phi=grid_search_cv("prop_phi", cfg, train, phi),
                   flow=grid_search_cv("flow", cfg, train, phi))
-    return replace(cfg, tuning="fixed"), model
+    return replace(cfg, tuning="fixed")
 
 
 # ---------------------------------------------------------------------------
@@ -532,15 +548,6 @@ class RunRecord:
     checkpoints: dict[str, str]
 
 
-_COMPONENTS = ("stage0", "prop_x", "prop_phi", "flow")
-
-
-def _component_seeds(seed: int) -> dict[str, int]:
-    children = np.random.SeedSequence(seed).spawn(len(_COMPONENTS))
-    return {name: int(c.generate_state(1)[0])
-            for name, c in zip(_COMPONENTS, children)}
-
-
 def _seed_dir(config: ExperimentConfig, seed: int) -> Path:
     d = Path(config.out_dir) / f"seed_{seed}"
     d.mkdir(parents=True, exist_ok=True)
@@ -566,17 +573,11 @@ def _delta_file(delta: float) -> str:
     return f"bounds_{delta!r}.csv"
 
 
-def train_seed(config: ExperimentConfig, train: Dataset, seed: int,
-               model: Stage0Model | None = None) -> Stage0Model:
-    """Stage 0 for one seed; saves the checkpoint under the seed directory.
-
-    A `model` already fitted for this seed and config (the tuner's stage-0
-    winner) is saved as it is instead of being fitted again."""
-    sdir = _seed_dir(config, seed)
-    if model is None:
-        model = _fit_stage0(config, config.stage0, train.x, train.a, train.y,
-                            _component_seeds(seed)["stage0"])
-    _save_checkpoint(sdir / "stage0.json", model)
+def train_seed(config: ExperimentConfig, train: Dataset, seed: int) -> Stage0Model:
+    """Stage 0 for one seed; saves the checkpoint under the seed directory."""
+    model = _fit_stage0(config, config.stage0, train.x, train.a, train.y,
+                        child_seeds(seed, _STAGES)["stage0"])
+    _save_checkpoint(_seed_dir(config, seed) / "stage0.json", model)
     return model
 
 
@@ -586,7 +587,7 @@ def refute_seed(config: ExperimentConfig, train: Dataset, test: Dataset,
     every delta, and test-split interval bounds. Loads the stage-0 checkpoint
     when no model is passed in; never modifies it."""
     sdir = _seed_dir(config, seed)
-    seeds = _component_seeds(seed)
+    seeds = child_seeds(seed, _STAGES)
     if model is None:
         path = sdir / "stage0.json"
         if not path.exists():
@@ -661,8 +662,7 @@ def evaluate_seed(config: ExperimentConfig, train: Dataset, test: Dataset,
             n_decided=report.n_decided))
     write_er_dr_curve_csv(sdir / "curve.csv", config.deltas, reports)
 
-    checkpoints = {name: f"seed_{seed}/{name}.json"
-                   for name in ("stage0", "prop_x", "prop_phi", "flow")}
+    checkpoints = {name: f"seed_{seed}/{name}.json" for name in _STAGES}
     return RunRecord(
         config_hash=config_hash(config), seed=seed, method=config.method,
         d_phi=config.d_phi, er_point_out=point_report.error_rate,
@@ -672,10 +672,10 @@ def evaluate_seed(config: ExperimentConfig, train: Dataset, test: Dataset,
 
 
 def run_pipeline(config: ExperimentConfig, train: Dataset, test: Dataset,
-                 seed: int, model: Stage0Model | None = None) -> RunRecord:
+                 seed: int) -> RunRecord:
     """All three stages plus scoring for one seed, through the same writers
-    the individual CLI verbs use. `model` is passed on to `train_seed`."""
-    model = train_seed(config, train, seed, model)
+    the individual CLI verbs use."""
+    model = train_seed(config, train, seed)
     refute_seed(config, train, test, seed, model=model)
     return evaluate_seed(config, train, test, seed)
 
@@ -692,27 +692,24 @@ def _emit_decision_grid(config, sdir, model, prop_x, prop_phi, flow,
                             bounds_policy(bounds))
 
 
-def _pipeline_worker(payload: tuple[dict, int, Stage0Model | None]) -> "RunRecord":
-    raw, seed, model = payload
+def _pipeline_worker(payload: tuple[dict, int]) -> "RunRecord":
+    raw, seed = payload
     config = config_from_dict(raw)
     train, test = load_dataset(config.dataset)
-    return run_pipeline(config, train, test, seed, model)
+    return run_pipeline(config, train, test, seed)
 
 
 def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
-    """Tune (if asked), run every seed, and emit aggregate results. The
-    tuner's full-split stage-0 fit is reused as the first seed's stage 0."""
+    """Tune (if asked), run every seed, and emit aggregate results."""
     train, test = load_dataset(config.dataset)
-    resolved, tuned = _tune(config, train)
-    models = {resolved.seeds[0]: tuned}
+    resolved = tune_config(config, train)
     if resolved.jobs > 1:
         raw = config_to_dict(resolved)
         with ProcessPoolExecutor(max_workers=resolved.jobs) as pool:
-            records = list(pool.map(
-                _pipeline_worker,
-                [(raw, s, models.get(s)) for s in resolved.seeds]))
+            records = list(pool.map(_pipeline_worker,
+                                    [(raw, s) for s in resolved.seeds]))
     else:
-        records = [run_pipeline(resolved, train, test, s, models.get(s))
+        records = [run_pipeline(resolved, train, test, s)
                    for s in resolved.seeds]
     records.sort(key=lambda r: r.seed)
     emit_results(resolved, records)

@@ -38,8 +38,9 @@ from scipy.special import expit
 from .autodiff import no_grad
 from .data import write_table
 from .estimators import PROPENSITY_CLIP, bce_logits
-from .nets import (AdamW, Mlp, MlpConfig, TrainRun, checkpoint, fit,
-                   fit_standardizer, load_checkpoint, read_checkpoint)
+from .nets import (AdamW, Mlp, MlpConfig, Standardizer, TrainRun, as_columns,
+                   checkpoint, child_seeds, fit, fit_standardizer,
+                   load_checkpoint, read_checkpoint)
 
 __all__ = [
     "DELTA_PRESETS",
@@ -68,37 +69,34 @@ class PropensityModel:
     """
 
     net: Mlp
-    mean: np.ndarray
-    std: np.ndarray
+    scaler: Standardizer
     loss_trace: list[float] = field(default_factory=list)
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(inputs, dtype=np.float64).T).T
-        z = (x - self.mean) / self.std
         with no_grad():
-            logits = self.net(z).data[:, 0]
+            logits = self.net(self.scaler.apply(inputs)).data[:, 0]
         return np.clip(expit(logits), *PROPENSITY_CLIP)
 
     def to_checkpoint(self) -> dict:
         config = {k: getattr(self.net.cfg, k) for k in _PROPENSITY_CONFIG}
         return checkpoint("propensity", config, {"net": self.net},
-                          {"mean": self.mean, "std": self.std}, self.loss_trace)
+                          self.scaler._asdict(), self.loss_trace)
 
     @staticmethod
     def from_checkpoint(payload: dict) -> "PropensityModel":
         net = Mlp(MlpConfig(output_dim=1, **read_checkpoint(
             payload, "propensity", _PROPENSITY_CONFIG)))
         d = net.cfg.input_dim
-        model = PropensityModel(net=net, mean=np.zeros(d), std=np.ones(d))
-        model.loss_trace = load_checkpoint(
-            payload, {"net": net}, {"mean": model.mean, "std": model.std})
+        model = PropensityModel(net, Standardizer(np.zeros(d), np.ones(d)))
+        model.loss_trace = load_checkpoint(payload, {"net": net},
+                                           model.scaler._asdict())
         return model
 
 
 def train_propensity(inputs: np.ndarray, treatments: np.ndarray, run: TrainRun,
                      *, hidden_units: int, seed: int = 0) -> PropensityModel:
     """Fit P(A=1 | inputs) by minibatch AdamW on the logit BCE."""
-    x = np.atleast_2d(np.asarray(inputs, dtype=np.float64).T).T
+    x = as_columns(inputs)
     a = np.asarray(treatments, dtype=np.float64).reshape(-1)
     if len(x) != len(a):
         raise ValueError("inputs and treatments must have equal length")
@@ -106,18 +104,16 @@ def train_propensity(inputs: np.ndarray, treatments: np.ndarray, run: TrainRun,
         raise ValueError("treatment must be binary")
     if a.min() == a.max():
         raise ValueError("dataset has a single treatment group")
-    mean, std = fit_standardizer(x)
-    z = (x - mean) / std
+    scaler = fit_standardizer(x)
+    z = scaler.apply(x)
 
-    seq = np.random.SeedSequence(seed).spawn(2)
-    net = Mlp(MlpConfig(x.shape[1], hidden_units, 1,
-                        seed=int(seq[0].generate_state(1)[0])))
+    seeds = child_seeds(seed, ("net", "shuffle"))
+    net = Mlp(MlpConfig(x.shape[1], hidden_units, 1, seed=seeds["net"]))
     opt = AdamW(net.parameters(), lr=run.learning_rate,
                 weight_decay=run.weight_decay)
-    shuffle_rng = np.random.default_rng(int(seq[1].generate_state(1)[0]))
     trace = list(fit(lambda idx: bce_logits(net(z[idx]), a[idx]), [opt],
-                     len(x), run, shuffle_rng))
-    return PropensityModel(net=net, mean=mean, std=std, loss_trace=trace)
+                     len(x), run, np.random.default_rng(seeds["shuffle"])))
+    return PropensityModel(net, scaler, loss_trace=trace)
 
 
 def gamma_pointwise(pi1_x: np.ndarray, pi1_phi: np.ndarray) -> np.ndarray:
@@ -272,20 +268,20 @@ class GammaField:
     """
 
     deltas: np.ndarray
-    mean: np.ndarray
-    std: np.ndarray
+    scaler: Standardizer
     train_phis_std: np.ndarray
     train_gamma_points: np.ndarray
     train_gamma_hat: np.ndarray
     index: _BallIndex
 
     def standardize(self, phis: np.ndarray) -> np.ndarray:
-        p = np.atleast_2d(np.asarray(phis, dtype=np.float64).T).T
-        if p.shape[1] != len(self.mean):
+        p = as_columns(phis)
+        d = len(self.scaler.mean)
+        if p.shape[1] != d:
             raise ValueError(
-                f"field is over {len(self.mean)}-dimensional representations, "
+                f"field is over {d}-dimensional representations, "
                 f"got {p.shape[1]}-dimensional ones")
-        return (p - self.mean) / self.std
+        return self.scaler.apply(p)
 
     def at(self, phis: np.ndarray, gamma_point: np.ndarray) -> np.ndarray:
         q = self.standardize(phis)
@@ -299,13 +295,12 @@ def build_gamma_field(train_phis: np.ndarray, train_pi1_x: np.ndarray,
     """Standardize the training representations, index them once and
     precompute the field at every delta."""
     deltas = _check_deltas(deltas)
-    phis = np.atleast_2d(np.asarray(train_phis, dtype=np.float64).T).T
-    mean, std = fit_standardizer(phis)
-    phis_std = (phis - mean) / std
+    scaler = fit_standardizer(train_phis)
+    phis_std = scaler.apply(train_phis)
     gp = gamma_pointwise(train_pi1_x, train_pi1_phi)
     _check_field_inputs(phis_std, gp, "gamma_points")
     index = _BallIndex(phis_std, gp)
-    return GammaField(deltas=deltas, mean=mean, std=std, train_phis_std=phis_std,
+    return GammaField(deltas=deltas, scaler=scaler, train_phis_std=phis_std,
                       train_gamma_points=gp,
                       train_gamma_hat=_max_within_delta(phis_std, index, gp, deltas),
                       index=index)
@@ -315,7 +310,7 @@ def write_gamma_csv(path: str | Path, phis: np.ndarray, pi1_x: np.ndarray,
                     pi1_phi: np.ndarray, gamma_points: np.ndarray,
                     gamma_hat: np.ndarray) -> None:
     """Per-point sensitivity table: id, representation, propensities, Gammas."""
-    phis = np.atleast_2d(np.asarray(phis, dtype=np.float64).T).T
+    phis = as_columns(phis)
     columns = {"id": np.arange(len(phis))}
     columns.update({f"phi{j + 1}": phis[:, j] for j in range(phis.shape[1])})
     columns.update(pi1_x=pi1_x, pi1_phi=pi1_phi, gamma_point=gamma_points,

@@ -69,6 +69,13 @@ def take_along_last(t: Tensor, idx: np.ndarray) -> Tensor:
     return Tensor._result(out_data, (t,), backward, "take_along_last")
 
 
+def log(t: Tensor) -> Tensor:
+    def backward(g):
+        t._accumulate(g / t.data)
+
+    return Tensor._result(np.log(t.data), (t,), backward, "log")
+
+
 def logsumexp_last(t: Tensor, keepdims: bool = False) -> Tensor:
     """log(sum(exp(t))) along the last axis, stabilised by a constant shift.
 
@@ -77,7 +84,7 @@ def logsumexp_last(t: Tensor, keepdims: bool = False) -> Tensor:
     """
     shift = np.max(t.data, axis=-1, keepdims=True)
     shifted = t - constant(shift)
-    out = shifted.exp().sum(axis=-1, keepdims=True).log() + constant(shift)
+    out = log(shifted.exp().sum(axis=-1, keepdims=True)) + constant(shift)
     if not keepdims:
         out = out.reshape(*t.data.shape[:-1])
     return out
@@ -168,7 +175,7 @@ def rq_spline(inputs, cumw, w, cumh, h, d):
     t1m = theta * (1.0 - theta)
     denom = s + (dk1 + dk - 2.0 * s) * t1m
     deriv_num = s * s * (dk1 * theta * theta + 2.0 * s * t1m + dk * (1.0 - theta) ** 2)
-    logabsdet = deriv_num.log() - 2.0 * denom.log()
+    logabsdet = log(deriv_num) - 2.0 * log(denom)
     out = chk + hk * (s * theta * theta + dk * t1m) / denom
 
     mask = constant(inside.astype(np.float64))

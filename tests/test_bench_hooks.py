@@ -7,7 +7,7 @@ of silently corrupting `flow.samples_drawn` and `bounds.points_bounded`.
 
 The benchmark's output checks (perfbench/checks.py) rebuild stage 0 and the
 flow from the checkpoint files a seed wrote, so a checkpoint format they can
-no longer read fails here too."""
+no longer read fails here too, and its workloads' configs must load."""
 
 import json
 from pathlib import Path
@@ -38,6 +38,17 @@ def test_tracer_installs_and_restores_every_hook(monkeypatch):
         pass
     for owner, attr, original in originals:
         assert owner.__dict__[attr] is original, attr
+
+
+def test_workload_configs_load_and_round_trip(monkeypatch):
+    # building a config runs every load-time check, so a check that refused
+    # a workload's config would fail here and not in a benchmark run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    for name, workload in workloads.WORKLOADS.items():
+        config = workload.config(3, f"out/{name}", "inputs")
+        assert runner.config_from_dict(runner.config_to_dict(config)) == config
 
 
 def test_stage2_work_counts(monkeypatch):

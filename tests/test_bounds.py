@@ -107,6 +107,30 @@ class TestCvarMuBounds:
             slo, shi = cvar_mu_bounds(mat[i], gammas[i], pis[i])
             assert np.isclose(lo[i], slo) and np.isclose(hi[i], shi)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_gamma_rows_match_row_calls_bitwise(self, data):
+        # k a multiple of 16 and Gamma in {3, 7, 15} put both cuts k/(1+Gamma)
+        # and k*Gamma/(1+Gamma) exactly on a node; rounded samples tie
+        n = data.draw(st.integers(1, 6))
+        k = data.draw(st.sampled_from([1, 2, 7, 16, 48]))
+        d = data.draw(st.integers(1, 4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        samples = np.sort(np.round(rng.normal(size=(n, k)), 1), axis=1)
+        gamma = st.one_of(st.just(1.0), st.sampled_from([3.0, 7.0, 15.0]),
+                          st.floats(1.0, 50.0))
+        gammas = np.reshape(data.draw(st.lists(gamma, min_size=d * n,
+                                               max_size=d * n)), (d, n))
+        pi = np.array(data.draw(st.lists(
+            st.one_of(st.sampled_from([1e-12, 1.0 - 1e-12]), st.floats(0.01, 0.99)),
+            min_size=n, max_size=n)))
+        lo, hi = cvar_mu_bounds(samples, gammas, pi)
+        assert lo.shape == hi.shape == (d, n)
+        for row in range(d):
+            row_lo, row_hi = cvar_mu_bounds(samples, gammas[row], pi)
+            assert lo[row].tobytes() == row_lo.tobytes()
+            assert hi[row].tobytes() == row_hi.tobytes()
+
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError):
             cvar_mu_bounds(np.array([1.0, 0.0]), 2.0, 0.5)

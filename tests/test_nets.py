@@ -222,7 +222,7 @@ class TestNanPolicy:
     def test_nonfinite_forward_raises(self):
         t = Tensor(np.array([-1.0]))
         with pytest.raises(NonFiniteError):
-            t.log()
+            t ** 0.5
 
     def test_overflow_raises(self):
         t = Tensor(np.array([1000.0]))

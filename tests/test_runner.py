@@ -11,12 +11,17 @@ import pytest
 from fixture_files import idx_images_bytes, idx_labels_bytes, toy_mnist, write_ihdp_pair
 
 from catebounds import runner
+from catebounds.balancing import BalancingConfig
 from catebounds.bounds import cate_bounds
 from catebounds.data import gen_synthetic, synthetic_tau
-from catebounds.estimators import Stage0Model, representation
+from catebounds.estimators import (NEEDS_BALANCING, EstimatorConfig,
+                                   EstimatorKind, Stage0Model, build_stage0,
+                                   representation)
 from catebounds.evaluation import bounds_policy, make_grid, write_decision_grid_csv
 from catebounds.flow import ConditionalFlow
-from catebounds.sensitivity import PropensityModel, build_gamma_field
+from catebounds.nets import TrainRun
+from catebounds.sensitivity import (PropensityModel, build_gamma_field,
+                                    train_propensity)
 from catebounds.runner import (
     DatasetSpec,
     DeltaMetrics,
@@ -122,10 +127,37 @@ class TestConfig:
         assert config_hash(a) != config_hash(c)
 
     def test_balancing_requirements(self, tmp_path):
-        cfg = tiny_config(tmp_path, method="cfr")
-        train, test = load_dataset(cfg.dataset)
         with pytest.raises(ValueError, match="balancing_metric"):
-            run_pipeline(cfg, train, test, 0)
+            tiny_config(tmp_path, method="cfr")
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(flow=FlowParams(learning_rate=0.0)),
+         "flow: learning_rate must be positive"),
+        (dict(flow=FlowParams(knots=1)), "flow: knots must be at least 2"),
+        (dict(flow=FlowParams(noise_y=-0.1)),
+         "flow: noise intensities must be non-negative"),
+        (dict(flow=FlowParams(hidden_multiplier=float("nan"))),
+         "flow: hidden_multiplier must be positive"),
+        (dict(prop_x=PropensityParams(batch_size=0)),
+         "prop_x: batch_size must be positive"),
+        (dict(prop_phi=PropensityParams(weight_decay=-0.1)),
+         "prop_phi: weight_decay must be non-negative"),
+        (dict(prop_phi=PropensityParams(hidden_multiplier=-1.0)),
+         "prop_phi: hidden_multiplier must be positive"),
+        (dict(stage0=Stage0Params(n_iter=0)), "stage0: n_iter must be positive"),
+        (dict(stage0=Stage0Params(rep_multiplier=0.0)),
+         "stage0: rep_multiplier must be positive"),
+        (dict(stage0=Stage0Params(prop_learning_rate=-1.0)),
+         "stage0: prop_learning_rate must be positive"),
+        (dict(method="cfr", balancing_metric="mmd", balancing_kernel="cubic"),
+         "unknown kernel 'cubic'"),
+        (dict(method="cfr", balancing_metric="wasserstein", sinkhorn_epsilon=0.0),
+         "sinkhorn_epsilon must be positive"),
+    ])
+    def test_stage_settings_checked_at_load(self, tmp_path, overrides, message):
+        # each must fail when the config is built, before any stage trains
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            tiny_config(tmp_path, **overrides)
 
     def test_r_multiplier(self, tmp_path):
         assert tiny_config(tmp_path).r_multiplier == 2
@@ -311,23 +343,11 @@ class TestGridSearch:
         train, _ = load_dataset(cfg.dataset)
         assert tune_config(cfg, train) is cfg
 
-    def test_tuned_stage0_fit_is_reused(self, tmp_path, monkeypatch):
+    def test_tuned_stage0_matches_a_fresh_fit(self, tmp_path):
         cfg = tiny_config(tmp_path / "tuned", tuning="grid", n_grid=1,
                           cv_folds=2)
         train, _ = load_dataset(cfg.dataset)
-        full_split_fits = []
-        fit = runner._fit_stage0
-
-        def counted(config, params, x, a, y, seed):
-            if len(x) == train.n:
-                full_split_fits.append(seed)
-            return fit(config, params, x, a, y, seed)
-
-        monkeypatch.setattr(runner, "_fit_stage0", counted)
         run_experiment(cfg)
-        # the tuner's fit on the full split is seed 0's stage 0
-        assert len(full_split_fits) == 1
-        monkeypatch.undo()
         resolved = tune_config(cfg, train)
         train_seed(replace(resolved, out_dir=str(tmp_path / "fresh")), train, 0)
         assert ((tmp_path / "tuned" / "seed_0" / "stage0.json").read_bytes()
@@ -338,6 +358,46 @@ class TestGridSearch:
         train, _ = load_dataset(cfg.dataset)
         with pytest.raises(ValueError, match="stage"):
             grid_search_cv("stage3", cfg, train)
+
+
+class TestSeeds:
+    """The seeds that seed 0 derives, as literals: every trained model and
+    every output depends on them, so a change to one reseeds every run."""
+
+    STAGE0 = {"phi": 3757552657, "head0": 673228719, "head1": 3241444873,
+              "snet": 3685993406, "decoder": 1216546553, "weight": 2078861726,
+              "prop_phi": 2471122328, "prop_x": 23012616, "shuffle": 3031610183}
+    # stage0, prop_x, prop_phi, flow
+    STAGES = [3757552657, 673228719, 3241444873, 3685993406]
+
+    def test_build_stage0(self):
+        seen = {}
+        for kind in EstimatorKind:
+            model = build_stage0(EstimatorConfig(
+                kind=kind, d_x=2, d_phi=1, rep_hidden=2, head_hidden=2,
+                balancing=(BalancingConfig(alpha=0.1)
+                           if kind in NEEDS_BALANCING else None), seed=0))
+            seen.update({name: net.cfg.seed for name, net in model.nets.items()},
+                        shuffle=model.shuffle_seed)
+        assert seen == self.STAGE0
+
+    def test_train_propensity(self):
+        x = np.arange(4.0).reshape(-1, 1)
+        model = train_propensity(x, np.array([0.0, 1.0, 0.0, 1.0]),
+                                 TrainRun(n_iter=1), hidden_units=2, seed=0)
+        assert model.net.cfg.seed == self.STAGES[0]
+
+    def test_runner(self, tmp_path, monkeypatch):
+        seeds = []
+        for name in ("_fit_stage0", "_fit_propensity", "_fit_flow"):
+            def spy(*args, fit=getattr(runner, name)):
+                seeds.append(args[-1])
+                return fit(*args)
+            monkeypatch.setattr(runner, name, spy)
+        cfg = tiny_config(tmp_path)
+        train, test = load_dataset(cfg.dataset)
+        run_pipeline(cfg, train, test, 0)
+        assert seeds == self.STAGES
 
 
 class TestPipeline:

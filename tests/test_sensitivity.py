@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from catebounds import sensitivity
-from catebounds.nets import TrainRun
+from catebounds.nets import Standardizer, TrainRun, as_columns
 from catebounds.sensitivity import (
     DELTA_PRESETS,
     GammaField,
@@ -144,7 +144,7 @@ class TestGammaPointwise:
 def _ball_max(phis, gp, deltas):
     """Per delta, each row's max of the chosen Gamma_point values `gp` over
     its delta-ball, with `phis` taken as already standardized."""
-    phis = np.atleast_2d(np.asarray(phis, dtype=np.float64).T).T
+    phis = as_columns(phis)
     return sensitivity._max_within_delta(phis, sensitivity._BallIndex(phis, gp),
                                          gp, np.asarray(deltas, dtype=np.float64))
 
@@ -235,7 +235,7 @@ class TestGammaField:
 
     def test_training_values_match_ball(self):
         field = self.make_field(deltas=(0.0, 0.1, 0.5))
-        raw = field.train_phis_std * field.std + field.mean
+        raw = field.train_phis_std * field.scaler.std + field.scaler.mean
         got = field.at(raw, field.train_gamma_points)
         assert got.shape == field.train_gamma_hat.shape == (3, 60)
         assert np.allclose(got, field.train_gamma_hat)
@@ -320,8 +320,9 @@ class TestBallIndex:
         got = sensitivity._max_within_delta(query, index, self_vals,
                                             np.array(deltas))
         # a field whose standardization is the identity keeps the edges exact
-        field = GammaField(deltas=np.array(deltas), mean=np.zeros(d),
-                           std=np.ones(d), train_phis_std=base,
+        field = GammaField(deltas=np.array(deltas),
+                           scaler=Standardizer(np.zeros(d), np.ones(d)),
+                           train_phis_std=base,
                            train_gamma_points=base_vals,
                            train_gamma_hat=sensitivity._max_within_delta(
                                base, index, base_vals, np.array(deltas)),
