@@ -356,8 +356,7 @@ class ConditionalFlow:
 
     def log_density(self, y: np.ndarray, a, phi) -> np.ndarray:
         """log p(y | a, phi) per point, original outcome units."""
-        y = np.asarray(y, dtype=np.float64).reshape(-1)
-        y_std = (y - self.y_scaler.mean[0]) / self.y_scaler.std[0]
+        y_std = self.y_scaler.apply(np.ravel(y))[:, 0]
         with no_grad():
             params = self._spline_params(self._context(a, phi))
             z, logabsdet = rq_spline(y_std, *params)
@@ -379,7 +378,7 @@ class ConditionalFlow:
             params = [p.data[:n] for p in self._spline_params(
                 np.repeat(ctx, 2 if n == 1 else 1, axis=0))]
         out = rq_inverse(np.broadcast_to(z, (n, k)), *params)
-        out = out * self.y_scaler.std[0] + self.y_scaler.mean[0]
+        out = self.y_scaler.invert(out)
         if not np.all(np.isfinite(out)):
             raise NonFiniteError("non-finite flow samples")
         return out

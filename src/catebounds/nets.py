@@ -9,6 +9,8 @@ bitwise.
 
 from __future__ import annotations
 
+import base64
+import math
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterator, NamedTuple, Sequence
 
@@ -29,6 +31,8 @@ __all__ = [
     "fit_standardizer",
     "as_columns",
     "child_seeds",
+    "encode_array",
+    "decode_array",
     "checkpoint",
     "read_checkpoint",
     "load_checkpoint",
@@ -259,6 +263,11 @@ class Standardizer(NamedTuple):
         """`values` (rows of observations, or one 1-D column) standardized."""
         return (as_columns(values) - self.mean) / self.std
 
+    def invert(self, values) -> np.ndarray:
+        """The inverse of `apply`: standardized `values` back in original
+        units. A one-column standardizer scales every column of `values`."""
+        return as_columns(values) * self.std + self.mean
+
 
 def fit_standardizer(values: np.ndarray) -> Standardizer:
     """Column means and standard deviations of `values`, one row per
@@ -271,19 +280,50 @@ def fit_standardizer(values: np.ndarray) -> Standardizer:
 # -- the model record ----------------------------------------------------------
 #
 # Every saved model is one JSON object: {"kind", "config", "nets": {name:
-# [w1, b1, w2, b2]}, "arrays": {name: [...]}, "loss_trace"}. `kind` names the
+# [w1, b1, w2, b2]}, "arrays": {name: cell}, "loss_trace"}. `kind` names the
 # model class and `config` what rebuilds its networks; `arrays` holds its
-# other fitted arrays (standardizers). Each array is written by one
-# `tolist()`, so the record adds no pass over the floats.
+# other fitted arrays (standardizers). Each array is one cell {"shape": [...],
+# "f8": base64 of its little-endian float64 bytes in C order}: one C-level
+# pass over the bytes each way, and a float comes back bit for bit. The
+# loss trace stays a plain list of numbers.
+
+
+def encode_array(a: np.ndarray) -> dict:
+    """The record cell of one array: its shape and the base64 text of its
+    values as little-endian float64 in C order."""
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return {"shape": list(a.shape),
+            "f8": base64.b64encode(a).decode("ascii")}
+
+
+def decode_array(cell, what: str) -> np.ndarray:
+    """The writable float64 array of a cell written by `encode_array`. A
+    malformed cell raises `ValueError` starting with `what`, the cell's
+    name."""
+    if not isinstance(cell, dict) or set(cell) != {"shape", "f8"}:
+        raise ValueError(f"{what}: not a {{'shape', 'f8'}} array cell")
+    shape = cell["shape"]
+    if not isinstance(shape, list) or any(type(d) is not int or d < 0
+                                          for d in shape):
+        raise ValueError(f"{what}: shape {shape!r} is not a list of "
+                         "non-negative ints")
+    try:
+        raw = base64.b64decode(cell["f8"], validate=True)
+    except (TypeError, ValueError):  # binascii.Error is a ValueError
+        raise ValueError(f"{what}: invalid base64 text") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"{what}: {len(raw)} bytes, expected 8 per value "
+                         f"of shape {shape}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
 def checkpoint(kind: str, config: dict, nets: dict[str, Mlp],
                arrays: dict[str, np.ndarray], loss_trace: Sequence[float]) -> dict:
     """The JSON-ready record of one model."""
     return {"kind": kind, "config": config,
-            "nets": {name: [p.data.tolist() for p in net.parameters()]
+            "nets": {name: [encode_array(p.data) for p in net.parameters()]
                      for name, net in nets.items()},
-            "arrays": {name: a.tolist() for name, a in arrays.items()},
+            "arrays": {name: encode_array(a) for name, a in arrays.items()},
             "loss_trace": list(loss_trace)}
 
 
@@ -319,11 +359,13 @@ def load_checkpoint(payload: dict, nets: dict[str, Mlp],
     kind = payload["kind"]
 
     def loaded(what: str, saved: list, current: list) -> list[np.ndarray]:
-        new = [np.asarray(a, dtype=np.float64) for a in saved]
+        what = f"{kind} checkpoint: {what}"
+        if not isinstance(saved, list):
+            raise ValueError(f"{what} is not a list of array cells")
+        new = [decode_array(cell, what) for cell in saved]
         got, want = [a.shape for a in new], [c.shape for c in current]
         if got != want:
-            raise ValueError(f"{kind} checkpoint: {what} has shapes {got}, "
-                             f"expected {want}")
+            raise ValueError(f"{what} has shapes {got}, expected {want}")
         return new
 
     for what, saved, expected in (("nets", payload["nets"], nets),

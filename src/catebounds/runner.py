@@ -292,18 +292,22 @@ def _hidden_units(multiplier: float, r: int, d: int) -> int:
 
 
 def _balancing_config(config: ExperimentConfig) -> BalancingConfig | None:
+    # the knobs enter config_hash and results.json whatever the method, so
+    # they are range-checked for every method
+    metric = config.balancing_metric
+    knobs = BalancingConfig(
+        metric=BalancingMetric.MMD if metric is None else BalancingMetric(metric),
+        alpha=config.balancing_alpha, kernel=config.balancing_kernel,
+        sinkhorn_epsilon=config.sinkhorn_epsilon,
+        sinkhorn_iters=config.sinkhorn_iters)
     kind = EstimatorKind(config.method)
     if kind == EstimatorKind.BNN:
         return BalancingConfig(metric=BalancingMetric.MMD, alpha=0.1)
     if kind not in NEEDS_BALANCING:
         return None
-    if config.balancing_metric is None:
+    if metric is None:
         raise ValueError(f"{config.method} needs a balancing_metric")
-    metric = BalancingMetric(config.balancing_metric)
-    return BalancingConfig(metric=metric, alpha=config.balancing_alpha,
-                           kernel=config.balancing_kernel,
-                           sinkhorn_epsilon=config.sinkhorn_epsilon,
-                           sinkhorn_iters=config.sinkhorn_iters)
+    return knobs
 
 
 def _estimator_config(config: ExperimentConfig, d_x: int, seed: int,

@@ -17,7 +17,7 @@ from catebounds.estimators import (
     stage0_loss,
     train_stage0,
 )
-from catebounds.nets import TrainRun
+from catebounds.nets import TrainRun, encode_array
 
 
 def make_config(kind: EstimatorKind, seed: int = 0, alpha: float = 1.0,
@@ -300,7 +300,7 @@ class TestCheckpoint:
 
     def test_wrong_shape_names_the_net(self):
         payload = build_stage0(make_config(EstimatorKind.CFR)).to_checkpoint()
-        payload["nets"]["head1"][2] = [[0.0]] * 3   # w2 is (8, 1)
+        payload["nets"]["head1"][2] = encode_array(np.zeros((3, 1)))  # w2 is (8, 1)
         with pytest.raises(ValueError, match=r"stage0.*'head1'.*\(3, 1\)"):
             Stage0Model.from_checkpoint(payload)
 

@@ -1,5 +1,7 @@
 """Conditional flow tests: spline algebra, likelihoods, sampling, training."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,7 @@ from catebounds.flow import (
     spline_params,
     train_cnf,
 )
-from catebounds.nets import TrainRun
+from catebounds.nets import Standardizer, TrainRun, encode_array
 from numeric_oracles import finite_difference_check, integrate_density
 
 import tape_oracles
@@ -317,6 +319,23 @@ class TestSampling:
         flow.nll_tensor(np.array([0.3, -7.0, 1.0]), a, phi)
         assert any(recorded)
 
+    def test_outcome_scaling_is_the_scalar_affine_map(self):
+        # bit for bit (y - mean) / std into the spline and s * std + mean out
+        flow = ConditionalFlow(FlowConfig(context_dim=2, hidden_units=4, seed=8))
+        rng = np.random.default_rng(27)
+        flow.context_net.w2.data[:] = 0.3 * rng.normal(size=flow.context_net.w2.data.shape)
+        unit = copy.deepcopy(flow)
+        flow.y_scaler = Standardizer(np.array([0.37]), np.array([2.3]))
+        mean, std = flow.y_scaler.mean[0], flow.y_scaler.std[0]
+        a = np.array([0.0, 1.0, 1.0])
+        phi = np.array([0.1, -0.5, 2.0])
+        y = rng.normal(scale=3.0, size=3)
+        assert (flow.sample(a, phi, 40).tobytes()
+                == (unit.sample(a, phi, 40) * std + mean).tobytes())
+        assert (flow.log_density(y, a, phi).tobytes()
+                == (unit.log_density((y - mean) / std, a, phi)
+                    - np.log(std)).tobytes())
+
     def test_invalid_k_rejected(self):
         flow = ConditionalFlow(FlowConfig(context_dim=2, hidden_units=4, seed=7))
         with pytest.raises(ValueError):
@@ -439,7 +458,7 @@ class TestCheckpoint:
     def test_wrong_shape_names_the_array(self):
         payload = ConditionalFlow(FlowConfig(context_dim=3, hidden_units=5,
                                              knots=6)).to_checkpoint()
-        payload["arrays"]["context_std"] = [1.0]
+        payload["arrays"]["context_std"] = encode_array(np.ones(1))
         with pytest.raises(ValueError,
                            match=r"conditional_flow.*'context_std'.*\(1,\)"):
             ConditionalFlow.from_checkpoint(payload)
@@ -447,7 +466,7 @@ class TestCheckpoint:
     def test_wrong_shape_names_the_net(self):
         payload = ConditionalFlow(FlowConfig(context_dim=3, hidden_units=5,
                                              knots=6)).to_checkpoint()
-        payload["nets"]["context"][0] = [[0.0] * 5] * 2   # w1 is (3, 5)
+        payload["nets"]["context"][0] = encode_array(np.zeros((2, 5)))  # w1 is (3, 5)
         with pytest.raises(ValueError, match="conditional_flow.*'context'"):
             ConditionalFlow.from_checkpoint(payload)
 

@@ -1,10 +1,17 @@
-"""Engine tests: forward algebra, gradient oracle, optimizers, determinism."""
+"""Engine tests: forward algebra, gradient oracle, optimizers, determinism,
+the checkpoint codec."""
+
+import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from catebounds import runner
 from catebounds.autodiff import NonFiniteError, Tensor, constant, no_grad, take_rows
+from catebounds.estimators import (EstimatorConfig, EstimatorKind, Stage0Model,
+                                   build_stage0)
 from catebounds.nets import (
     AdamW,
     MinibatchSampler,
@@ -12,8 +19,12 @@ from catebounds.nets import (
     MlpConfig,
     SgdMomentum,
     TrainRun,
+    checkpoint,
+    decode_array,
+    encode_array,
     fit,
     forward_mlp,
+    load_checkpoint,
 )
 from numeric_oracles import (
     GradCheckReport,
@@ -330,3 +341,119 @@ class TestFit:
         assert losses == ref_losses
         for got, want in zip(params, ref_params):
             assert np.array_equal(got.data, want.data)
+
+
+# bit patterns the codec must carry: -0.0, the smallest and largest
+# subnormals, +-1e308, a quiet NaN, a signalling NaN and a negative NaN
+# with a payload
+_SPECIAL_BITS = [0x8000000000000000, 0x1, 0x000FFFFFFFFFFFFF,
+                 int(np.float64(1e308).view(np.uint64)),
+                 int(np.float64(-1e308).view(np.uint64)),
+                 0x7FF8000000000000, 0x7FF0000000000001, 0xFFF8000000000123]
+
+
+@st.composite
+def float64_arrays(draw):
+    shape = draw(st.one_of(st.just((0,)), st.tuples(st.integers(1, 6)),
+                           st.tuples(st.integers(1, 4), st.integers(1, 4))))
+    n = math.prod(shape)
+    words = draw(st.lists(st.one_of(st.sampled_from(_SPECIAL_BITS),
+                                    st.integers(0, 2**64 - 1)),
+                          min_size=n, max_size=n))
+    return np.array(words, dtype=np.uint64).view(np.float64).reshape(shape)
+
+
+def toy_record() -> dict:
+    """A `toy` record of one 2-3-1 net `net` and one 2-array `std`."""
+    return checkpoint("toy", {}, {"net": Mlp(MlpConfig(2, 3, 1, seed=4))},
+                      {"std": np.array([0.5, 2.0])}, [1.0])
+
+
+def tiny_stage0() -> Stage0Model:
+    return build_stage0(EstimatorConfig(kind=EstimatorKind.TARNET, d_x=3,
+                                        d_phi=2, rep_hidden=5, head_hidden=4,
+                                        seed=2))
+
+
+def load_toy(payload: dict) -> list[float]:
+    return load_checkpoint(payload, {"net": Mlp(MlpConfig(2, 3, 1))},
+                           {"std": np.ones(2)})
+
+
+class TestCheckpointCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(float64_arrays())
+    def test_json_roundtrip_keeps_every_bit(self, a):
+        text = json.dumps({"cell": encode_array(a)}, sort_keys=True)
+        back = decode_array(json.loads(text)["cell"], "cell")
+        assert back.shape == a.shape and back.dtype == np.float64
+        assert back.tobytes() == a.tobytes()
+        assert back.flags.writeable and back.flags.c_contiguous
+
+    def test_byte_order_and_layout_do_not_change_the_cell(self):
+        a = np.random.default_rng(3).normal(size=(4, 3))
+        cell = encode_array(a)
+        assert encode_array(a.astype(">f8")) == cell
+        assert encode_array(np.asfortranarray(a)) == cell
+        assert cell["shape"] == [4, 3]
+
+    def test_saving_one_model_twice_writes_the_same_bytes(self, tmp_path):
+        model = tiny_stage0()
+        model.loss_trace = [0.5, 0.25]
+        runner._save_checkpoint(tmp_path / "a.json", model)
+        runner._save_checkpoint(tmp_path / "b.json", model)
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_nested_list_layout_names_the_net(self):
+        model = tiny_stage0()
+        payload = model.to_checkpoint()
+        # the layout before the codec: every array as nested lists
+        payload["nets"] = {name: [p.data.tolist() for p in net.parameters()]
+                           for name, net in model.nets.items()}
+        with pytest.raises(ValueError, match=r"^stage0 checkpoint: net 'phi': "
+                                             r"not a \{'shape', 'f8'\} array cell"):
+            Stage0Model.from_checkpoint(payload)
+
+    def test_nested_list_array_named(self):
+        payload = toy_record()
+        payload["arrays"]["std"] = [0.5, 2.0]
+        with pytest.raises(ValueError, match=r"^toy checkpoint: array 'std': "
+                                             r"not a \{'shape', 'f8'\} array cell"):
+            load_toy(payload)
+
+    @pytest.mark.parametrize("text", ["not base64!", "AAAA=AAA", "AAAAAAAAAAA", 7])
+    def test_invalid_base64_named(self, text):
+        payload = toy_record()
+        payload["nets"]["net"][1]["f8"] = text
+        with pytest.raises(ValueError, match=r"^toy checkpoint: net 'net': "
+                                             r"invalid base64 text"):
+            load_toy(payload)
+
+    @pytest.mark.parametrize("shape", [[3], [2, 2], []])
+    def test_byte_count_off_the_shape_named(self, shape):
+        payload = toy_record()
+        payload["arrays"]["std"]["shape"] = shape   # 16 bytes are saved
+        with pytest.raises(ValueError, match=r"^toy checkpoint: array 'std': "
+                                             r"16 bytes, expected 8 per value"):
+            load_toy(payload)
+
+    @pytest.mark.parametrize("shape", [[-2], [2.0], [True, 2], "2", None, {"n": 2}])
+    def test_bad_shape_named(self, shape):
+        payload = toy_record()
+        payload["nets"]["net"][0]["shape"] = shape
+        with pytest.raises(ValueError, match=r"^toy checkpoint: net 'net': shape "
+                                             r".* is not a list of non-negative ints"):
+            load_toy(payload)
+
+    def test_cell_keys_checked(self):
+        payload = toy_record()
+        payload["arrays"]["std"]["dtype"] = "f8"
+        with pytest.raises(ValueError, match=r"^toy checkpoint: array 'std': not a"):
+            load_toy(payload)
+
+    def test_net_that_is_not_a_list_named(self):
+        payload = toy_record()
+        payload["nets"]["net"] = payload["nets"]["net"][0]
+        with pytest.raises(ValueError, match=r"^toy checkpoint: net 'net' is not "
+                                             r"a list of array cells"):
+            load_toy(payload)

@@ -159,6 +159,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="^" + re.escape(message)):
             tiny_config(tmp_path, **overrides)
 
+    @pytest.mark.parametrize("knob, message", [
+        (dict(balancing_metric="energy"), "'energy' is not a valid BalancingMetric"),
+        (dict(balancing_alpha=-1.0), "alpha must be non-negative"),
+        (dict(balancing_kernel="cubic"), "unknown kernel 'cubic'"),
+        (dict(sinkhorn_epsilon=-1.0), "sinkhorn_epsilon must be positive"),
+        (dict(sinkhorn_iters=0), "sinkhorn_iters must be positive"),
+    ])
+    def test_balancing_knobs_checked_without_balancing(self, tmp_path, knob,
+                                                       message):
+        # tarnet does not balance, yet the knobs enter config_hash
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            tiny_config(tmp_path, method="tarnet", **knob)
+
     def test_r_multiplier(self, tmp_path):
         assert tiny_config(tmp_path).r_multiplier == 2
         ihdp = tiny_config(tmp_path, dataset=DatasetSpec(kind="ihdp"))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from catebounds import sensitivity
-from catebounds.nets import Standardizer, TrainRun, as_columns
+from catebounds.nets import Standardizer, TrainRun, as_columns, encode_array
 from catebounds.sensitivity import (
     DELTA_PRESETS,
     GammaField,
@@ -100,13 +100,13 @@ class TestPropensity:
 
     def test_checkpoint_wrong_shape_names_the_array(self):
         payload = self._payload()
-        payload["arrays"]["std"] = [1.0, 1.0]
+        payload["arrays"]["std"] = encode_array(np.ones(2))
         with pytest.raises(ValueError, match=r"propensity.*'std'.*\(2,\)"):
             PropensityModel.from_checkpoint(payload)
 
     def test_checkpoint_wrong_shape_names_the_net(self):
         payload = self._payload()
-        payload["nets"]["net"][1] = [0.0] * 5   # b1 has 4 hidden units
+        payload["nets"]["net"][1] = encode_array(np.zeros(5))  # b1 has 4 hidden units
         with pytest.raises(ValueError, match=r"propensity.*'net'.*\(5,\)"):
             PropensityModel.from_checkpoint(payload)
 
