@@ -46,6 +46,7 @@ __all__ = [
     "PROPENSITY_CLIP",
     "ISW_WEIGHT_CLIP",
     "NEEDS_BALANCING",
+    "BNN_BALANCING",
 ]
 
 PROPENSITY_CLIP = (0.01, 0.99)
@@ -64,6 +65,8 @@ class EstimatorKind(enum.Enum):
 
 NEEDS_BALANCING = {EstimatorKind.BNN, EstimatorKind.CFR, EstimatorKind.RCFR,
                    EstimatorKind.CFR_ISW, EstimatorKind.BWCFR}
+# bnn's balancing is fixed, not configured
+BNN_BALANCING = BalancingConfig(metric=BalancingMetric.MMD, alpha=0.1)
 
 
 @dataclass(frozen=True)
@@ -83,10 +86,8 @@ class EstimatorConfig:
             raise ValueError("hidden sizes must be positive")
         if self.kind in NEEDS_BALANCING and self.balancing is None:
             raise ValueError(f"{self.kind.value} requires a balancing config")
-        if self.kind is EstimatorKind.BNN:
-            b = self.balancing
-            if b.metric is not BalancingMetric.MMD or b.alpha != 0.1:
-                raise ValueError("bnn uses MMD balancing with alpha fixed at 0.1")
+        if self.kind is EstimatorKind.BNN and self.balancing != BNN_BALANCING:
+            raise ValueError("bnn uses MMD balancing with alpha fixed at 0.1")
 
 
 # the names `build_stage0` seeds, in spawn order: every subnet any kind can

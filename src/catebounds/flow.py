@@ -79,22 +79,21 @@ class FlowConfig:
 # Training runs the forward map with gradients on; densities run it under
 # `no_grad` and read `.data`. Each step is one tape node with a hand-written
 # backward: the knot grids and derivatives of `spline_params`, and the
-# gathers, rational-quadratic map and log-det of `rq_spline`, whose
-# derivatives follow Durkan et al. (2019). The inverse, `rq_inverse`, is used
-# only for sampling; it runs on plain arrays and skips the log-det.
+# gathers, bin sizes (knot differences), rational-quadratic map and log-det
+# of `rq_spline`, whose derivatives follow Durkan et al. (2019). The inverse,
+# `rq_inverse`, is used only for sampling; it runs on plain arrays and skips
+# the log-det.
 
 
 def spline_params(raw: Tensor, cfg: FlowConfig):
-    """Raw context-net output (n, 3K-1) -> knot grids, bin sizes, derivatives.
+    """Raw context-net output (n, 3K-1) -> knot grids and derivatives.
 
-    Returns (cumw, w, cumh, h, d): knot positions (n, K+1) from -B to B, bin
-    widths and heights (n, K), and knot derivatives (n, K+1) with the two
-    boundary derivatives pinned to 1.
+    Returns (cumw, cumh, d): knot positions (n, K+1) from -B to B on the
+    input and output axes, and knot derivatives (n, K+1) with the two
+    boundary derivatives pinned to 1. Bin widths and heights are the
+    differences of consecutive knots, taken where they are used.
     """
-    k = cfg.knots
-    cumw = _knots(raw, 0, cfg)
-    cumh = _knots(raw, k, cfg)
-    return cumw, _bin_sizes(cumw), cumh, _bin_sizes(cumh), _derivatives(raw, cfg)
+    return _knots(raw, 0, cfg), _knots(raw, cfg.knots, cfg), _derivatives(raw, cfg)
 
 
 def _knots(raw: Tensor, lo: int, cfg: FlowConfig) -> Tensor:
@@ -119,17 +118,6 @@ def _knots(raw: Tensor, lo: int, cfg: FlowConfig) -> Tensor:
         raw._accumulate(full)
 
     return Tensor._result(cum, (raw,), backward, "spline_knots")
-
-
-def _bin_sizes(cum: Tensor) -> Tensor:
-    """Differences of consecutive knots (n, K)."""
-    def backward(g):
-        full = np.zeros_like(cum.data)
-        full[:, 1:] += g
-        full[:, :-1] -= g
-        cum._accumulate(full)
-
-    return Tensor._result(np.diff(cum.data, axis=-1), (cum,), backward, "spline_bins")
 
 
 def _derivatives(raw: Tensor, cfg: FlowConfig) -> Tensor:
@@ -162,11 +150,13 @@ def _bin_index(values: np.ndarray, cum: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _gather(idx, cumw, w, cumh, h, d):
-    """Each point's bin width and height, left knots and knot derivatives."""
-    return [np.take_along_axis(p, j, axis=-1)
-            for p, j in ((w, idx), (h, idx), (cumw, idx), (cumh, idx),
-                         (d, idx), (d, idx + 1))]
+def _gather(idx, cumw, cumh, d):
+    """Each point's bin width and height, left knots and knot derivatives;
+    a bin's width (height) is the difference of its two knots."""
+    cwk, cwk1, chk, chk1, dk, dk1 = [
+        np.take_along_axis(p, j, axis=-1)
+        for p in (cumw, cumh, d) for j in (idx, idx + 1)]
+    return cwk1 - cwk, chk1 - chk, cwk, chk, dk, dk1
 
 
 def _scatter(values: np.ndarray, idx: np.ndarray, width: int) -> np.ndarray:
@@ -178,8 +168,8 @@ def _scatter(values: np.ndarray, idx: np.ndarray, width: int) -> np.ndarray:
                        minlength=n * width).reshape(n, width)
 
 
-def rq_spline(inputs: np.ndarray, cumw: Tensor, w: Tensor, cumh: Tensor,
-              h: Tensor, d: Tensor) -> tuple[Tensor, Tensor]:
+def rq_spline(inputs: np.ndarray, cumw: Tensor, cumh: Tensor,
+              d: Tensor) -> tuple[Tensor, Tensor]:
     """Apply the spline elementwise with per-row parameters, on the tape.
 
     `inputs` is a plain array of shape (n,) or (n, k); the parameters come
@@ -194,7 +184,7 @@ def rq_spline(inputs: np.ndarray, cumw: Tensor, w: Tensor, cumh: Tensor,
     inside = np.abs(vals) <= TAIL_BOUND
     clamped = np.clip(vals, -TAIL_BOUND, TAIL_BOUND)
     packed = _rq_forward(vals, clamped, inside,
-                         *(as_tensor(p) for p in (cumw, w, cumh, h, d)))
+                         *(as_tensor(p) for p in (cumw, cumh, d)))
     m = vals.shape[-1]
     out, logabsdet = slice_last(packed, 0, m), slice_last(packed, m, 2 * m)
     if squeeze:
@@ -202,11 +192,10 @@ def rq_spline(inputs: np.ndarray, cumw: Tensor, w: Tensor, cumh: Tensor,
     return out, logabsdet
 
 
-def _rq_forward(vals, clamped, inside, cumw, w, cumh, h, d) -> Tensor:
+def _rq_forward(vals, clamped, inside, cumw, cumh, d) -> Tensor:
     """Outputs and logabsdet side by side (n, 2m), as one tape node."""
     idx = _bin_index(clamped, cumw.data)
-    wk, hk, cwk, chk, dk, dk1 = _gather(idx, cumw.data, w.data, cumh.data,
-                                        h.data, d.data)
+    wk, hk, cwk, chk, dk, dk1 = _gather(idx, cumw.data, cumh.data, d.data)
     s = hk / wk
     theta = (clamped - cwk) / wk
     t1m = theta * (1.0 - theta)
@@ -239,14 +228,15 @@ def _rq_forward(vals, clamped, inside, cumw, w, cumh, h, d) -> Tensor:
                 + g_lad * ((1.0 - theta) ** 2 / quad - 2.0 * t1m / denom))
         g_dk1 = (-scale * frac * t1m
                  + g_lad * (theta * theta / quad - 2.0 * t1m / denom))
-        # theta = (x - cwk) / wk and s = hk / wk
+        # theta = (x - cwk) / wk and s = hk / wk; wk and hk are knot
+        # differences, and cwk and chk left knots
         g_cwk = -g_theta / wk
         k1 = d.data.shape[-1]
         grads = (
-            (cumw, _scatter(g_cwk, idx, k1)),
-            (w, _scatter(g_cwk * theta - g_s * s / wk, idx, k1 - 1)),
-            (cumh, _scatter(g_out, idx, k1)),
-            (h, _scatter(g_out * frac + g_s / wk, idx, k1 - 1)),
+            (cumw, _knot_adjoint(_scatter(g_cwk * theta - g_s * s / wk, idx, k1 - 1))
+             + _scatter(g_cwk, idx, k1)),
+            (cumh, _knot_adjoint(_scatter(g_out * frac + g_s / wk, idx, k1 - 1))
+             + _scatter(g_out, idx, k1)),
             (d, _scatter(np.concatenate([g_dk, g_dk1], axis=-1),
                          np.concatenate([idx, idx + 1], axis=-1), k1)),
         )
@@ -254,11 +244,19 @@ def _rq_forward(vals, clamped, inside, cumw, w, cumh, h, d) -> Tensor:
             if param.requires_grad:
                 param._accumulate(grad)
 
-    return Tensor._result(packed, (cumw, w, cumh, h, d), backward, "rq_spline")
+    return Tensor._result(packed, (cumw, cumh, d), backward, "rq_spline")
 
 
-def rq_inverse(z: np.ndarray, cumw: np.ndarray, w: np.ndarray,
-               cumh: np.ndarray, h: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _knot_adjoint(g_sizes: np.ndarray) -> np.ndarray:
+    """Adjoint (n, K+1) of a knot grid from that of its differences (n, K)."""
+    full = np.zeros((len(g_sizes), g_sizes.shape[-1] + 1))
+    full[:, 1:] += g_sizes
+    full[:, :-1] -= g_sizes
+    return full
+
+
+def rq_inverse(z: np.ndarray, cumw: np.ndarray, cumh: np.ndarray,
+               d: np.ndarray) -> np.ndarray:
     """Inverse of :func:`rq_spline` on plain arrays, without the log-det.
 
     `z` has shape (n,) or (n, k) and the parameters are the arrays of
@@ -270,7 +268,7 @@ def rq_inverse(z: np.ndarray, cumw: np.ndarray, w: np.ndarray,
     vals = z[:, None] if z.ndim == 1 else z
     clamped = np.clip(vals, -TAIL_BOUND, TAIL_BOUND)
     idx = _bin_index(clamped, cumh)
-    wk, hk, cwk, chk, dk, dk1 = _gather(idx, cumw, w, cumh, h, d)
+    wk, hk, cwk, chk, dk, dk1 = _gather(idx, cumw, cumh, d)
     s = hk / wk
     zbar = clamped - chk
     two_s = dk1 + dk - 2.0 * s

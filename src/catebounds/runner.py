@@ -29,9 +29,10 @@ from .bounds import cate_bounds, read_bounds_csv, write_bounds_csv
 from .data import (Dataset, HcMnistConfig, build_hcmnist, gen_synthetic,
                    load_ihdp_csv, parse_idx, read_table, synthetic_tau,
                    write_table)
-from .estimators import (NEEDS_BALANCING, EstimatorConfig, EstimatorKind,
-                         Stage0Model, build_stage0, predict_heads,
-                         predict_point_cate, representation, train_stage0)
+from .estimators import (BNN_BALANCING, NEEDS_BALANCING, EstimatorConfig,
+                         EstimatorKind, Stage0Model, build_stage0,
+                         predict_heads, predict_point_cate, representation,
+                         train_stage0)
 from .evaluation import (PolicyReport, bounds_policy, make_grid, point_policy,
                          rpehe, score_policy, write_decision_grid_csv,
                          write_er_dr_curve_csv)
@@ -53,7 +54,6 @@ __all__ = [
     "run_pipeline",
     "run_experiment",
     "emit_results",
-    "DeltaMetrics",
     "RunRecord",
 ]
 
@@ -195,17 +195,8 @@ class ExperimentConfig:
         return 2 if self.dataset.kind == "synthetic" else 1
 
 
-def _to_json_value(obj):
-    if dataclasses.is_dataclass(obj):
-        return {f.name: _to_json_value(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, tuple):
-        return [_to_json_value(v) for v in obj]
-    return obj
-
-
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return _to_json_value(config)
+    return dataclasses.asdict(config)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -214,9 +205,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     unknown = set(raw) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    nested = {"dataset": DatasetSpec, "stage0": Stage0Params,
-              "prop_x": PropensityParams, "prop_phi": PropensityParams,
-              "flow": FlowParams}
+    # the config's sections are its dataclass-valued fields
+    nested = {f.name: f.default_factory
+              for f in dataclasses.fields(ExperimentConfig)
+              if dataclasses.is_dataclass(f.default_factory)}
     kwargs = {}
     for key, value in raw.items():
         if key in nested:
@@ -293,7 +285,8 @@ def _hidden_units(multiplier: float, r: int, d: int) -> int:
 
 def _balancing_config(config: ExperimentConfig) -> BalancingConfig | None:
     # the knobs enter config_hash and results.json whatever the method, so
-    # they are range-checked for every method
+    # they are range-checked for every method, and a method that does not
+    # read them refuses any knob moved off its default
     metric = config.balancing_metric
     knobs = BalancingConfig(
         metric=BalancingMetric.MMD if metric is None else BalancingMetric(metric),
@@ -301,13 +294,16 @@ def _balancing_config(config: ExperimentConfig) -> BalancingConfig | None:
         sinkhorn_epsilon=config.sinkhorn_epsilon,
         sinkhorn_iters=config.sinkhorn_iters)
     kind = EstimatorKind(config.method)
-    if kind == EstimatorKind.BNN:
-        return BalancingConfig(metric=BalancingMetric.MMD, alpha=0.1)
-    if kind not in NEEDS_BALANCING:
-        return None
-    if metric is None:
-        raise ValueError(f"{config.method} needs a balancing_metric")
-    return knobs
+    if kind in NEEDS_BALANCING and kind is not EstimatorKind.BNN:
+        if metric is None:
+            raise ValueError(f"{config.method} needs a balancing_metric")
+        return knobs
+    for f in dataclasses.fields(ExperimentConfig):
+        knob = f.name.startswith(("balancing_", "sinkhorn_"))
+        if knob and getattr(config, f.name) != f.default:
+            raise ValueError(f"{config.method} does not use {f.name}; leave it "
+                             f"at its default {f.default!r}")
+    return BNN_BALANCING if kind is EstimatorKind.BNN else None
 
 
 def _estimator_config(config: ExperimentConfig, d_x: int, seed: int,
@@ -530,26 +526,17 @@ def tune_config(config: ExperimentConfig, train: Dataset) -> ExperimentConfig:
 # per-seed pipeline
 
 
-@dataclass(frozen=True)
-class DeltaMetrics:
-    delta: float
-    er_out: float | None
-    delta_er_out: float | None
-    dr_out: float
-    n_decided: int
-
-
 @dataclass
 class RunRecord:
+    """One seed's scores; `per_delta` holds the interval policy's report at
+    each of the config's deltas, in their order."""
+
     config_hash: str
     seed: int
-    method: str
-    d_phi: int
     er_point_out: float | None
     rpehe_in: float
     rpehe_out: float
-    per_delta: tuple[DeltaMetrics, ...]
-    checkpoints: dict[str, str]
+    per_delta: tuple[PolicyReport, ...]
 
 
 def _seed_dir(config: ExperimentConfig, seed: int) -> Path:
@@ -646,33 +633,17 @@ def evaluate_seed(config: ExperimentConfig, train: Dataset, test: Dataset,
             raise FileNotFoundError(
                 f"{required} missing; run the refute step for seed {seed} first")
     tau_in = _read_tau_csv(sdir / "train_tau.csv")
-
-    per_delta: list[DeltaMetrics] = []
-    reports: list[PolicyReport] = []
-    point_report = None
-    tau_out = None
-    for delta in config.deltas:
-        bounds = read_bounds_csv(sdir / _delta_file(delta))
-        if tau_out is None:
-            tau_out = bounds.point
-            point_report = score_policy(point_policy(tau_out),
-                                        test.tau_oracle)
-        report = score_policy(bounds_policy(bounds), test.tau_oracle,
-                              baseline_error_rate=point_report.error_rate)
-        reports.append(report)
-        per_delta.append(DeltaMetrics(
-            delta=delta, er_out=report.error_rate,
-            delta_er_out=report.delta_er, dr_out=report.deferral_rate,
-            n_decided=report.n_decided))
+    tables = [read_bounds_csv(sdir / _delta_file(d)) for d in config.deltas]
+    # every delta's table holds the same point estimates
+    tau_out = tables[0].point
+    er_point = score_policy(point_policy(tau_out), test.tau_oracle).error_rate
+    reports = tuple(score_policy(bounds_policy(b), test.tau_oracle,
+                                 baseline_error_rate=er_point) for b in tables)
     write_er_dr_curve_csv(sdir / "curve.csv", config.deltas, reports)
-
-    checkpoints = {name: f"seed_{seed}/{name}.json" for name in _STAGES}
     return RunRecord(
-        config_hash=config_hash(config), seed=seed, method=config.method,
-        d_phi=config.d_phi, er_point_out=point_report.error_rate,
+        config_hash=config_hash(config), seed=seed, er_point_out=er_point,
         rpehe_in=rpehe(tau_in, train.tau_oracle),
-        rpehe_out=rpehe(tau_out, test.tau_oracle),
-        per_delta=tuple(per_delta), checkpoints=checkpoints)
+        rpehe_out=rpehe(tau_out, test.tau_oracle), per_delta=reports)
 
 
 def run_pipeline(config: ExperimentConfig, train: Dataset, test: Dataset,
@@ -688,9 +659,7 @@ def _emit_decision_grid(config, sdir, model, prop_x, prop_phi, flow,
                         field) -> None:
     """Bounds and decisions over a covariate grid, at the first delta."""
     grid = make_grid(resolution=config.grid_resolution)
-    first = replace(field, deltas=field.deltas[:1],
-                    train_gamma_hat=field.train_gamma_hat[:1])
-    [bounds] = cate_bounds(grid, model, prop_x, prop_phi, first, flow, config.k)
+    bounds = cate_bounds(grid, model, prop_x, prop_phi, field, flow, config.k)[0]
     write_decision_grid_csv(sdir / "decision_grid.csv", grid,
                             synthetic_tau(grid), bounds.point,
                             bounds_policy(bounds))
@@ -744,9 +713,9 @@ def _aggregate_rows(config: ExperimentConfig,
         cells = [r.per_delta[di] for r in records]
         rows.append({
             "method": config.method, "d_phi": config.d_phi, "delta": delta,
-            "er_out": _mean_or_none([c.er_out for c in cells]),
-            "delta_er_out": _mean_or_none([c.delta_er_out for c in cells]),
-            "dr_out": float(np.mean([c.dr_out for c in cells])),
+            "er_out": _mean_or_none([c.error_rate for c in cells]),
+            "delta_er_out": _mean_or_none([c.delta_er for c in cells]),
+            "dr_out": float(np.mean([c.deferral_rate for c in cells])),
             "rpehe_in": rpehe_in, "rpehe_out": rpehe_out,
             "seeds": len(records),
         })
@@ -773,11 +742,15 @@ def emit_results(config: ExperimentConfig,
         "config_hash": config_hash(config),
         "config": config_to_dict(config),
         "records": [{
-            "seed": r.seed, "method": r.method, "d_phi": r.d_phi,
+            "seed": r.seed, "method": config.method, "d_phi": config.d_phi,
             "er_point_out": r.er_point_out, "rpehe_in": r.rpehe_in,
             "rpehe_out": r.rpehe_out,
-            "per_delta": [dataclasses.asdict(d) for d in r.per_delta],
-            "checkpoints": r.checkpoints,
+            "per_delta": [{"delta": delta, "er_out": d.error_rate,
+                           "delta_er_out": d.delta_er,
+                           "dr_out": d.deferral_rate, "n_decided": d.n_decided}
+                          for delta, d in zip(config.deltas, r.per_delta)],
+            "checkpoints": {name: f"seed_{r.seed}/{name}.json"
+                            for name in _STAGES},
         } for r in records],
         "aggregate": rows,
     }

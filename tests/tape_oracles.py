@@ -138,35 +138,34 @@ def spline_params(raw: Tensor, cfg: FlowConfig):
     neg_b = constant(np.full((n, 1), -b))
     pos_b = constant(np.full((n, 1), b))
 
-    def _bins(u: Tensor):
+    def _knots(u: Tensor):
         widths = softmax_last(u) * (1.0 - MIN_BIN * k) + MIN_BIN
         inner = slice_last(cumsum_last(widths), 0, k - 1) * (2.0 * b) - b
-        cum = concat_last([neg_b, inner, pos_b])
-        eff = slice_last(cum, 1, k + 1) - slice_last(cum, 0, k)
-        return cum, eff
+        return concat_last([neg_b, inner, pos_b])
 
-    cumw, w = _bins(uw)
-    cumh, h = _bins(uh)
+    cumw, cumh = _knots(uw), _knots(uh)
     shift = float(np.log(np.expm1(1.0 - MIN_DERIVATIVE)))
     inner_d = (ud + shift).softplus() + MIN_DERIVATIVE
     one = constant(np.ones((n, 1)))
     d = concat_last([one, inner_d, one])
-    return cumw, w, cumh, h, d
+    return cumw, cumh, d
 
 
-def rq_spline(inputs, cumw, w, cumh, h, d):
-    """Forward spline and logabsdet, from gathers and elementwise tape ops."""
+def rq_spline(inputs, cumw, cumh, d):
+    """Forward spline and logabsdet, from gathers and elementwise tape ops;
+    bin widths and heights are slices of the knots subtracted on the tape."""
     inputs = np.asarray(inputs, dtype=np.float64)
     squeeze = inputs.ndim == 1
     vals = inputs[:, None] if squeeze else inputs
     inside = np.abs(vals) <= TAIL_BOUND
     clamped = np.clip(vals, -TAIL_BOUND, TAIL_BOUND)
     idx = _bin_index(clamped, cumw.data)
+    k = cumw.shape[-1] - 1
 
-    wk = take_along_last(w, idx)
-    hk = take_along_last(h, idx)
-    cwk = take_along_last(slice_last(cumw, 0, cumw.shape[-1] - 1), idx)
-    chk = take_along_last(slice_last(cumh, 0, cumh.shape[-1] - 1), idx)
+    wk = take_along_last(slice_last(cumw, 1, k + 1) - slice_last(cumw, 0, k), idx)
+    hk = take_along_last(slice_last(cumh, 1, k + 1) - slice_last(cumh, 0, k), idx)
+    cwk = take_along_last(slice_last(cumw, 0, k), idx)
+    chk = take_along_last(slice_last(cumh, 0, k), idx)
     dk = take_along_last(d, idx)
     dk1 = take_along_last(d, idx + 1)
     s = hk / wk

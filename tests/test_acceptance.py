@@ -371,9 +371,9 @@ def test_criterion_07_refutation_benefit(refutation_runs):
     for method in ("tarnet", "cfr"):
         ders = []
         for rec in refutation_runs[method]:
-            dm = next(d for d in rec.per_delta if d.delta == 0.0005)
-            assert dm.delta_er_out is not None
-            ders.append(dm.delta_er_out)
+            dm = rec.per_delta[DELTA_PRESETS.index(0.0005)]
+            assert dm.delta_er is not None
+            ders.append(dm.delta_er)
         mean_der = float(np.mean(ders))
         assert mean_der < 0.0
         assert mean_der <= -0.02
@@ -389,8 +389,8 @@ def test_criterion_08_deferral_tradeoff(refutation_runs):
     for method in ("tarnet", "cfr"):
         rhos = []
         for rec in refutation_runs[method]:
-            pts = [(d.dr_out, d.er_out) for d in rec.per_delta
-                   if d.er_out is not None]
+            pts = [(d.deferral_rate, d.error_rate) for d in rec.per_delta
+                   if d.error_rate is not None]
             dr, er = zip(*pts)
             rho = spearmanr(dr, er).statistic
             rhos.append(0.0 if np.isnan(rho) else float(rho))

@@ -60,9 +60,9 @@ def inverse_slope(params, z: np.ndarray, h: float = 1e-5) -> np.ndarray:
 class TestSpline:
     def test_identity_at_zero_params(self):
         cfg = FlowConfig(context_dim=2, hidden_units=4, knots=8)
-        cumw, w, cumh, h, d = spline_params(constant(zero_raw(3, 8)), cfg)
+        cumw, cumh, d = spline_params(constant(zero_raw(3, 8)), cfg)
         y = np.array([0.7, -3.2, 4.9])
-        out, logdet = rq_spline(y, cumw, w, cumh, h, d)
+        out, logdet = rq_spline(y, cumw, cumh, d)
         assert np.allclose(out.data, y, atol=1e-12)
         assert np.allclose(logdet.data, 0.0, atol=1e-12)
 
@@ -165,8 +165,7 @@ class TestFusedSpline:
         rng = np.random.default_rng(seed)
         cfg = FlowConfig(context_dim=2, hidden_units=4, knots=knots)
         raw0 = rng.normal(scale=scale, size=(5, 3 * knots - 1))
-        weights = [rng.normal(size=(5, c)) for c in
-                   (knots + 1, knots, knots + 1, knots, knots + 1)]
+        weights = [rng.normal(size=(5, knots + 1)) for _ in range(3)]
         results = []
         for fn in (spline_params, tape_oracles.spline_params):
             raw = Tensor(raw0, requires_grad=True)
@@ -201,8 +200,8 @@ class TestFusedSpline:
         monkeypatch.setattr(Tensor, "_result", staticmethod(counted))
         raw = Tensor(np.zeros((4, 29)), requires_grad=True)
         rq_spline(np.zeros((4, 1)), *spline_params(raw, FlowConfig(2, 4)))
-        # knots and bin sizes twice, derivatives, the spline, two slices
-        assert sum(recorded) == 8
+        # knots twice, derivatives, the spline, two slices
+        assert sum(recorded) == 6
 
 
 class TestFlowLikelihood:

@@ -13,18 +13,18 @@ from fixture_files import idx_images_bytes, idx_labels_bytes, toy_mnist, write_i
 from catebounds import runner
 from catebounds.balancing import BalancingConfig
 from catebounds.bounds import cate_bounds
-from catebounds.data import gen_synthetic, synthetic_tau
+from catebounds.data import gen_synthetic, read_table, synthetic_tau
 from catebounds.estimators import (NEEDS_BALANCING, EstimatorConfig,
                                    EstimatorKind, Stage0Model, build_stage0,
                                    representation)
-from catebounds.evaluation import bounds_policy, make_grid, write_decision_grid_csv
+from catebounds.evaluation import (PolicyReport, bounds_policy, make_grid,
+                                   write_decision_grid_csv)
 from catebounds.flow import ConditionalFlow
 from catebounds.nets import TrainRun
 from catebounds.sensitivity import (PropensityModel, build_gamma_field,
                                     train_propensity)
 from catebounds.runner import (
     DatasetSpec,
-    DeltaMetrics,
     ExperimentConfig,
     FlowParams,
     PropensityParams,
@@ -171,6 +171,20 @@ class TestConfig:
         # tarnet does not balance, yet the knobs enter config_hash
         with pytest.raises(ValueError, match="^" + re.escape(message)):
             tiny_config(tmp_path, method="tarnet", **knob)
+
+    @pytest.mark.parametrize("method", ["tarnet", "inv_tarnet", "bnn"])
+    @pytest.mark.parametrize("knob", [
+        dict(balancing_metric="wasserstein"), dict(balancing_alpha=5.0),
+        dict(balancing_kernel="rbf"), dict(sinkhorn_epsilon=0.5),
+        dict(sinkhorn_iters=3)])
+    def test_balancing_knob_refused_where_unused(self, tmp_path, method, knob):
+        # a knob the method ignores would still change config_hash
+        [name] = knob
+        with pytest.raises(ValueError, match=f"^{method} does not use {name}"):
+            tiny_config(tmp_path, method=method, **knob)
+        cfg = tiny_config(tmp_path, method="cfr",
+                          **{"balancing_metric": "mmd", **knob})
+        assert getattr(cfg, name) == knob[name]
 
     def test_r_multiplier(self, tmp_path):
         assert tiny_config(tmp_path).r_multiplier == 2
@@ -418,13 +432,13 @@ class TestPipeline:
         cfg = tiny_config(tmp_path / "r")
         train, test = load_dataset(cfg.dataset)
         rec = run_pipeline(cfg, train, test, 0)
-        assert rec.seed == 0 and rec.method == "tarnet"
+        assert rec.seed == 0
         assert rec.rpehe_out > 0.0
         assert len(rec.per_delta) == 1
-        assert 0.0 <= rec.per_delta[0].dr_out <= 1.0
+        assert 0.0 <= rec.per_delta[0].deferral_rate <= 1.0
         assert rec.config_hash == config_hash(cfg)
         for name in ("stage0", "prop_x", "prop_phi", "flow"):
-            assert (Path(cfg.out_dir) / rec.checkpoints[name]).exists()
+            assert (Path(cfg.out_dir) / "seed_0" / f"{name}.json").exists()
 
     def test_pipeline_deterministic(self, tmp_path):
         cfg_a = tiny_config(tmp_path / "a")
@@ -506,26 +520,32 @@ class TestPipeline:
         assert payload["schema"] == "v1"
         assert "wall_time" not in json.dumps(payload)
 
-    def test_decision_grid_emitted_when_requested(self, tmp_path, monkeypatch):
+    def test_results_per_delta_match_curves(self, tmp_path):
+        cfg = tiny_config(tmp_path / "curves", seeds=(0, 1),
+                          deltas=(0.001, 0.05, 0.2))
+        run_experiment(cfg)
+        out = Path(cfg.out_dir)
+        payload = json.loads((out / "results.json").read_text())
+        assert [r["seed"] for r in payload["records"]] == [0, 1]
+        for record in payload["records"]:
+            header, rows = read_table(out / f"seed_{record['seed']}" / "curve.csv")
+            assert header == ["delta", "error_rate", "deferral_rate", "n_decided"]
+            assert [[entry["delta"], entry["er_out"], entry["dr_out"],
+                     entry["n_decided"]] for entry in record["per_delta"]] == [
+                [float(d), None if er == "" else float(er), float(dr), int(n)]
+                for d, er, dr, n in rows]
+
+    def test_decision_grid_emitted_when_requested(self, tmp_path):
         cfg = tiny_config(tmp_path / "grid", grid_resolution=4, k=60,
                           deltas=(0.001, 0.05))
         train, test = load_dataset(cfg.dataset)
-        fields = []
-
-        def spy(x, model, prop_x, prop_phi, field, flow, k):
-            fields.append(field)
-            return cate_bounds(x, model, prop_x, prop_phi, field, flow, k)
-
-        monkeypatch.setattr(runner, "cate_bounds", spy)
         run_pipeline(cfg, train, test, 0)
         sdir = Path(cfg.out_dir) / "seed_0"
         path = sdir / "decision_grid.csv"
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x1,x2,tau_oracle,tau_hat,decision"
         assert len(lines) == 17
-        # the grid is bounded at the first delta only
-        assert [len(f.deltas) for f in fields] == [2, 1]
-        # ... and matches the first delta of a full-field call
+        # the grid is bounded at the first delta of the seed's field
         model = runner._load_checkpoint(sdir / "stage0.json", Stage0Model)
         prop_x, prop_phi = (runner._load_checkpoint(sdir / f"{name}.json",
                                                     PropensityModel)
@@ -560,11 +580,10 @@ class TestTrainTau:
 class TestEmitResults:
     def make_record(self, seed, er_point, er_b, dr, rp_in, rp_out):
         return RunRecord(
-            config_hash="h", seed=seed, method="tarnet", d_phi=1,
+            config_hash="h", seed=seed,
             er_point_out=er_point, rpehe_in=rp_in, rpehe_out=rp_out,
-            per_delta=(DeltaMetrics(0.001, er_b, None if er_b is None else
-                                    er_b - er_point, dr, 10),),
-            checkpoints={})
+            per_delta=(PolicyReport(er_b, dr, 10, None if er_b is None else
+                                    er_b - er_point),))
 
     def test_hand_computed_aggregation(self, tmp_path):
         cfg = tiny_config(tmp_path / "agg")
@@ -590,7 +609,14 @@ class TestEmitResults:
         cfg = tiny_config(tmp_path / "rt")
         emit_results(cfg, [self.make_record(0, 0.1, 0.1, 0.2, 1.0, 1.0)])
         payload = json.loads((Path(cfg.out_dir) / "results.json").read_text())
-        assert payload["records"][0]["per_delta"][0]["dr_out"] == 0.2
+        record = payload["records"][0]
+        assert record["per_delta"][0]["dr_out"] == 0.2
+        assert record["per_delta"][0]["delta"] == cfg.deltas[0]
+        # method, d_phi and checkpoint paths come from the config
+        assert (record["method"], record["d_phi"]) == ("tarnet", 1)
+        assert record["checkpoints"] == {
+            name: f"seed_0/{name}.json"
+            for name in ("stage0", "prop_x", "prop_phi", "flow")}
         assert payload["config"]["k"] == 150
 
     def test_empty_records_rejected(self, tmp_path):
