@@ -6,13 +6,15 @@ eagerly and freed by ordinary garbage collection once the loss goes out of
 scope. Everything is float64 and single-threaded, so a fixed seed gives
 bitwise-identical runs.
 
+An op records its result iff a parent requires a gradient; network
+parameters require one only while `nets.fit` trains them.
+
 Non-finite values are never allowed to propagate silently: every op output is
 checked and raises :class:`NonFiniteError` on the first NaN/inf.
 """
 
 from __future__ import annotations
 
-import contextlib
 from typing import Callable
 
 import numpy as np
@@ -23,7 +25,6 @@ __all__ = [
     "Tensor",
     "as_tensor",
     "constant",
-    "no_grad",
     "slice_last",
     "take_rows",
 ]
@@ -31,21 +32,6 @@ __all__ = [
 
 class NonFiniteError(FloatingPointError):
     """Raised when an operation produces NaN or infinity."""
-
-
-_grad_enabled = True
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Disable graph recording inside the block (inference / sampling paths)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
 
 
 # Overflow/invalid intermediates are converted into NonFiniteError by the
@@ -90,7 +76,7 @@ class Tensor:
     @staticmethod
     def _result(data, parents: tuple["Tensor", ...], backward, op: str) -> "Tensor":
         out = Tensor(data, _op=op)
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
             out._backward = backward
@@ -106,9 +92,6 @@ class Tensor:
 
     def item(self) -> float:
         return self.data.item()
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -260,10 +243,10 @@ class Tensor:
 
     def elu(self):
         """ELU with alpha = 1."""
-        # expm1 on the clipped values so the discarded branch cannot overflow
-        out_data = np.where(
-            self.data > 0.0, self.data, np.expm1(np.minimum(self.data, 0.0))
-        )
+        # max(x, expm1(min(x, 0))) in one buffer, as expm1(x) >= x
+        out_data = np.minimum(self.data, 0.0)
+        np.expm1(out_data, out=out_data)
+        np.maximum(self.data, out_data, out=out_data)
 
         def backward(g):
             self._accumulate(g * np.where(self.data > 0.0, 1.0, out_data + 1.0))

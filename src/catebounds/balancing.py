@@ -44,11 +44,11 @@ class BalancingConfig:
     sinkhorn_iters: int = 10
 
     def __post_init__(self):
-        if self.alpha < 0.0:
+        if not self.alpha >= 0.0:  # NaN fails every test
             raise ValueError("alpha must be non-negative")
         if self.kernel not in ("linear", "rbf"):
             raise ValueError(f"unknown kernel {self.kernel!r}")
-        if self.sinkhorn_epsilon <= 0.0:
+        if not self.sinkhorn_epsilon > 0.0:
             raise ValueError("sinkhorn_epsilon must be positive")
         if self.sinkhorn_iters < 1:
             raise ValueError("sinkhorn_iters must be positive")
@@ -118,7 +118,7 @@ def mmd(rep_a: Tensor | np.ndarray, rep_b: Tensor | np.ndarray, *,
         bandwidth = max(float(med), 1e-12)
     else:
         bandwidth = float(rbf_bandwidth)
-        if bandwidth <= 0.0:
+        if not bandwidth > 0.0:  # NaN too
             raise ValueError("rbf_bandwidth must be positive")
     k_aa = (_pairwise_sq_dists(a, a) * (-1.0 / bandwidth)).exp()
     k_bb = (_pairwise_sq_dists(b, b) * (-1.0 / bandwidth)).exp()
@@ -155,7 +155,7 @@ def sinkhorn_wasserstein(
         raise ValueError("representations must be 2-D with equal feature dim")
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise ValueError("empty representation group")
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:  # NaN too
         raise ValueError("epsilon must be positive")
     log_wa = _constant_log_weights(weights_a, a.shape[0])          # (n, 1)
     log_wb = _constant_log_weights(weights_b, b.shape[0]).T        # (1, m)

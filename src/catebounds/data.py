@@ -292,7 +292,7 @@ class HcMnistConfig:
     def __post_init__(self) -> None:
         if len(self.class_means) != 10 or len(self.class_stds) != 10:
             raise ValueError("need statistics for all 10 classes")
-        if any(s <= 0.0 for s in self.class_stds):
+        if not all(s > 0.0 for s in self.class_stds):  # NaN too
             raise ValueError("class intensity stds must be positive")
 
     @classmethod

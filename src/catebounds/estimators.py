@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 from scipy.special import expit
 
-from .autodiff import Tensor, constant, no_grad, slice_last, take_rows
+from .autodiff import Tensor, constant, slice_last, take_rows
 from .balancing import BalancingConfig, BalancingMetric, balancing_penalty
 from .nets import (AdamW, Mlp, MlpConfig, TrainRun, checkpoint, child_seeds,
                    fit, load_checkpoint, read_checkpoint)
@@ -167,10 +167,8 @@ def bce_logits(logits: Tensor, a: np.ndarray) -> Tensor:
     return (logits.softplus() - a_col * logits).mean()
 
 
-def _isw_weights(model: Stage0Model, rep_data: np.ndarray, a: np.ndarray) -> np.ndarray:
-    with no_grad():
-        logits = model.nets["prop_phi"](rep_data).data[:, 0]
-    p1 = np.clip(expit(logits), *PROPENSITY_CLIP)
+def _isw_weights(logits: Tensor, a: np.ndarray) -> np.ndarray:
+    p1 = np.clip(expit(logits.data[:, 0]), *PROPENSITY_CLIP)
     p_a = np.where(a == 1, p1, 1.0 - p1)
     p_not_a = 1.0 - p_a
     marg1 = float(np.clip(a.mean(), *PROPENSITY_CLIP))
@@ -180,10 +178,8 @@ def _isw_weights(model: Stage0Model, rep_data: np.ndarray, a: np.ndarray) -> np.
     return np.clip(w, *ISW_WEIGHT_CLIP)
 
 
-def _overlap_weights(model: Stage0Model, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    with no_grad():
-        logits = model.nets["prop_x"](x).data[:, 0]
-    p1 = np.clip(expit(logits), *PROPENSITY_CLIP)
+def _overlap_weights(logits: Tensor, a: np.ndarray) -> np.ndarray:
+    p1 = np.clip(expit(logits.data[:, 0]), *PROPENSITY_CLIP)
     return np.where(a == 1, 1.0 - p1, p1)
 
 
@@ -205,6 +201,13 @@ def stage0_loss(model: Stage0Model, x: np.ndarray, a: np.ndarray,
     pred = a_col * m1 + (1.0 - a_col) * m0
     sq = (pred - constant(y.reshape(-1, 1))) ** 2
 
+    # one propensity-subnet call gives the MSE weights (as constants) and BCE
+    logits = None
+    if kind is EstimatorKind.CFR_ISW:
+        logits = model.nets["prop_phi"](rep.data)
+    elif kind is EstimatorKind.BWCFR:
+        logits = model.nets["prop_x"](x)
+
     parts: dict[str, float] = {}
     weights_t: Tensor | None = None
     if kind is EstimatorKind.RCFR:
@@ -212,12 +215,9 @@ def stage0_loss(model: Stage0Model, x: np.ndarray, a: np.ndarray,
         weights_t = raw_w / raw_w.mean()
         parts["mean_weight"] = float(weights_t.data.mean())
         mse = (weights_t * sq).mean()
-    elif kind is EstimatorKind.CFR_ISW:
-        w = _isw_weights(model, rep.data, a)
-        parts["mean_weight"] = float(w.mean())
-        mse = (constant(w.reshape(-1, 1)) * sq).mean()
-    elif kind is EstimatorKind.BWCFR:
-        w = _overlap_weights(model, x, a)
+    elif logits is not None:
+        weigh = _isw_weights if kind is EstimatorKind.CFR_ISW else _overlap_weights
+        w = weigh(logits, a)
         parts["mean_weight"] = float(w.mean())
         mse = (constant(w.reshape(-1, 1)) * sq).mean()
     else:
@@ -245,13 +245,7 @@ def stage0_loss(model: Stage0Model, x: np.ndarray, a: np.ndarray,
         parts["reconstruction"] = float(l_rec.data)
         loss = loss + l_rec
 
-    if kind is EstimatorKind.CFR_ISW:
-        logits = model.nets["prop_phi"](rep.detach())
-        bce = bce_logits(logits, a)
-        parts["bce"] = float(bce.data)
-        loss = loss + bce
-    elif kind is EstimatorKind.BWCFR:
-        logits = model.nets["prop_x"](constant(x))
+    if logits is not None:
         bce = bce_logits(logits, a)
         parts["bce"] = float(bce.data)
         loss = loss + bce
@@ -292,16 +286,14 @@ def train_stage0(model: Stage0Model, x: np.ndarray, a: np.ndarray, y: np.ndarray
 
 
 def representation(model: Stage0Model, x: np.ndarray) -> np.ndarray:
-    with no_grad():
-        return model.nets["phi"](np.asarray(x, dtype=np.float64)).data
+    return model.nets["phi"](np.asarray(x, dtype=np.float64)).data
 
 
 def predict_heads(model: Stage0Model, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Potential-outcome head predictions (mu0_hat, mu1_hat), each (n,), from
     representations `phi` (as `representation` returns them)."""
-    with no_grad():
-        m0, m1 = model._head_outputs(np.asarray(phi, dtype=np.float64))
-        return m0.data[:, 0], m1.data[:, 0]
+    m0, m1 = model._head_outputs(np.asarray(phi, dtype=np.float64))
+    return m0.data[:, 0], m1.data[:, 0]
 
 
 def predict_point_cate(model: Stage0Model, phi: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from scipy.special import expit, ndtri
 
-from .autodiff import NonFiniteError, Tensor, as_tensor, no_grad, slice_last
+from .autodiff import NonFiniteError, Tensor, as_tensor, slice_last
 from .nets import (Mlp, MlpConfig, SgdMomentum, Standardizer, TrainRun,
                    as_columns, checkpoint, fit, fit_standardizer,
                    load_checkpoint, read_checkpoint)
@@ -70,19 +70,21 @@ class FlowConfig:
             raise ValueError("context_dim must cover treatment plus representation")
         if self.knots < 2 or MIN_BIN * self.knots >= 1.0:
             raise ValueError("knots must be at least 2 and below 1/MIN_BIN")
-        if self.noise_y < 0.0 or self.noise_context < 0.0:
-            raise ValueError("noise intensities must be non-negative")
+        if not (self.noise_y >= 0.0 and self.noise_context >= 0.0):  # NaN too
+            raise ValueError("noise intensities must be non-negative, got "
+                             f"noise_y={self.noise_y}, "
+                             f"noise_context={self.noise_context}")
 
 
 # -- the spline, on the tape ---------------------------------------------------
 #
-# Training runs the forward map with gradients on; densities run it under
-# `no_grad` and read `.data`. Each step is one tape node with a hand-written
-# backward: the knot grids and derivatives of `spline_params`, and the
-# gathers, bin sizes (knot differences), rational-quadratic map and log-det
-# of `rq_spline`, whose derivatives follow Durkan et al. (2019). The inverse,
-# `rq_inverse`, is used only for sampling; it runs on plain arrays and skips
-# the log-det.
+# Training records the forward map (the context net's parameters require a
+# gradient inside `nets.fit`); densities read `.data` of an unrecorded call.
+# Each step is one tape node with a hand-written backward: the knot grids
+# and derivatives of `spline_params`, and the gathers, bin sizes (knot
+# differences), rational-quadratic map and log-det of `rq_spline`, whose
+# derivatives follow Durkan et al. (2019). The inverse, `rq_inverse`, is used
+# only for sampling; it runs on plain arrays and skips the log-det.
 
 
 def spline_params(raw: Tensor, cfg: FlowConfig):
@@ -349,15 +351,12 @@ class ConditionalFlow:
         return nll + float(np.log(self.y_scaler.std[0]))
 
     def nll(self, y, a, phi) -> float:
-        with no_grad():
-            return float(self.nll_tensor(y, a, phi).data)
+        return float(self.nll_tensor(y, a, phi).data)
 
     def log_density(self, y: np.ndarray, a, phi) -> np.ndarray:
         """log p(y | a, phi) per point, original outcome units."""
         y_std = self.y_scaler.apply(np.ravel(y))[:, 0]
-        with no_grad():
-            params = self._spline_params(self._context(a, phi))
-            z, logabsdet = rq_spline(y_std, *params)
+        z, logabsdet = rq_spline(y_std, *self._spline_params(self._context(a, phi)))
         return (-_neg_log_density(z.data, logabsdet.data)
                 - np.log(self.y_scaler.std[0]))
 
@@ -372,9 +371,8 @@ class ConditionalFlow:
         n = len(ctx)
         # numpy multiplies a lone row by gemv, which rounds unlike the gemm of
         # a batch; paired with its copy, a row comes out as in a larger chunk
-        with no_grad():
-            params = [p.data[:n] for p in self._spline_params(
-                np.repeat(ctx, 2 if n == 1 else 1, axis=0))]
+        params = [p.data[:n] for p in self._spline_params(
+            np.repeat(ctx, 2 if n == 1 else 1, axis=0))]
         out = rq_inverse(np.broadcast_to(z, (n, k)), *params)
         out = self.y_scaler.invert(out)
         if not np.all(np.isfinite(out)):

@@ -59,15 +59,15 @@ def _init_weight(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndar
 
 
 class Mlp:
-    """One-hidden-layer perceptron with explicit parameter tensors."""
+    """One-hidden-layer perceptron; its parameters are trainable only in `fit`."""
 
     def __init__(self, cfg: MlpConfig):
         self.cfg = cfg
         rng = np.random.default_rng(cfg.seed)
-        self.w1 = Tensor(_init_weight(rng, cfg.input_dim, cfg.hidden_units), requires_grad=True)
-        self.b1 = Tensor(np.zeros(cfg.hidden_units), requires_grad=True)
-        self.w2 = Tensor(_init_weight(rng, cfg.hidden_units, cfg.output_dim), requires_grad=True)
-        self.b2 = Tensor(np.zeros(cfg.output_dim), requires_grad=True)
+        self.w1 = Tensor(_init_weight(rng, cfg.input_dim, cfg.hidden_units))
+        self.b1 = Tensor(np.zeros(cfg.hidden_units))
+        self.w2 = Tensor(_init_weight(rng, cfg.hidden_units, cfg.output_dim))
+        self.b2 = Tensor(np.zeros(cfg.output_dim))
 
     def parameters(self) -> list[Tensor]:
         return [self.w1, self.b1, self.w2, self.b2]
@@ -107,9 +107,9 @@ class AdamW:
 
     def __init__(self, params: Sequence[Tensor], lr: float,
                  weight_decay: float = 0.0):
-        if lr <= 0.0:
+        if not lr > 0.0:  # NaN fails every range test
             raise ValueError("learning rate must be positive")
-        if weight_decay < 0.0:
+        if not weight_decay >= 0.0:
             raise ValueError("weight decay must be non-negative")
         self.params = list(params)
         self.lr = lr
@@ -117,10 +117,6 @@ class AdamW:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
 
     def step(self) -> None:
         b1, b2 = ADAM_BETAS
@@ -144,18 +140,14 @@ class SgdMomentum:
     """SGD with heavy-ball momentum SGD_MOMENTUM and optional L2 weight decay."""
 
     def __init__(self, params: Sequence[Tensor], lr: float, weight_decay: float = 0.0):
-        if lr <= 0.0:
+        if not lr > 0.0:  # NaN fails every range test
             raise ValueError("learning rate must be positive")
-        if weight_decay < 0.0:
+        if not weight_decay >= 0.0:
             raise ValueError("weight decay must be non-negative")
         self.params = list(params)
         self.lr = lr
         self.weight_decay = weight_decay
         self.velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
 
     def step(self) -> None:
         for i, p in enumerate(self.params):
@@ -183,17 +175,17 @@ class TrainRun:
     prop_weight_decay: float | None = None
 
     def __post_init__(self):
-        if self.batch_size < 1:
+        if not self.batch_size >= 1:  # NaN fails every test
             raise ValueError("batch_size must be positive")
-        if self.learning_rate <= 0.0:
+        if not self.learning_rate > 0.0:
             raise ValueError("learning_rate must be positive")
-        if self.weight_decay < 0.0:
+        if not self.weight_decay >= 0.0:
             raise ValueError("weight_decay must be non-negative")
-        if self.n_iter < 1:
+        if not self.n_iter >= 1:
             raise ValueError("n_iter must be positive")
-        if self.prop_learning_rate is not None and self.prop_learning_rate <= 0.0:
+        if self.prop_learning_rate is not None and not self.prop_learning_rate > 0.0:
             raise ValueError("prop_learning_rate must be positive")
-        if self.prop_weight_decay is not None and self.prop_weight_decay < 0.0:
+        if self.prop_weight_decay is not None and not self.prop_weight_decay >= 0.0:
             raise ValueError("prop_weight_decay must be non-negative")
 
 
@@ -224,20 +216,29 @@ def fit(batch_loss: Callable[[np.ndarray], Tensor], optimizers: Sequence,
         n: int, run: TrainRun, rng: np.random.Generator) -> Iterator[float]:
     """The minibatch loop every network trains through.
 
-    Per step: draw a batch of row indices with :class:`MinibatchSampler`,
-    zero every optimizer's gradients, backpropagate `batch_loss(indices)`,
-    step every optimizer, and yield the step's loss.
+    The optimizers' parameters require a gradient only while the loop runs:
+    up to its end, a step that raises, or the consumer stopping early. Per
+    step: draw a batch of row indices with :class:`MinibatchSampler`, zero
+    the parameters' gradients, backpropagate `batch_loss(indices)`, step
+    every optimizer, and yield the step's loss.
     """
+    params = [p for opt in optimizers for p in opt.params]
     sampler = MinibatchSampler(n, run.batch_size, rng)
-    for _ in range(run.n_iter):
-        idx = sampler.next_indices()
-        for opt in optimizers:
-            opt.zero_grad()
-        loss = batch_loss(idx)
-        loss.backward()
-        for opt in optimizers:
-            opt.step()
-        yield float(loss.data)
+    for p in params:
+        p.requires_grad = True
+    try:
+        for _ in range(run.n_iter):
+            idx = sampler.next_indices()
+            for p in params:
+                p.zero_grad()
+            loss = batch_loss(idx)
+            loss.backward()
+            for opt in optimizers:
+                opt.step()
+            yield float(loss.data)
+    finally:
+        for p in params:
+            p.requires_grad = False
 
 
 def child_seeds(seed: int, names: Sequence[str]) -> dict[str, int]:

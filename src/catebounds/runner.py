@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import numbers
 import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -23,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import NonFiniteError, no_grad
+from .autodiff import NonFiniteError
 from .balancing import BalancingConfig, BalancingMetric
 from .bounds import cate_bounds, read_bounds_csv, write_bounds_csv
 from .data import (Dataset, HcMnistConfig, build_hcmnist, gen_synthetic,
@@ -149,6 +150,14 @@ class ExperimentConfig:
     flow: FlowParams = field(default_factory=FlowParams)
 
     def __post_init__(self) -> None:
+        # before any check: deltas and seeds as tuples (JSON gives lists),
+        # float settings as floats (0 and 0.0 are one config), int ones ints
+        for name, kind in (("deltas", float), ("seeds", int)):
+            object.__setattr__(self, name, tuple(
+                _number(f"{name}[{i}]", v, kind)
+                for i, v in enumerate(getattr(self, name))))
+        for name, value in _numbers(self).items():
+            object.__setattr__(self, name, value)
         EstimatorKind(self.method)  # raises on unknown method
         if self.tuning not in ("fixed", "grid"):
             raise ValueError("tuning must be 'fixed' or 'grid'")
@@ -171,11 +180,13 @@ class ExperimentConfig:
         if self.grid_resolution < 0 or self.grid_resolution == 1:
             raise ValueError("grid_resolution must be 0 (no grid) or at least "
                              f"2, got {self.grid_resolution}")
-        # build what each stage will build from its section, so that a bad
-        # setting fails here and not after the stages before it have trained
+        # each section's numbers as above, then what its stage builds, so that
+        # a bad setting fails here and not after earlier stages have trained
         for section in _STAGES:
-            params = getattr(self, section)
             try:
+                params = getattr(self, section)
+                params = replace(params, **_numbers(params))
+                object.__setattr__(self, section, params)
                 _train_run(params)
                 for name, value in dataclasses.asdict(params).items():
                     if name.endswith("multiplier") and not value > 0.0:
@@ -185,9 +196,6 @@ class ExperimentConfig:
             except ValueError as err:
                 raise ValueError(f"{section}: {err}") from None
         _balancing_config(self)
-        # normalize lists coming from JSON into hashable tuples
-        object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
     @property
     def r_multiplier(self) -> int:
@@ -195,33 +203,43 @@ class ExperimentConfig:
         return 2 if self.dataset.kind == "synthetic" else 1
 
 
+_NUMERIC = {"float": float, "float | None": float, "int": int, "int | None": int}
+
+
+def _number(name: str, value, kind: type):
+    """`value` as a `kind`, float or int. A bool, a non-number, and for an
+    int a non-integer, raise ValueError naming `name`."""
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if kind is int else numbers.Real):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return kind(value)
+
+
+def _numbers(obj) -> dict:
+    """Each set float- or int-typed field of dataclass `obj`, by `_number`."""
+    return {f.name: _number(f.name, getattr(obj, f.name), _NUMERIC[f.type])
+            for f in dataclasses.fields(obj)
+            if f.type in _NUMERIC and getattr(obj, f.name) is not None}
+
+
 def config_to_dict(config: ExperimentConfig) -> dict:
     return dataclasses.asdict(config)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    raw = dict(raw)
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    def checked(cls, values: dict, what: str) -> dict:
+        unknown = set(values) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown {what}config keys: {sorted(unknown)}")
+        return dict(values)
+
+    kwargs = checked(ExperimentConfig, raw, "")
     # the config's sections are its dataclass-valued fields
-    nested = {f.name: f.default_factory
-              for f in dataclasses.fields(ExperimentConfig)
-              if dataclasses.is_dataclass(f.default_factory)}
-    kwargs = {}
-    for key, value in raw.items():
-        if key in nested:
-            sub_known = {f.name for f in dataclasses.fields(nested[key])}
-            sub_unknown = set(value) - sub_known
-            if sub_unknown:
-                raise ValueError(
-                    f"unknown {key} config keys: {sorted(sub_unknown)}")
-            kwargs[key] = nested[key](**value)
-        elif isinstance(value, list):
-            kwargs[key] = tuple(value)
-        else:
-            kwargs[key] = value
+    for f in dataclasses.fields(ExperimentConfig):
+        if dataclasses.is_dataclass(f.default_factory) and f.name in raw:
+            kwargs[f.name] = f.default_factory(**checked(
+                f.default_factory, raw[f.name], f"{f.name} "))
     return ExperimentConfig(**kwargs)
 
 
@@ -430,8 +448,7 @@ def _factual_mse(model: Stage0Model, phi: np.ndarray, a: np.ndarray,
 
 
 def _isw_bce(model: Stage0Model, phi: np.ndarray, a: np.ndarray) -> float:
-    with no_grad():
-        z = model.nets["prop_phi"](phi).data[:, 0]
+    z = model.nets["prop_phi"](phi).data[:, 0]
     return float(np.mean(np.logaddexp(0.0, z) - a * z))
 
 

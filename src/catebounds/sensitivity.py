@@ -35,7 +35,6 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from .autodiff import no_grad
 from .data import write_table
 from .estimators import PROPENSITY_CLIP, bce_logits
 from .nets import (AdamW, Mlp, MlpConfig, Standardizer, TrainRun, as_columns,
@@ -73,8 +72,7 @@ class PropensityModel:
     loss_trace: list[float] = field(default_factory=list)
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
-        with no_grad():
-            logits = self.net(self.scaler.apply(inputs)).data[:, 0]
+        logits = self.net(self.scaler.apply(inputs)).data[:, 0]
         return np.clip(expit(logits), *PROPENSITY_CLIP)
 
     def to_checkpoint(self) -> dict:

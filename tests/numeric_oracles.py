@@ -43,9 +43,18 @@ def finite_difference_check(
     tolerance: float,
     h: float = 1e-5,
 ) -> GradCheckReport:
-    """Compare analytic gradients of the scalar `f()` with central differences."""
-    loss = f()
-    analytic = backward_gradients(loss, params)
+    """Compare analytic gradients of the scalar `f()` with central differences.
+
+    The checked parameters require a gradient while the check runs, as
+    `nets.fit` makes them require one while it trains."""
+    trainable = [p.requires_grad for p in params]
+    for p in params:
+        p.requires_grad = True
+    try:
+        analytic = backward_gradients(f(), params)
+    finally:
+        for p, flag in zip(params, trainable):
+            p.requires_grad = flag
     per_param: list[float] = []
     worst = 0.0
     for p, a in zip(params, analytic):

@@ -4,7 +4,8 @@
 op with a hand-written backward. The versions below build the same maps from
 elementary tape ops, so their gradients come from the tape's own chain rule;
 the property tests compare the fused ops against them in value and gradient.
-The primitives only these oracles use live here too.
+The primitives only these oracles use live here too, and the `np.where` form
+of `Tensor.elu`, which the one-buffer form must match bit for bit.
 """
 
 from __future__ import annotations
@@ -74,6 +75,17 @@ def log(t: Tensor) -> Tensor:
         t._accumulate(g / t.data)
 
     return Tensor._result(np.log(t.data), (t,), backward, "log")
+
+
+def elu(t: Tensor) -> Tensor:
+    """ELU with alpha = 1 in its `np.where` form: x where x > 0, else
+    expm1(min(x, 0)); `Tensor.elu` computes the same in one buffer."""
+    out_data = np.where(t.data > 0.0, t.data, np.expm1(np.minimum(t.data, 0.0)))
+
+    def backward(g):
+        t._accumulate(g * np.where(t.data > 0.0, 1.0, out_data + 1.0))
+
+    return Tensor._result(out_data, (t,), backward, "elu")
 
 
 def logsumexp_last(t: Tensor, keepdims: bool = False) -> Tensor:

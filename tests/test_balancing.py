@@ -198,16 +198,7 @@ class TestSinkhorn:
         for fused, oracle in zip(*results):
             assert_close(fused, oracle)
 
-    def test_records_one_tape_node(self, monkeypatch):
-        recorded = []
-        result = Tensor._result
-
-        def counted(*args, **kwargs):
-            out = result(*args, **kwargs)
-            recorded.append(out.requires_grad)
-            return out
-
-        monkeypatch.setattr(Tensor, "_result", staticmethod(counted))
+    def test_records_one_tape_node(self, recorded):
         rng = np.random.default_rng(14)
         a = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
         sinkhorn_wasserstein(a, rng.normal(size=(5, 2)), iters=10)

@@ -8,10 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catebounds import runner
-from catebounds.autodiff import NonFiniteError, Tensor, constant, no_grad, take_rows
-from catebounds.estimators import (EstimatorConfig, EstimatorKind, Stage0Model,
-                                   build_stage0)
+from catebounds import estimators, flow, runner, sensitivity
+from catebounds.autodiff import NonFiniteError, Tensor, constant, take_rows
+from catebounds.balancing import BalancingConfig, mmd, sinkhorn_wasserstein
+from catebounds.estimators import (BNN_BALANCING, NEEDS_BALANCING,
+                                   EstimatorConfig, EstimatorKind, Stage0Model,
+                                   build_stage0, train_stage0)
+from catebounds.flow import (ConditionalFlow, FlowConfig, FlowDivergenceError,
+                             train_cnf)
 from catebounds.nets import (
     AdamW,
     MinibatchSampler,
@@ -26,6 +30,7 @@ from catebounds.nets import (
     forward_mlp,
     load_checkpoint,
 )
+from catebounds.sensitivity import train_propensity
 from numeric_oracles import (
     GradCheckReport,
     backward_gradients,
@@ -35,6 +40,7 @@ from numeric_oracles import (
 from tape_oracles import (
     concat_last,
     cumsum_last,
+    elu,
     logsumexp_last,
     softmax_last,
     take_along_last,
@@ -142,6 +148,22 @@ class TestBackward:
         sm = softmax_last(Tensor(x))
         assert np.allclose(sm.data.sum(axis=-1), 1.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, -745.0,
+                         -800.0])), min_size=1, max_size=30),
+        st.floats(-1e3, 1e3))
+    def test_elu_matches_where_form_bit_for_bit(self, values, scale):
+        x = np.array(values)
+        g = scale * np.linspace(-1.0, 1.0, len(x))
+        fused, oracle = (Tensor(x, requires_grad=True) for _ in range(2))
+        got, want = fused.elu(), elu(oracle)
+        assert got.data.tobytes() == want.data.tobytes()
+        got._backward(g)
+        want._backward(g)
+        assert fused.grad.tobytes() == oracle.grad.tobytes()
+
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
@@ -154,6 +176,36 @@ class TestBackward:
         x = np.random.default_rng(seed + 1).normal(size=(4, d_in))
         report = grad_check(net, x, tolerance=1e-4)
         assert report.passed, report.max_rel_error
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda nan: TrainRun(learning_rate=nan), "learning_rate must be positive"),
+    (lambda nan: TrainRun(weight_decay=nan), "weight_decay must be non-negative"),
+    (lambda nan: TrainRun(prop_learning_rate=nan),
+     "prop_learning_rate must be positive"),
+    (lambda nan: TrainRun(prop_weight_decay=nan),
+     "prop_weight_decay must be non-negative"),
+    (lambda nan: AdamW([], lr=nan), "learning rate must be positive"),
+    (lambda nan: AdamW([], lr=0.1, weight_decay=nan),
+     "weight decay must be non-negative"),
+    (lambda nan: SgdMomentum([], lr=nan), "learning rate must be positive"),
+    (lambda nan: SgdMomentum([], lr=0.1, weight_decay=nan),
+     "weight decay must be non-negative"),
+    (lambda nan: FlowConfig(2, 4, noise_y=nan),
+     "noise intensities must be non-negative"),
+    (lambda nan: FlowConfig(2, 4, noise_context=nan),
+     "noise intensities must be non-negative"),
+    (lambda nan: BalancingConfig(alpha=nan), "alpha must be non-negative"),
+    (lambda nan: BalancingConfig(sinkhorn_epsilon=nan),
+     "sinkhorn_epsilon must be positive"),
+    (lambda nan: mmd(np.ones((2, 1)), np.zeros((2, 1)), kernel="rbf",
+                     rbf_bandwidth=nan), "rbf_bandwidth must be positive"),
+    (lambda nan: sinkhorn_wasserstein(np.ones((2, 1)), np.zeros((2, 1)),
+                                      epsilon=nan), "epsilon must be positive"),
+])
+def test_nan_setting_refused(build, message):
+    with pytest.raises(ValueError, match="^" + message):
+        build(float("nan"))
 
 
 class TestOptimizers:
@@ -195,7 +247,7 @@ class TestOptimizers:
         p = Tensor(np.array([5.0]), requires_grad=True)
         opt = AdamW([p], lr=0.05)
         for _ in range(2000):
-            opt.zero_grad()
+            p.zero_grad()
             loss = (p * p).sum()
             loss.backward()
             opt.step()
@@ -254,9 +306,12 @@ class TestDeterminism:
             x = rng.normal(size=(40, 3))
             y = rng.normal(size=(40, 1))
             sampler = MinibatchSampler(40, 8, np.random.default_rng(7))
+            for p in net.parameters():  # trainable, as `fit` makes them
+                p.requires_grad = True
             for _ in range(50):
                 idx = sampler.next_indices()
-                opt.zero_grad()
+                for p in net.parameters():
+                    p.zero_grad()
                 diff = net(x[idx]) - constant(y[idx])
                 (diff * diff).mean().backward()
                 opt.step()
@@ -264,11 +319,92 @@ class TestDeterminism:
 
         assert np.array_equal(run(), run())
 
-    def test_no_grad_blocks_graph(self):
-        p = Tensor(np.array([2.0]), requires_grad=True)
-        with no_grad():
-            out = p * 3.0
-        assert not out.requires_grad
+
+def stage0_config(kind: EstimatorKind) -> EstimatorConfig:
+    balancing = (BNN_BALANCING if kind is EstimatorKind.BNN
+                 else BalancingConfig(alpha=1.0) if kind in NEEDS_BALANCING
+                 else None)
+    return EstimatorConfig(kind=kind, d_x=3, d_phi=2, rep_hidden=5,
+                           head_hidden=4, balancing=balancing, seed=1)
+
+
+_X = np.random.default_rng(17).normal(size=(40, 3))
+_A = np.arange(40) % 2.0
+_Y = _X[:, 0] + _A
+_RUN = TrainRun(batch_size=16, n_iter=3)
+
+# every network trainer, run on a small batch
+TRAINERS = {
+    **{f"stage0 {kind.value}": (lambda kind=kind: train_stage0(
+        build_stage0(stage0_config(kind)), _X, _A, _Y, _RUN))
+       for kind in EstimatorKind},
+    "propensity": lambda: train_propensity(_X, _A, _RUN, hidden_units=3, seed=2),
+    "flow": lambda: train_cnf(ConditionalFlow(FlowConfig(2, 4, seed=3)),
+                              _Y, _A, _X[:, 0], _RUN),
+}
+
+
+@pytest.fixture
+def trained(monkeypatch) -> list[Tensor]:
+    """The parameters every trainer hands to `fit`, collected as it starts."""
+    params: list[Tensor] = []
+
+    def spy(batch_loss, optimizers, *args):
+        params.extend(p for opt in optimizers for p in opt.params)
+        return fit(batch_loss, optimizers, *args)
+
+    for module in (estimators, sensitivity, flow):
+        monkeypatch.setattr(module, "fit", spy)
+    return params
+
+
+class TestGradientRecording:
+    def test_network_outside_fit_records_no_nodes(self, recorded):
+        net = Mlp(MlpConfig(3, 4, 2, seed=5))
+        out = net(np.ones((2, 3)))
+        assert recorded and not any(recorded)
+        assert not out.requires_grad and not out._parents
+
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    def test_every_parameter_gets_a_gradient_inside_fit(self, kind):
+        model = build_stage0(stage0_config(kind))
+        params = [p for net in model.nets.values() for p in net.parameters()]
+        steps = fit(lambda idx: estimators.stage0_loss(
+            model, _X[idx], _A[idx], _Y[idx])[0], [AdamW(params, lr=0.01)],
+            len(_X), _RUN, np.random.default_rng(0))
+        next(steps)
+        assert all(p.requires_grad and p.grad is not None for p in params)
+        steps.close()
+        assert not any(p.requires_grad for p in params)
+
+    @pytest.mark.parametrize("trainer", TRAINERS)
+    def test_parameters_untrainable_after_return(self, trainer, trained,
+                                                 recorded):
+        TRAINERS[trainer]()
+        assert trained and not any(p.requires_grad for p in trained)
+        assert any(recorded)
+
+    @pytest.mark.parametrize("trainer", TRAINERS)
+    def test_parameters_untrainable_after_non_finite_step(self, trainer,
+                                                          trained, monkeypatch):
+        def failing(opt):
+            assert all(p.requires_grad for p in opt.params)
+            raise NonFiniteError("forced")
+
+        for cls in (AdamW, SgdMomentum):
+            monkeypatch.setattr(cls, "step", failing)
+        with pytest.raises(NonFiniteError, match="forced"):
+            TRAINERS[trainer]()
+        assert trained and not any(p.requires_grad for p in trained)
+
+    def test_parameters_untrainable_after_flow_divergence(self, trained,
+                                                          monkeypatch):
+        # every NLL counts as diverged, so training stops at its first step
+        monkeypatch.setattr(flow, "DIVERGENCE_FACTOR", -1.0)
+        monkeypatch.setattr(flow, "DIVERGENCE_PATIENCE", 1)
+        with pytest.raises(FlowDivergenceError):
+            TRAINERS["flow"]()
+        assert trained and not any(p.requires_grad for p in trained)
 
 
 class TestMinibatchSampler:
@@ -324,6 +460,8 @@ class TestFit:
 
         ref_params, ref_opts, ref_loss, ref_batches = setup()
         sampler = MinibatchSampler(n, batch, np.random.default_rng(seed + 2))
+        for p in ref_params:  # trainable, as `fit` makes them
+            p.requires_grad = True
         ref_losses = []
         for _ in range(n_iter):
             idx = sampler.next_indices()

@@ -1,6 +1,7 @@
 """Runner tests: config plumbing, dataset resolution, tuning, pipeline
 determinism, and results emission (kept at toy sizes)."""
 
+import dataclasses
 import json
 import re
 from dataclasses import replace
@@ -16,7 +17,7 @@ from catebounds.bounds import cate_bounds
 from catebounds.data import gen_synthetic, read_table, synthetic_tau
 from catebounds.estimators import (NEEDS_BALANCING, EstimatorConfig,
                                    EstimatorKind, Stage0Model, build_stage0,
-                                   representation)
+                                   predict_heads, representation)
 from catebounds.evaluation import (PolicyReport, bounds_policy, make_grid,
                                    write_decision_grid_csv)
 from catebounds.flow import ConditionalFlow
@@ -158,6 +159,52 @@ class TestConfig:
         # each must fail when the config is built, before any stage trains
         with pytest.raises(ValueError, match="^" + re.escape(message)):
             tiny_config(tmp_path, **overrides)
+
+    @pytest.mark.parametrize("section, name, message", [
+        *[("stage0", name, f"stage0: {name} must be {sign}")
+          for name, sign in (("learning_rate", "positive"),
+                             ("weight_decay", "non-negative"),
+                             ("prop_learning_rate", "positive"),
+                             ("prop_weight_decay", "non-negative"))],
+        *[(section, name, f"{section}: {name} must be {sign}")
+          for section in ("prop_x", "prop_phi")
+          for name, sign in (("learning_rate", "positive"),
+                             ("weight_decay", "non-negative"))],
+        ("flow", "learning_rate", "flow: learning_rate must be positive"),
+        ("flow", "noise_y", "flow: noise intensities must be non-negative, "
+                            "got noise_y=nan"),
+        ("flow", "noise_context", "flow: noise intensities must be "
+                                  "non-negative, got noise_y=0.1, "
+                                  "noise_context=nan"),
+        (None, "balancing_alpha", "alpha must be non-negative"),
+        (None, "sinkhorn_epsilon", "sinkhorn_epsilon must be positive"),
+    ])
+    def test_nan_setting_refused_at_load(self, tmp_path, section, name,
+                                         message):
+        # cfr with Wasserstein balancing reads every one of them
+        base = tiny_config(tmp_path, method="cfr",
+                           balancing_metric="wasserstein")
+        overrides = ({name: float("nan")} if section is None else
+                     {section: replace(getattr(base, section),
+                                       **{name: float("nan")})})
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            replace(base, **overrides)
+
+    @pytest.mark.parametrize("section, name, value, message", [
+        ("stage0", "batch_size", 64.0, "stage0: batch_size must be an integer"),
+        ("prop_x", "n_iter", 10.5, "prop_x: n_iter must be an integer"),
+        ("flow", "knots", True, "flow: knots must be an integer"),
+        (None, "k", 100.0, "k must be an integer"),
+        (None, "jobs", False, "jobs must be an integer"),
+        (None, "seeds", (0, 1.0), "seeds[1] must be an integer"),
+    ])
+    def test_int_setting_must_be_an_integer(self, tmp_path, section, name,
+                                            value, message):
+        base = tiny_config(tmp_path)
+        overrides = ({name: value} if section is None else
+                     {section: replace(getattr(base, section), **{name: value})})
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            replace(base, **overrides)
 
     @pytest.mark.parametrize("knob, message", [
         (dict(balancing_metric="energy"), "'energy' is not a valid BalancingMetric"),
@@ -440,6 +487,35 @@ class TestPipeline:
         for name in ("stage0", "prop_x", "prop_phi", "flow"):
             assert (Path(cfg.out_dir) / "seed_0" / f"{name}.json").exists()
 
+    @pytest.mark.parametrize("method, balancing", [
+        ("tarnet", {}), ("cfr_isw", {"balancing_metric": "mmd"}),
+        ("bwcfr", {"balancing_metric": "mmd"})])
+    def test_trained_models_infer_without_recording(self, tmp_path, monkeypatch,
+                                                    recorded, method, balancing):
+        # the models the pipeline trained, as each trainer returns them
+        trained = {}
+        for name in ("train_stage0", "train_propensity", "train_cnf"):
+            def keep(*args, _name=name, _train=getattr(runner, name), **kwargs):
+                model = _train(*args, **kwargs)
+                trained.setdefault(_name, []).append(model)
+                return model
+            monkeypatch.setattr(runner, name, keep)
+        cfg = tiny_config(tmp_path, method=method, **balancing)
+        train, test = load_dataset(cfg.dataset)
+        run_pipeline(cfg, train, test, 0)
+        [model], props, [flow] = (trained[name] for name in
+                                  ("train_stage0", "train_propensity", "train_cnf"))
+
+        recorded.clear()  # the pipeline's own nodes
+        phi = representation(model, test.x)
+        predict_heads(model, phi)
+        props[0].predict(test.x)
+        props[1].predict(phi)
+        flow.sample(test.a, phi, 20)
+        flow.log_density(test.y, test.a, phi)
+        flow.nll(test.y, test.a, phi)
+        assert recorded and not any(recorded)
+
     def test_pipeline_deterministic(self, tmp_path):
         cfg_a = tiny_config(tmp_path / "a")
         cfg_b = tiny_config(tmp_path / "b")
@@ -622,3 +698,31 @@ class TestEmitResults:
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_results(tiny_config(tmp_path / "e"), [])
+
+    # every float setting: (section or None, field)
+    FLOAT_FIELDS = [
+        (section, f.name)
+        for section, cls in [(None, ExperimentConfig),
+                             *((s, type(getattr(ExperimentConfig(), s)))
+                               for s in runner._STAGES)]
+        for f in dataclasses.fields(cls) if runner._NUMERIC.get(f.type) is float]
+
+    @pytest.mark.parametrize("section, name", FLOAT_FIELDS + [(None, "deltas")])
+    def test_float_setting_given_as_int_is_one_config(self, tmp_path, section,
+                                                      name):
+        # cfr with Wasserstein balancing, so that every balancing knob may move
+        base = tiny_config(tmp_path, method="cfr", balancing_metric="wasserstein")
+
+        def written(value):
+            overrides = ({name: value} if section is None else
+                         {section: replace(getattr(base, section), **{name: value})})
+            cfg = replace(base, **overrides)
+            emit_results(cfg, [self.make_record(0, 0.1, 0.1, 0.2, 1.0, 1.0)])
+            results = json.loads((Path(cfg.out_dir) / "results.json").read_text())
+            return config_hash(cfg), results["config"]
+
+        as_int, as_float = ((1,), (1.0,)) if name == "deltas" else (1, 1.0)
+        assert written(as_int) == written(as_float)
+        _, config = written(as_int)
+        stored = config[name] if section is None else config[section][name]
+        assert json.dumps(stored) == json.dumps(as_float)

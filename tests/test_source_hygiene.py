@@ -1,6 +1,6 @@
 """Source hygiene of the package: every exported name exists and every
 module-level import is used, so a deletion leaves no stale export or
-import behind."""
+import behind; and no module rebinds its globals from a function."""
 
 import ast
 import importlib
@@ -37,3 +37,12 @@ def test_module_imports_used(name):
     unused = sorted((line, bound) for bound, line in imported.items()
                     if bound not in used)
     assert not unused, f"catebounds.{name}: unused imports (line, name) {unused}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_global_statement(name):
+    # no function rebinds module state, so the package keeps no mutable
+    # module-level switch such as a global gradient mode
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Global)]
+    assert not lines, f"catebounds.{name}: global statement on lines {lines}"
