@@ -10,7 +10,10 @@ An op records its result iff a parent requires a gradient; network
 parameters require one only while `nets.fit` trains them.
 
 Non-finite values are never allowed to propagate silently: every op output is
-checked and raises :class:`NonFiniteError` on the first NaN/inf.
+checked and raises :class:`NonFiniteError` on the first NaN/inf. A fused op
+also checks each intermediate that a later step of it could turn finite:
+`nets.forward_mlp`, one op for a whole MLP, checks its pre-activation before
+the ELU, which maps -inf to -1.
 """
 
 from __future__ import annotations
@@ -240,18 +243,6 @@ class Tensor:
             self._accumulate(g * (self.data > 0.0))
 
         return Tensor._result(out_data, (self,), backward, "relu")
-
-    def elu(self):
-        """ELU with alpha = 1."""
-        # max(x, expm1(min(x, 0))) in one buffer, as expm1(x) >= x
-        out_data = np.minimum(self.data, 0.0)
-        np.expm1(out_data, out=out_data)
-        np.maximum(self.data, out_data, out=out_data)
-
-        def backward(g):
-            self._accumulate(g * np.where(self.data > 0.0, 1.0, out_data + 1.0))
-
-        return Tensor._result(out_data, (self,), backward, "elu")
 
     def softplus(self):
         out_data = np.logaddexp(0.0, self.data)

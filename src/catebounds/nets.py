@@ -16,7 +16,8 @@ from typing import Callable, Collection, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .autodiff import NonFiniteError, Tensor, as_tensor
+from .autodiff import (NonFiniteError, Tensor, _check_finite, _unbroadcast,
+                       as_tensor)
 
 __all__ = [
     "MlpConfig",
@@ -82,9 +83,17 @@ class Mlp:
 
 
 def forward_mlp(cfg: MlpConfig, params: Sequence[Tensor], x) -> Tensor:
-    """Forward pass `elu(x @ W1 + b1) @ W2 + b2`.
+    """`elu(x @ W1 + b1) @ W2 + b2` as one tape op.
 
-    `x` may be an ndarray or Tensor of shape (n, input_dim).
+    `x` may be an ndarray or Tensor of shape (n, input_dim). The values and
+    gradients are those of the composed ops, bit for bit: the backward makes
+    their numpy calls in their order. The ELU runs in the pre-activation's
+    buffer, and the backward reads its mask and derivative from the
+    activation h alone (h > 0 iff the pre-activation is, and below 0 the
+    derivative is h + 1). So training and inference run one path, and a
+    forward holds h and one (n, hidden) mask beside its output. The
+    pre-activation is checked for finiteness before the ELU, which would
+    map -inf to -1; the output is checked as every op's.
     """
     x = as_tensor(x)
     if x.ndim != 2 or x.shape[1] != cfg.input_dim:
@@ -92,7 +101,31 @@ def forward_mlp(cfg: MlpConfig, params: Sequence[Tensor], x) -> Tensor:
             f"expected input of shape (n, {cfg.input_dim}), got {x.shape}"
         )
     w1, b1, w2, b2 = params
-    return (x @ w1 + b1).elu() @ w2 + b2
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    h = xd @ w1d
+    # a -0.0 bias added as +0.0 leaves no pre-activation at -0.0, even where
+    # a matmul returns -0.0 (one that sums from +0.0 never does): the ELU
+    # below would keep it, and max(pre, expm1(min(pre, 0))) gives +0.0
+    h += b1.data + 0.0
+    _check_finite(h, "mlp")
+    np.expm1(h, out=h, where=h < 0.0)
+    out = h @ w2d
+    out += b2.data
+
+    def backward(g):
+        if b2.requires_grad:
+            b2._accumulate(_unbroadcast(g, b2.data.shape))
+        if w2.requires_grad:
+            w2._accumulate(h.T @ g)
+        g_pre = (g @ w2d.T) * np.where(h > 0.0, 1.0, h + 1.0)
+        if b1.requires_grad:
+            b1._accumulate(_unbroadcast(g_pre, b1.data.shape))
+        if x.requires_grad:
+            x._accumulate(g_pre @ w1d.T)
+        if w1.requires_grad:
+            w1._accumulate(xd.T @ g_pre)
+
+    return Tensor._result(out, (x, w1, b1, w2, b2), backward, "mlp")
 
 
 # AdamW's moment decay rates and denominator guard
@@ -102,64 +135,108 @@ ADAM_EPS = 1e-8
 SGD_MOMENTUM = 0.9
 
 
-class AdamW:
+def _flatten(params: Sequence[Tensor]) -> np.ndarray:
+    """One contiguous buffer holding the values of `params`; each parameter's
+    `data` becomes a view of its slice, so an update in place moves it."""
+    flat = np.concatenate([p.data for p in params], axis=None)
+    offset = 0
+    for p in params:
+        size = p.data.size
+        p.data = flat[offset:offset + size].reshape(p.data.shape)
+        offset += size
+    return flat
+
+
+class _FlatOptimizer:
+    """The parameters of an optimizer as one buffer, and their gradients
+    gathered into another beside it; subclasses update in place."""
+
+    def __init__(self, params: Sequence[Tensor], lr: float,
+                 weight_decay: float):
+        if not lr > 0.0:  # NaN fails every range test
+            raise ValueError("learning rate must be positive")
+        if not weight_decay >= 0.0:
+            raise ValueError("weight decay must be non-negative")
+        self.params = list(params)
+        self.lr = lr
+        self.weight_decay = weight_decay
+        self.flat = _flatten(self.params)
+        self.grad = np.empty_like(self.flat)
+        self._scratch = np.empty_like(self.flat)
+
+    def _gather(self) -> np.ndarray:
+        """Every parameter's gradient, in the buffer's layout, after checking
+        that each has one and that all are finite."""
+        grads = [p.grad for p in self.params]
+        for i, g in enumerate(grads):
+            if g is None:
+                raise ValueError(f"optimizer step: parameter {i} (shape "
+                                 f"{self.params[i].shape}) has no gradient")
+        np.concatenate(grads, axis=None, out=self.grad)
+        if not np.isfinite(self.grad).all():
+            raise NonFiniteError("non-finite gradient in optimizer step")
+        return self.grad
+
+
+class AdamW(_FlatOptimizer):
     """Adam with decoupled weight decay, at ADAM_BETAS and ADAM_EPS."""
 
     def __init__(self, params: Sequence[Tensor], lr: float,
                  weight_decay: float = 0.0):
-        if not lr > 0.0:  # NaN fails every range test
-            raise ValueError("learning rate must be positive")
-        if not weight_decay >= 0.0:
-            raise ValueError("weight decay must be non-negative")
-        self.params = list(params)
-        self.lr = lr
-        self.weight_decay = weight_decay
+        super().__init__(params, lr, weight_decay)
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self._update = np.empty_like(self.flat)
 
     def step(self) -> None:
+        """p - lr * (m_hat / (sqrt(v_hat) + eps) + wd * p), with m and v the
+        moment estimates and m_hat, v_hat their bias corrections, each term
+        rounded as written. The decay term is skipped at wd = 0, where it
+        cannot change the sum: m starts at +0.0 and so is never -0.0, and
+        neither is the term it is added to."""
         b1, b2 = ADAM_BETAS
         self.t += 1
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                continue
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteError("non-finite gradient in optimizer step")
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
-            m_hat = self.m[i] / (1.0 - b1**self.t)
-            v_hat = self.v[i] / (1.0 - b2**self.t)
-            p.data = p.data - self.lr * (
-                m_hat / (np.sqrt(v_hat) + ADAM_EPS) + self.weight_decay * p.data
-            )
+        g = self._gather()
+        m, v, p, s, u = self.m, self.v, self.flat, self._scratch, self._update
+        np.multiply(b1, m, out=m)
+        np.multiply(1.0 - b1, g, out=s)
+        m += s
+        np.multiply(b2, v, out=v)
+        np.multiply(1.0 - b2, g, out=s)
+        s *= g
+        v += s
+        np.divide(m, 1.0 - b1**self.t, out=u)
+        np.divide(v, 1.0 - b2**self.t, out=s)
+        np.sqrt(s, out=s)
+        s += ADAM_EPS
+        u /= s
+        if self.weight_decay:
+            np.multiply(self.weight_decay, p, out=s)
+            u += s
+        u *= self.lr
+        p -= u
 
 
-class SgdMomentum:
+class SgdMomentum(_FlatOptimizer):
     """SGD with heavy-ball momentum SGD_MOMENTUM and optional L2 weight decay."""
 
     def __init__(self, params: Sequence[Tensor], lr: float, weight_decay: float = 0.0):
-        if not lr > 0.0:  # NaN fails every range test
-            raise ValueError("learning rate must be positive")
-        if not weight_decay >= 0.0:
-            raise ValueError("weight decay must be non-negative")
-        self.params = list(params)
-        self.lr = lr
-        self.weight_decay = weight_decay
-        self.velocity = [np.zeros_like(p.data) for p in self.params]
+        super().__init__(params, lr, weight_decay)
+        self.velocity = np.zeros_like(self.flat)
 
     def step(self) -> None:
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                continue
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteError("non-finite gradient in optimizer step")
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            self.velocity[i] = SGD_MOMENTUM * self.velocity[i] + g
-            p.data = p.data - self.lr * self.velocity[i]
+        """v = momentum * v + (g + wd * p), the decay term only at wd > 0;
+        then p - lr * v."""
+        g = self._gather()
+        p, s, v = self.flat, self._scratch, self.velocity
+        if self.weight_decay:
+            np.multiply(self.weight_decay, p, out=s)
+            g += s
+        np.multiply(SGD_MOMENTUM, v, out=v)
+        v += g
+        np.multiply(self.lr, v, out=s)
+        p -= s
 
 
 @dataclass
@@ -378,7 +455,7 @@ def load_checkpoint(payload: dict, nets: dict[str, Mlp],
         params = net.parameters()
         new = loaded(f"net {name!r}", payload["nets"][name], [p.data for p in params])
         for p, a in zip(params, new):
-            p.data = a
+            p.data[...] = a
     for name, dst in arrays.items():
         dst[...] = loaded(f"array {name!r}", [payload["arrays"][name]], [dst])[0]
     return list(payload["loss_trace"])

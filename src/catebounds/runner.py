@@ -158,6 +158,11 @@ class ExperimentConfig:
                 for i, v in enumerate(getattr(self, name))))
         for name, value in _numbers(self).items():
             object.__setattr__(self, name, value)
+        try:
+            object.__setattr__(self, "dataset", replace(
+                self.dataset, **_numbers(self.dataset)))
+        except ValueError as err:
+            raise ValueError(f"dataset: {err}") from None
         EstimatorKind(self.method)  # raises on unknown method
         if self.tuning not in ("fixed", "grid"):
             raise ValueError("tuning must be 'fixed' or 'grid'")

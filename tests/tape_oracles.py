@@ -1,11 +1,12 @@
 """Composed tape versions of the fused ops, kept as test oracles.
 
-`sinkhorn_wasserstein`, `spline_params` and `rq_spline` each run as one tape
-op with a hand-written backward. The versions below build the same maps from
-elementary tape ops, so their gradients come from the tape's own chain rule;
-the property tests compare the fused ops against them in value and gradient.
-The primitives only these oracles use live here too, and the `np.where` form
-of `Tensor.elu`, which the one-buffer form must match bit for bit.
+`forward_mlp`, `sinkhorn_wasserstein`, `spline_params` and `rq_spline` each
+run as one tape op with a hand-written backward. The versions below build the
+same maps from elementary tape ops, so their gradients come from the tape's
+own chain rule; the property tests compare the fused ops against them in
+value and gradient. The primitives only these oracles use live here too. So
+do the per-tensor loops of `AdamW` and `SgdMomentum`, which the flat-buffer
+optimizers must match bit for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from catebounds.autodiff import Tensor, as_tensor, constant, slice_last
 from catebounds.balancing import _group_weights, _pairwise_sq_dists, _transpose
 from catebounds.flow import (MIN_BIN, MIN_DERIVATIVE, TAIL_BOUND, FlowConfig,
                              _bin_index)
+from catebounds.nets import ADAM_BETAS, ADAM_EPS, SGD_MOMENTUM, MlpConfig
 
 
 def assert_close(fused: np.ndarray, oracle: np.ndarray, rtol: float = 1e-9):
@@ -79,7 +81,7 @@ def log(t: Tensor) -> Tensor:
 
 def elu(t: Tensor) -> Tensor:
     """ELU with alpha = 1 in its `np.where` form: x where x > 0, else
-    expm1(min(x, 0)); `Tensor.elu` computes the same in one buffer."""
+    expm1(min(x, 0)), so -0.0 maps to +0.0."""
     out_data = np.where(t.data > 0.0, t.data, np.expm1(np.minimum(t.data, 0.0)))
 
     def backward(g):
@@ -106,6 +108,66 @@ def softmax_last(t: Tensor) -> Tensor:
     shift = np.max(t.data, axis=-1, keepdims=True)
     e = (t - constant(shift)).exp()
     return e / e.sum(axis=-1, keepdims=True)
+
+
+# -- the MLP and its optimizers ------------------------------------------------
+
+
+def forward_mlp(cfg: MlpConfig, params: Sequence[Tensor], x) -> Tensor:
+    """`elu(x @ W1 + b1) @ W2 + b2` from five tape ops."""
+    x = as_tensor(x)
+    if x.ndim != 2 or x.shape[1] != cfg.input_dim:
+        raise ValueError(
+            f"expected input of shape (n, {cfg.input_dim}), got {x.shape}")
+    w1, b1, w2, b2 = params
+    return elu(x @ w1 + b1) @ w2 + b2
+
+
+class AdamW:
+    """Adam with decoupled weight decay, one parameter tensor at a time;
+    each step rebinds every parameter's `data` to a new array."""
+
+    def __init__(self, params: Sequence[Tensor], lr: float,
+                 weight_decay: float = 0.0):
+        self.params = list(params)
+        self.lr = lr
+        self.weight_decay = weight_decay
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self) -> None:
+        b1, b2 = ADAM_BETAS
+        self.t += 1
+        for i, p in enumerate(self.params):
+            g = p.grad
+            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
+            m_hat = self.m[i] / (1.0 - b1**self.t)
+            v_hat = self.v[i] / (1.0 - b2**self.t)
+            p.data = p.data - self.lr * (
+                m_hat / (np.sqrt(v_hat) + ADAM_EPS) + self.weight_decay * p.data
+            )
+
+
+class SgdMomentum:
+    """SGD with heavy-ball momentum and optional L2 weight decay, one
+    parameter tensor at a time."""
+
+    def __init__(self, params: Sequence[Tensor], lr: float,
+                 weight_decay: float = 0.0):
+        self.params = list(params)
+        self.lr = lr
+        self.weight_decay = weight_decay
+        self.velocity = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self) -> None:
+        for i, p in enumerate(self.params):
+            g = p.grad
+            if self.weight_decay:
+                g = g + self.weight_decay * p.data
+            self.velocity[i] = SGD_MOMENTUM * self.velocity[i] + g
+            p.data = p.data - self.lr * self.velocity[i]
 
 
 # -- Sinkhorn ------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Command-line behaviour, kept at toy sizes."""
 
 import json
-from pathlib import Path
 
 import pytest
 

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from catebounds import estimators, flow, runner, sensitivity
 from catebounds.autodiff import NonFiniteError, Tensor, constant, take_rows
@@ -32,15 +33,14 @@ from catebounds.nets import (
 )
 from catebounds.sensitivity import train_propensity
 from numeric_oracles import (
-    GradCheckReport,
     backward_gradients,
     finite_difference_check,
     grad_check,
 )
+import tape_oracles
 from tape_oracles import (
     concat_last,
     cumsum_last,
-    elu,
     logsumexp_last,
     softmax_last,
     take_along_last,
@@ -148,22 +148,6 @@ class TestBackward:
         sm = softmax_last(Tensor(x))
         assert np.allclose(sm.data.sum(axis=-1), 1.0)
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.one_of(
-        st.floats(allow_nan=False, allow_infinity=False),
-        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, -745.0,
-                         -800.0])), min_size=1, max_size=30),
-        st.floats(-1e3, 1e3))
-    def test_elu_matches_where_form_bit_for_bit(self, values, scale):
-        x = np.array(values)
-        g = scale * np.linspace(-1.0, 1.0, len(x))
-        fused, oracle = (Tensor(x, requires_grad=True) for _ in range(2))
-        got, want = fused.elu(), elu(oracle)
-        assert got.data.tobytes() == want.data.tobytes()
-        got._backward(g)
-        want._backward(g)
-        assert fused.grad.tobytes() == oracle.grad.tobytes()
-
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
@@ -176,6 +160,78 @@ class TestBackward:
         x = np.random.default_rng(seed + 1).normal(size=(4, d_in))
         report = grad_check(net, x, tolerance=1e-4)
         assert report.passed, report.max_rel_error
+
+
+# values the fused MLP must carry like the composed ops: signed zeros,
+# subnormals, pre-activations whose expm1 is -1, and magnitudes whose
+# products overflow
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, -745.0,
+                -800.0, 1e150, -1e150, 1e300, -1e300]
+_MLP_VALUES = st.one_of(st.floats(-10.0, 10.0), st.sampled_from(_EDGE_VALUES))
+
+
+def seed_adjoints(outs: list[Tensor], adjoints: list[np.ndarray]) -> Tensor:
+    """A scalar node whose backward hands each of `outs` its adjoint, so a
+    gradient reaches them without a loss that could overflow."""
+    def backward(g):
+        for out, adjoint in zip(outs, adjoints):
+            out._accumulate(adjoint)
+
+    return Tensor._result(np.zeros(()), tuple(outs), backward, "seed")
+
+
+class TestFusedMlp:
+    # the large values overflow in both forms, which numpy warns about
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 5), d_in=st.integers(1, 3),
+           hidden=st.integers(1, 4), d_out=st.integers(1, 2),
+           x_on_tape=st.booleans())
+    def test_matches_composed_ops_bit_for_bit(self, data, n, d_in, hidden,
+                                              d_out, x_on_tape):
+        # two heads read one input, as the outcome heads read phi
+        cfg = MlpConfig(d_in, hidden, d_out)
+        shapes = [(d_in, hidden), (hidden,), (hidden, d_out), (d_out,)]
+        draw = lambda shape: data.draw(arrays(np.float64, shape,
+                                              elements=_MLP_VALUES))
+        x = draw((n, d_in))
+        heads = [[draw(shape) for shape in shapes] for _ in range(2)]
+        adjoints = [draw((n, d_out)) for _ in range(2)]
+
+        def run(forward):
+            inputs = Tensor(x, requires_grad=True) if x_on_tape else x
+            params = [[Tensor(a, requires_grad=True) for a in head]
+                      for head in heads]
+            try:
+                outs = [forward(cfg, head, inputs) for head in params]
+            except NonFiniteError:
+                return None
+            seed_adjoints(outs, adjoints).backward()
+            tensors = [p for head in params for p in head]
+            if x_on_tape:
+                tensors.append(inputs)
+            return [o.data for o in outs] + [t.grad for t in tensors]
+
+        fused, composed = run(forward_mlp), run(tape_oracles.forward_mlp)
+        assert (fused is None) == (composed is None)
+        if fused is not None:
+            for got, want in zip(fused, composed):
+                assert got.tobytes() == want.tobytes()
+
+    def test_records_one_tape_node(self, recorded):
+        net = Mlp(MlpConfig(3, 4, 2, seed=5))
+        for p in net.parameters():
+            p.requires_grad = True
+        out = net(np.ones((2, 3)))
+        assert recorded == [True] and len(out._parents) == 5
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_pre_activation_overflow_to_minus_inf_raises(self):
+        # the ELU would map the -inf to -1 and hide it
+        net = Mlp(MlpConfig(1, 1, 1))
+        net.w1.data[:] = -1e200
+        with pytest.raises(NonFiniteError, match="'mlp'"):
+            net(np.array([[1e200]]))
 
 
 @pytest.mark.parametrize("build, message", [
@@ -266,6 +322,72 @@ class TestOptimizers:
         p.grad = np.array([np.nan])
         with pytest.raises(NonFiniteError):
             opt.step()
+
+
+@st.composite
+def optimizer_runs(draw):
+    """Parameter arrays with signed zeros, and a few steps of gradients."""
+    values = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0]))
+    shapes = draw(st.lists(st.one_of(st.tuples(st.integers(1, 4)),
+                                     st.tuples(st.integers(1, 3),
+                                               st.integers(1, 3))),
+                           min_size=1, max_size=3))
+    params = [draw(arrays(np.float64, s, elements=values)) for s in shapes]
+    steps = draw(st.integers(1, 4))
+    grads = [[draw(arrays(np.float64, s, elements=values)) for s in shapes]
+             for _ in range(steps)]
+    return params, grads
+
+
+class TestFlatOptimizers:
+    @settings(max_examples=100, deadline=None)
+    @given(run=optimizer_runs(), lr=st.sampled_from([1e-3, 0.1]),
+           weight_decay=st.sampled_from([0.0, 0.01, 0.5]),
+           kind=st.sampled_from(["AdamW", "SgdMomentum"]))
+    def test_matches_per_tensor_loop_bit_for_bit(self, run, lr, weight_decay,
+                                                 kind):
+        values, grads = run
+        flat_params = [Tensor(a.copy()) for a in values]
+        loop_params = [Tensor(a.copy()) for a in values]
+        flat = {"AdamW": AdamW, "SgdMomentum": SgdMomentum}[kind](
+            flat_params, lr=lr, weight_decay=weight_decay)
+        loop = getattr(tape_oracles, kind)(loop_params, lr=lr,
+                                           weight_decay=weight_decay)
+        for step in grads:
+            for params in (flat_params, loop_params):
+                for p, g in zip(params, step):
+                    p.grad = g.copy()
+            flat.step()
+            loop.step()
+            for got, want in zip(flat_params, loop_params):
+                assert got.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("cls", [AdamW, SgdMomentum])
+    def test_parameters_are_views_of_one_buffer(self, cls):
+        net = Mlp(MlpConfig(3, 4, 2, seed=1))
+        before = [p.data.copy() for p in net.parameters()]
+        opt = cls(net.parameters(), lr=0.1)
+        for p, b in zip(net.parameters(), before):
+            assert np.shares_memory(p.data, opt.flat)
+            assert np.array_equal(p.data, b) and p.data.shape == b.shape
+
+    @pytest.mark.parametrize("cls", [AdamW, SgdMomentum])
+    def test_missing_gradient_named(self, cls):
+        params = [Tensor(np.ones(2)), Tensor(np.ones((2, 3)))]
+        opt = cls(params, lr=0.1)
+        params[0].grad = np.ones(2)
+        with pytest.raises(ValueError, match=r"^optimizer step: parameter 1 "
+                                             r"\(shape \(2, 3\)\) has no gradient"):
+            opt.step()
+
+    def test_non_finite_gradient_moves_no_parameter(self):
+        params = [Tensor(np.ones(2)), Tensor(np.ones(3))]
+        opt = SgdMomentum(params, lr=0.1)
+        params[0].grad = np.ones(2)
+        params[1].grad = np.array([1.0, np.inf, 1.0])
+        with pytest.raises(NonFiniteError):
+            opt.step()
+        assert all(np.array_equal(p.data, np.ones(p.shape)) for p in params)
 
 
 class TestTrainRun:

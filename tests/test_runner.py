@@ -197,6 +197,7 @@ class TestConfig:
         (None, "k", 100.0, "k must be an integer"),
         (None, "jobs", False, "jobs must be an integer"),
         (None, "seeds", (0, 1.0), "seeds[1] must be an integer"),
+        ("dataset", "n_train", 100.0, "dataset: n_train must be an integer"),
     ])
     def test_int_setting_must_be_an_integer(self, tmp_path, section, name,
                                             value, message):
