@@ -10,7 +10,8 @@ The spline parameterization follows the usual recipe (Durkan et al. 2019):
 softmax-normalized bin widths/heights with a minimum bin size MIN_BIN,
 softplus-transformed interior knot derivatives with a minimum MIN_DERIVATIVE,
 and boundary derivatives pinned to 1 so the transform continues as the
-identity outside [-B, B], B = TAIL_BOUND.
+identity outside [-B, B], B = TAIL_BOUND. The spline runs on plain arrays;
+training records the context network and one NLL op, `spline_nll`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from scipy.special import expit, ndtri
 
-from .autodiff import NonFiniteError, Tensor, as_tensor, slice_last
+from .autodiff import NonFiniteError, Tensor
 from .nets import (Mlp, MlpConfig, SgdMomentum, Standardizer, TrainRun,
                    as_columns, checkpoint, fit, fit_standardizer,
                    load_checkpoint, read_checkpoint)
@@ -33,6 +34,7 @@ __all__ = [
     "spline_params",
     "rq_spline",
     "rq_inverse",
+    "spline_nll",
     "train_cnf",
     "TAIL_BOUND",
     "MIN_BIN",
@@ -76,18 +78,19 @@ class FlowConfig:
                              f"noise_context={self.noise_context}")
 
 
-# -- the spline, on the tape ---------------------------------------------------
+# -- the spline ----------------------------------------------------------------
 #
-# Training records the forward map (the context net's parameters require a
-# gradient inside `nets.fit`); densities read `.data` of an unrecorded call.
-# Each step is one tape node with a hand-written backward: the knot grids
-# and derivatives of `spline_params`, and the gathers, bin sizes (knot
-# differences), rational-quadratic map and log-det of `rq_spline`, whose
-# derivatives follow Durkan et al. (2019). The inverse, `rq_inverse`, is used
-# only for sampling; it runs on plain arrays and skips the log-det.
+# The spline runs on plain arrays. `spline_params` turns the context net's raw
+# output into knot grids and derivatives, `rq_spline` applies the forward map
+# with its log-det, and `rq_inverse`, used only for sampling, the inverse
+# without it. Training records one tape op, `spline_nll`, from the raw output
+# to the mean NLL. Its hand-written backward chains the pullbacks that the
+# private maps return beside their values: the rational-quadratic map's
+# (derivatives after Durkan et al. 2019), whose bin sizes are knot
+# differences, then the knots' softmax-cumsum and the derivatives' softplus.
 
 
-def spline_params(raw: Tensor, cfg: FlowConfig):
+def spline_params(raw: np.ndarray, cfg: FlowConfig):
     """Raw context-net output (n, 3K-1) -> knot grids and derivatives.
 
     Returns (cumw, cumh, d): knot positions (n, K+1) from -B to B on the
@@ -95,13 +98,19 @@ def spline_params(raw: Tensor, cfg: FlowConfig):
     boundary derivatives pinned to 1. Bin widths and heights are the
     differences of consecutive knots, taken where they are used.
     """
-    return _knots(raw, 0, cfg), _knots(raw, cfg.knots, cfg), _derivatives(raw, cfg)
+    return tuple(p for p, _ in _params_and_pullbacks(raw, cfg))
 
 
-def _knots(raw: Tensor, lo: int, cfg: FlowConfig) -> Tensor:
-    """Knot grid (n, K+1) from the softmax of columns lo:lo+K of `raw`."""
-    k, b = cfg.knots, TAIL_BOUND
-    u = raw.data[:, lo:lo + k]
+def _params_and_pullbacks(raw: np.ndarray, cfg: FlowConfig):
+    """(cumw, cumh, d), each paired with the pullback of its adjoint to the
+    columns of `raw` it reads, which lie side by side in that order."""
+    k = cfg.knots
+    return _knots(raw[:, :k]), _knots(raw[:, k:2 * k]), _derivatives(raw[:, 2 * k:])
+
+
+def _knots(u: np.ndarray):
+    """Knot grid (n, K+1) from the softmax of the K columns of `u`."""
+    k, b = u.shape[-1], TAIL_BOUND
     e = np.exp(u - np.max(u, axis=-1, keepdims=True))
     soft = e / e.sum(axis=-1, keepdims=True)
     scale = 1.0 - MIN_BIN * k
@@ -110,33 +119,24 @@ def _knots(raw: Tensor, lo: int, cfg: FlowConfig) -> Tensor:
     edge = np.full((len(u), 1), b)
     cum = np.concatenate([-edge, inner, edge], axis=-1)
 
-    def backward(g):
+    def pullback(g):
         # reverse cumsum of the interior knots' adjoint, then the softmax's
         g_widths = np.zeros_like(u)
         g_widths[:, :k - 1] = np.cumsum(g[:, k - 1:0:-1], axis=-1)[:, ::-1]
         g_soft = g_widths * (2.0 * b * scale)
-        full = np.zeros_like(raw.data)
-        full[:, lo:lo + k] = soft * (g_soft - (g_soft * soft).sum(axis=-1, keepdims=True))
-        raw._accumulate(full)
+        return soft * (g_soft - (g_soft * soft).sum(axis=-1, keepdims=True))
 
-    return Tensor._result(cum, (raw,), backward, "spline_knots")
+    return cum, pullback
 
 
-def _derivatives(raw: Tensor, cfg: FlowConfig) -> Tensor:
-    """Knot derivatives (n, K+1): softplus of the last K-1 raw columns,
+def _derivatives(u: np.ndarray):
+    """Knot derivatives (n, K+1): softplus of the K-1 columns of `u`,
     shifted so that zero maps to 1, floored at the minimum; both ends 1."""
-    k = cfg.knots
     shift = float(np.log(np.expm1(1.0 - MIN_DERIVATIVE)))
-    ud = raw.data[:, 2 * k:] + shift
+    ud = u + shift
     one = np.ones((len(ud), 1))
     d = np.concatenate([one, np.logaddexp(0.0, ud) + MIN_DERIVATIVE, one], axis=-1)
-
-    def backward(g):
-        full = np.zeros_like(raw.data)
-        full[:, 2 * k:] = g[:, 1:k] * expit(ud)
-        raw._accumulate(full)
-
-    return Tensor._result(d, (raw,), backward, "spline_derivatives")
+    return d, lambda g: g[:, 1:-1] * expit(ud)
 
 
 def _bin_index(values: np.ndarray, cum: np.ndarray) -> np.ndarray:
@@ -170,34 +170,24 @@ def _scatter(values: np.ndarray, idx: np.ndarray, width: int) -> np.ndarray:
                        minlength=n * width).reshape(n, width)
 
 
-def rq_spline(inputs: np.ndarray, cumw: Tensor, cumh: Tensor,
-              d: Tensor) -> tuple[Tensor, Tensor]:
-    """Apply the spline elementwise with per-row parameters, on the tape.
+def rq_spline(inputs: np.ndarray, cumw: np.ndarray, cumh: np.ndarray,
+              d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the spline elementwise with per-row parameters.
 
-    `inputs` is a plain array of shape (n,) or (n, k); the parameters come
-    from :func:`spline_params`. Outside [-TAIL_BOUND, TAIL_BOUND] the map is
-    the identity with logabsdet 0. Returns (outputs, logabsdet) tensors of
-    the shape of `inputs`, both slices of one tape op with a hand-written
-    backward.
+    `inputs` has shape (n, m) and the parameters are the arrays of
+    :func:`spline_params`. Outside [-TAIL_BOUND, TAIL_BOUND] the map is the
+    identity with logabsdet 0. Returns (outputs, logabsdet), each (n, m).
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    squeeze = inputs.ndim == 1
-    vals = inputs[:, None] if squeeze else inputs
+    return _rq_forward(np.asarray(inputs, dtype=np.float64), cumw, cumh, d)[:2]
+
+
+def _rq_forward(vals, cumw, cumh, d):
+    """Outputs, logabsdet, and the pullback of their adjoints to
+    (cumw, cumh, d)."""
     inside = np.abs(vals) <= TAIL_BOUND
     clamped = np.clip(vals, -TAIL_BOUND, TAIL_BOUND)
-    packed = _rq_forward(vals, clamped, inside,
-                         *(as_tensor(p) for p in (cumw, cumh, d)))
-    m = vals.shape[-1]
-    out, logabsdet = slice_last(packed, 0, m), slice_last(packed, m, 2 * m)
-    if squeeze:
-        return out.reshape(-1), logabsdet.reshape(-1)
-    return out, logabsdet
-
-
-def _rq_forward(vals, clamped, inside, cumw, cumh, d) -> Tensor:
-    """Outputs and logabsdet side by side (n, 2m), as one tape node."""
-    idx = _bin_index(clamped, cumw.data)
-    wk, hk, cwk, chk, dk, dk1 = _gather(idx, cumw.data, cumh.data, d.data)
+    idx = _bin_index(clamped, cumw)
+    wk, hk, cwk, chk, dk, dk1 = _gather(idx, cumw, cumh, d)
     s = hk / wk
     theta = (clamped - cwk) / wk
     t1m = theta * (1.0 - theta)
@@ -208,12 +198,10 @@ def _rq_forward(vals, clamped, inside, cumw, cumh, d) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         logabsdet = np.log(s * s * quad) - 2.0 * np.log(denom)
     out = np.where(inside, chk + hk * numer / denom, vals)
-    packed = np.concatenate([out, np.where(inside, logabsdet, 0.0)], axis=-1)
 
-    def backward(g):
-        m = vals.shape[-1]
-        g_out = g[:, :m] * inside
-        g_lad = g[:, m:] * inside
+    def pullback(g_out, g_lad):
+        g_out = g_out * inside
+        g_lad = g_lad * inside
         # out = chk + hk * numer / denom; each partial is hk * (numer' -
         # frac * denom') / denom, with frac = numer / denom
         frac = numer / denom
@@ -233,20 +221,17 @@ def _rq_forward(vals, clamped, inside, cumw, cumh, d) -> Tensor:
         # theta = (x - cwk) / wk and s = hk / wk; wk and hk are knot
         # differences, and cwk and chk left knots
         g_cwk = -g_theta / wk
-        k1 = d.data.shape[-1]
-        grads = (
-            (cumw, _knot_adjoint(_scatter(g_cwk * theta - g_s * s / wk, idx, k1 - 1))
-             + _scatter(g_cwk, idx, k1)),
-            (cumh, _knot_adjoint(_scatter(g_out * frac + g_s / wk, idx, k1 - 1))
-             + _scatter(g_out, idx, k1)),
-            (d, _scatter(np.concatenate([g_dk, g_dk1], axis=-1),
-                         np.concatenate([idx, idx + 1], axis=-1), k1)),
+        k1 = d.shape[-1]
+        return (
+            _knot_adjoint(_scatter(g_cwk * theta - g_s * s / wk, idx, k1 - 1))
+            + _scatter(g_cwk, idx, k1),
+            _knot_adjoint(_scatter(g_out * frac + g_s / wk, idx, k1 - 1))
+            + _scatter(g_out, idx, k1),
+            _scatter(np.concatenate([g_dk, g_dk1], axis=-1),
+                     np.concatenate([idx, idx + 1], axis=-1), k1),
         )
-        for param, grad in grads:
-            if param.requires_grad:
-                param._accumulate(grad)
 
-    return Tensor._result(packed, (cumw, cumh, d), backward, "rq_spline")
+    return out, np.where(inside, logabsdet, 0.0), pullback
 
 
 def _knot_adjoint(g_sizes: np.ndarray) -> np.ndarray:
@@ -259,15 +244,14 @@ def _knot_adjoint(g_sizes: np.ndarray) -> np.ndarray:
 
 def rq_inverse(z: np.ndarray, cumw: np.ndarray, cumh: np.ndarray,
                d: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`rq_spline` on plain arrays, without the log-det.
+    """Inverse of :func:`rq_spline`, without the log-det.
 
-    `z` has shape (n,) or (n, k) and the parameters are the arrays of
+    `z` has shape (n, m) and the parameters are the arrays of
     :func:`spline_params`. Outside [-TAIL_BOUND, TAIL_BOUND] the map is the
     identity; inside, the root in [0, 1] of the bin's quadratic gives the
     position within the input bin.
     """
-    z = np.asarray(z, dtype=np.float64)
-    vals = z[:, None] if z.ndim == 1 else z
+    vals = np.asarray(z, dtype=np.float64)
     clamped = np.clip(vals, -TAIL_BOUND, TAIL_BOUND)
     idx = _bin_index(clamped, cumh)
     wk, hk, cwk, chk, dk, dk1 = _gather(idx, cumw, cumh, d)
@@ -282,15 +266,36 @@ def rq_inverse(z: np.ndarray, cumw: np.ndarray, cumh: np.ndarray,
         raise FloatingPointError("negative discriminant in spline inverse")
     disc = np.maximum(disc, 0.0)
     theta = np.clip((2.0 * qc) / (-qb - np.sqrt(disc)), 0.0, 1.0)
-    out = np.where(np.abs(vals) <= TAIL_BOUND, theta * wk + cwk, vals)
-    return out.reshape(z.shape)
+    return np.where(np.abs(vals) <= TAIL_BOUND, theta * wk + cwk, vals)
 
 
 def _neg_log_density(z, logabsdet):
     """-log p per point in standardized units, from the spline's output and
-    log-det under the standard normal base: z^2/2 + log(2 pi)/2 - logabsdet.
-    Training applies it to tensors, `log_density` to their arrays."""
+    log-det under the standard normal base: z^2/2 + log(2 pi)/2 - logabsdet."""
     return z * z * 0.5 + (0.5 * LOG_2PI) - logabsdet
+
+
+def spline_nll(raw: Tensor, y_std: np.ndarray, cfg: FlowConfig,
+               log_std: float) -> Tensor:
+    """Mean negative log likelihood, as one tape op, of the standardized
+    outcomes `y_std` (n, m) under the spline of the raw context-net output
+    (n, 3K-1); `log_std`, the log of the outcome scale, gives original units."""
+    parts = _params_and_pullbacks(raw.data, cfg)
+    z, logabsdet, rq_pullback = _rq_forward(y_std, *(p for p, _ in parts))
+    n = z.size
+    loss = _neg_log_density(z, logabsdet).sum() * (1.0 / n) + log_std
+
+    def backward(g):
+        # the adjoints as the composed ops round them: the mean spreads g / n,
+        # z * z adds its two equal halves, and each adjoint that reached its
+        # tensor as a zero-padded slice had 0.0 added (so -0.0 became +0.0)
+        c = np.broadcast_to(g * (1.0 / n), z.shape)
+        half = c * 0.5 * z
+        grads = rq_pullback(half + half + 0.0, -c + 0.0)
+        g_raw = [pullback(g_p) for (_, pullback), g_p in zip(parts, grads)]
+        raw._accumulate(np.concatenate(g_raw, axis=1) + 0.0)
+
+    return Tensor._result(loss, (raw,), backward, "spline_nll")
 
 
 # -- conditional flow ----------------------------------------------------------
@@ -325,7 +330,7 @@ class ConditionalFlow:
         return np.concatenate([a, self.context_scaler.apply(phi)], axis=1)
 
     def _spline_params(self, ctx: np.ndarray):
-        return spline_params(self.context_net(ctx), self.cfg)
+        return spline_params(self.context_net(ctx).data, self.cfg)
 
     # public ops ---------------------------------------------------------------
 
@@ -346,19 +351,17 @@ class ConditionalFlow:
                     (ctx.shape[0], ctx.shape[1] - 1)
                 )
                 ctx = np.concatenate([ctx[:, :1], ctx[:, 1:] + noise], axis=1)
-        z, logabsdet = rq_spline(y_std, *self._spline_params(ctx))
-        nll = _neg_log_density(z, logabsdet).mean()
-        return nll + float(np.log(self.y_scaler.std[0]))
+        return spline_nll(self.context_net(ctx), y_std, self.cfg,
+                          float(np.log(self.y_scaler.std[0])))
 
     def nll(self, y, a, phi) -> float:
         return float(self.nll_tensor(y, a, phi).data)
 
     def log_density(self, y: np.ndarray, a, phi) -> np.ndarray:
         """log p(y | a, phi) per point, original outcome units."""
-        y_std = self.y_scaler.apply(np.ravel(y))[:, 0]
+        y_std = self.y_scaler.apply(np.ravel(y))
         z, logabsdet = rq_spline(y_std, *self._spline_params(self._context(a, phi)))
-        return (-_neg_log_density(z.data, logabsdet.data)
-                - np.log(self.y_scaler.std[0]))
+        return (-_neg_log_density(z, logabsdet) - np.log(self.y_scaler.std[0]))[:, 0]
 
     def sample(self, a, phi, k: int) -> np.ndarray:
         """k outcomes per context row: the base quantiles at the midpoint
@@ -371,7 +374,7 @@ class ConditionalFlow:
         n = len(ctx)
         # numpy multiplies a lone row by gemv, which rounds unlike the gemm of
         # a batch; paired with its copy, a row comes out as in a larger chunk
-        params = [p.data[:n] for p in self._spline_params(
+        params = [p[:n] for p in self._spline_params(
             np.repeat(ctx, 2 if n == 1 else 1, axis=0))]
         out = rq_inverse(np.broadcast_to(z, (n, k)), *params)
         out = self.y_scaler.invert(out)

@@ -31,7 +31,7 @@ from .data import (Dataset, HcMnistConfig, build_hcmnist, gen_synthetic,
                    load_ihdp_csv, parse_idx, read_table, synthetic_tau,
                    write_table)
 from .estimators import (BNN_BALANCING, NEEDS_BALANCING, EstimatorConfig,
-                         EstimatorKind, Stage0Model, build_stage0,
+                         EstimatorKind, Stage0Model, bce_logits, build_stage0,
                          predict_heads, predict_point_cate, representation,
                          train_stage0)
 from .evaluation import (PolicyReport, bounds_policy, make_grid, point_policy,
@@ -87,7 +87,7 @@ class DatasetSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("synthetic", "ihdp", "hcmnist"):
             raise ValueError("dataset kind must be synthetic, ihdp, or hcmnist")
-        if self.n_train < 1 or self.n_test < 1:
+        if not (self.n_train >= 1 and self.n_test >= 1):  # NaN too
             raise ValueError("split sizes must be positive")
 
 
@@ -452,11 +452,6 @@ def _factual_mse(model: Stage0Model, phi: np.ndarray, a: np.ndarray,
     return float(np.mean((y - fitted) ** 2))
 
 
-def _isw_bce(model: Stage0Model, phi: np.ndarray, a: np.ndarray) -> float:
-    z = model.nets["prop_phi"](phi).data[:, 0]
-    return float(np.mean(np.logaddexp(0.0, z) - a * z))
-
-
 def _prop_bce(prop: PropensityModel, inputs: np.ndarray, a: np.ndarray) -> float:
     p = prop.predict(inputs)
     return float(-np.mean(a * np.log(p) + (1.0 - a) * np.log(1.0 - p)))
@@ -473,7 +468,7 @@ def _candidate_score(stage: str, config: ExperimentConfig, params,
         phi_va = representation(model, train.x[va_idx])
         score = _factual_mse(model, phi_va, a_va, train.y[va_idx])
         if model.config.kind == EstimatorKind.CFR_ISW:
-            score += _isw_bce(model, phi_va, a_va)
+            score += float(bce_logits(model.nets["prop_phi"](phi_va), a_va).data)
         return score
     if stage in ("prop_x", "prop_phi"):
         inputs = train.x if stage == "prop_x" else phi

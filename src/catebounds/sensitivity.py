@@ -259,15 +259,15 @@ class GammaField:
     """Conservative sensitivity field over representation space, at every
     ball radius of a run.
 
-    Stores the training cloud (standardized) and its pointwise Gammas, indexed
-    once for all radii. `train_gamma_hat` and `at` give one row per delta:
-    a query takes a raw representation plus its own Gamma_point and returns
-    max(own, ball maximum over training points within delta).
+    Holds the training cloud's pointwise Gammas and its index, whose `base`
+    is the standardized cloud, built once for all radii. `train_gamma_hat`
+    and `at` give one row per delta: a query takes a raw representation plus
+    its own Gamma_point and returns max(own, ball maximum over training points
+    within delta).
     """
 
     deltas: np.ndarray
     scaler: Standardizer
-    train_phis_std: np.ndarray
     train_gamma_points: np.ndarray
     train_gamma_hat: np.ndarray
     index: _BallIndex
@@ -298,8 +298,7 @@ def build_gamma_field(train_phis: np.ndarray, train_pi1_x: np.ndarray,
     gp = gamma_pointwise(train_pi1_x, train_pi1_phi)
     _check_field_inputs(phis_std, gp, "gamma_points")
     index = _BallIndex(phis_std, gp)
-    return GammaField(deltas=deltas, scaler=scaler, train_phis_std=phis_std,
-                      train_gamma_points=gp,
+    return GammaField(deltas=deltas, scaler=scaler, train_gamma_points=gp,
                       train_gamma_hat=_max_within_delta(phis_std, index, gp, deltas),
                       index=index)
 

@@ -1,12 +1,14 @@
 """Composed tape versions of the fused ops, kept as test oracles.
 
-`forward_mlp`, `sinkhorn_wasserstein`, `spline_params` and `rq_spline` each
-run as one tape op with a hand-written backward. The versions below build the
+`forward_mlp`, `sinkhorn_wasserstein` and the flow's `spline_nll` each run
+as one tape op with a hand-written backward. The versions below build the
 same maps from elementary tape ops, so their gradients come from the tape's
 own chain rule; the property tests compare the fused ops against them in
-value and gradient. The primitives only these oracles use live here too. So
-do the per-tensor loops of `AdamW` and `SgdMomentum`, which the flat-buffer
-optimizers must match bit for bit.
+value and gradient. The flow's NLL is composed from `spline_params` and
+`rq_spline` on the tape, whose values the tests also compare with the
+plain-array spline's. The primitives only these oracles use live here too.
+So do the per-tensor loops of `AdamW` and `SgdMomentum`, which the
+flat-buffer optimizers must match bit for bit.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import numpy as np
 
 from catebounds.autodiff import Tensor, as_tensor, constant, slice_last
 from catebounds.balancing import _group_weights, _pairwise_sq_dists, _transpose
-from catebounds.flow import (MIN_BIN, MIN_DERIVATIVE, TAIL_BOUND, FlowConfig,
-                             _bin_index)
+from catebounds.flow import (LOG_2PI, MIN_BIN, MIN_DERIVATIVE, TAIL_BOUND,
+                             FlowConfig, _bin_index)
 from catebounds.nets import ADAM_BETAS, ADAM_EPS, SGD_MOMENTUM, MlpConfig
 
 
@@ -225,12 +227,10 @@ def spline_params(raw: Tensor, cfg: FlowConfig):
     return cumw, cumh, d
 
 
-def rq_spline(inputs, cumw, cumh, d):
-    """Forward spline and logabsdet, from gathers and elementwise tape ops;
-    bin widths and heights are slices of the knots subtracted on the tape."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    squeeze = inputs.ndim == 1
-    vals = inputs[:, None] if squeeze else inputs
+def rq_spline(vals: np.ndarray, cumw: Tensor, cumh: Tensor, d: Tensor):
+    """Forward spline and logabsdet of `vals` (n, m), from gathers and
+    elementwise tape ops; bin widths and heights are slices of the knots
+    subtracted on the tape."""
     inside = np.abs(vals) <= TAIL_BOUND
     clamped = np.clip(vals, -TAIL_BOUND, TAIL_BOUND)
     idx = _bin_index(clamped, cumw.data)
@@ -254,6 +254,12 @@ def rq_spline(inputs, cumw, cumh, d):
     mask = constant(inside.astype(np.float64))
     out = mask * out + constant(np.where(inside, 0.0, vals))
     logabsdet = mask * logabsdet
-    if squeeze:
-        return out.reshape(-1), logabsdet.reshape(-1)
     return out, logabsdet
+
+
+def spline_nll(raw: Tensor, y_std: np.ndarray, cfg: FlowConfig,
+               log_std: float) -> Tensor:
+    """The mean of z^2/2 + log(2 pi)/2 - logabsdet over the spline's outputs,
+    plus `log_std`, through the composed spline."""
+    z, logabsdet = rq_spline(y_std, *spline_params(raw, cfg))
+    return (z * z * 0.5 + (0.5 * LOG_2PI) - logabsdet).mean() + log_std

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest, norm
 
 from catebounds import flow as flow_module
-from catebounds.autodiff import Tensor, constant
+from catebounds.autodiff import Tensor
 from catebounds.flow import (
     LOG_2PI,
     ConditionalFlow,
@@ -18,6 +18,7 @@ from catebounds.flow import (
     _bin_index,
     rq_inverse,
     rq_spline,
+    spline_nll,
     spline_params,
     train_cnf,
 )
@@ -46,13 +47,13 @@ def random_params(n: int, knots: int, seed: int, scale: float = 1.0):
     rng = np.random.default_rng(seed)
     raw = rng.normal(scale=scale, size=(n, 3 * knots - 1))
     cfg = FlowConfig(context_dim=2, hidden_units=4, knots=knots)
-    return spline_params(constant(raw), cfg), raw, cfg
+    return spline_params(raw, cfg), raw, cfg
 
 
 def inverse_slope(params, z: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Five-point central difference of the inverse spline at `z`."""
     def inv(v):
-        return rq_inverse(v, *(p.data for p in params))
+        return rq_inverse(v, *params)
 
     return (inv(z - 2 * h) - 8 * inv(z - h) + 8 * inv(z + h) - inv(z + 2 * h)) / (12 * h)
 
@@ -60,53 +61,53 @@ def inverse_slope(params, z: np.ndarray, h: float = 1e-5) -> np.ndarray:
 class TestSpline:
     def test_identity_at_zero_params(self):
         cfg = FlowConfig(context_dim=2, hidden_units=4, knots=8)
-        cumw, cumh, d = spline_params(constant(zero_raw(3, 8)), cfg)
-        y = np.array([0.7, -3.2, 4.9])
+        cumw, cumh, d = spline_params(zero_raw(3, 8), cfg)
+        y = np.array([[0.7], [-3.2], [4.9]])
         out, logdet = rq_spline(y, cumw, cumh, d)
-        assert np.allclose(out.data, y, atol=1e-12)
-        assert np.allclose(logdet.data, 0.0, atol=1e-12)
+        assert np.allclose(out, y, atol=1e-12)
+        assert np.allclose(logdet, 0.0, atol=1e-12)
 
     def test_identity_outside_tail_bound(self):
         (params, _, cfg) = random_params(2, 10, seed=0)
-        y = np.array([7.5, -6.1])
+        y = np.array([[7.5], [-6.1]])
         out, logdet = rq_spline(y, *params)
-        assert np.array_equal(out.data, y)
-        assert np.array_equal(logdet.data, 0.0 * y)
+        assert np.array_equal(out, y)
+        assert np.array_equal(logdet, 0.0 * y)
 
     def test_inverse_of_forward_is_identity(self):
         (params, _, cfg) = random_params(50, 10, seed=1)
         rng = np.random.default_rng(2)
-        y = rng.uniform(-4.9, 4.9, size=50)
+        y = rng.uniform(-4.9, 4.9, size=(50, 1))
         z, logdet_f = rq_spline(y, *params)
-        back = rq_inverse(z.data, *(p.data for p in params))
+        back = rq_inverse(z, *params)
         assert np.max(np.abs(back - y)) < 1e-8
         # the inverse's slope at z is exp(-logdet) of the forward at y
-        slope = inverse_slope(params, z.data)
-        assert np.max(np.abs(np.log(slope) + logdet_f.data)) < 1e-8
+        slope = inverse_slope(params, z)
+        assert np.max(np.abs(np.log(slope) + logdet_f)) < 1e-8
 
     def test_forward_strictly_increasing(self):
         (_, raw_one, cfg) = random_params(1, 12, seed=3, scale=2.0)
-        grid = np.linspace(-5.0, 5.0, 2001)
-        params_rep = spline_params(constant(np.repeat(raw_one, 2001, axis=0)), cfg)
+        grid = np.linspace(-5.0, 5.0, 2001)[:, None]
+        params_rep = spline_params(np.repeat(raw_one, 2001, axis=0), cfg)
         out, _ = rq_spline(grid, *params_rep)
-        assert np.all(np.diff(out.data) > 0.0)
+        assert np.all(np.diff(out[:, 0]) > 0.0)
 
     def test_logdet_matches_numerical_derivative(self):
         (params, _, _) = random_params(1, 10, seed=4, scale=1.5)
-        y0 = np.array([1.3])
+        y0 = np.array([[1.3]])
         h = 1e-6
         _, logdet = rq_spline(y0, *params)
         up, _ = rq_spline(y0 + h, *params)
         down, _ = rq_spline(y0 - h, *params)
-        numeric = np.log((up.data - down.data) / (2.0 * h))
-        assert abs(logdet.data[0] - numeric[0]) < 1e-5
+        numeric = np.log((up - down) / (2.0 * h))
+        assert abs(logdet[0, 0] - numeric[0, 0]) < 1e-5
 
     def test_maps_interval_onto_itself(self):
         (params, _, _) = random_params(20, 10, seed=5, scale=3.0)
         rng = np.random.default_rng(6)
-        y = rng.uniform(-5.0, 5.0, size=20)
+        y = rng.uniform(-5.0, 5.0, size=(20, 1))
         z, _ = rq_spline(y, *params)
-        assert np.all(np.abs(z.data) <= 5.0 + 1e-12)
+        assert np.all(np.abs(z) <= 5.0 + 1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10_000), knots=st.integers(2, 16))
@@ -114,7 +115,7 @@ class TestSpline:
         rng = np.random.default_rng(seed)
         cfg = FlowConfig(context_dim=2, hidden_units=4, knots=knots)
         raw = rng.normal(scale=2.0, size=(5, 3 * knots - 1))
-        cum = spline_params(constant(raw), cfg)[0].data
+        cum = spline_params(raw, cfg)[0]
         b = TAIL_BOUND
         # random points, every knot of the row exactly, and both bounds
         v = np.concatenate([rng.uniform(-b, b, size=(5, 7)), cum,
@@ -129,70 +130,58 @@ class TestSpline:
         rng = np.random.default_rng(seed)
         raw = rng.normal(scale=2.0, size=(4, 3 * knots - 1))
         cfg = FlowConfig(context_dim=2, hidden_units=4, knots=knots)
-        params = spline_params(constant(raw), cfg)
-        y = rng.uniform(-5.0, 5.0, size=4)
+        params = spline_params(raw, cfg)
+        y = rng.uniform(-5.0, 5.0, size=(4, 1))
         z, _ = rq_spline(y, *params)
-        back = rq_inverse(z.data, *(p.data for p in params))
+        back = rq_inverse(z, *params)
         assert np.max(np.abs(back - y)) < 1e-8
 
 
 class TestFusedSpline:
-    """The fused spline ops against their compositions on the tape."""
+    """The NLL op against its composition on the tape."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000), knots=st.integers(2, 16),
            scale=st.sampled_from([0.1, 1.0, 3.0]))
-    def test_rq_spline_matches_tape_oracle(self, seed, knots, scale):
+    def test_spline_nll_matches_tape_oracle(self, seed, knots, scale):
         rng = np.random.default_rng(seed)
         cfg = FlowConfig(context_dim=2, hidden_units=4, knots=knots)
-        raw = rng.normal(scale=scale, size=(4, 3 * knots - 1))
-        arrays = [p.data for p in spline_params(constant(raw), cfg)]
-        y = spline_points(rng, arrays[0], TAIL_BOUND)
-        c_out, c_lad = rng.normal(size=y.shape), rng.normal(size=y.shape)
-        results = []
-        for fn in (rq_spline, tape_oracles.rq_spline):
-            params = [Tensor(a, requires_grad=True) for a in arrays]
-            out, lad = fn(y, *params)
-            ((out * constant(c_out)).sum() + (lad * constant(c_lad)).sum()).backward()
-            results.append([out.data, lad.data] + [p.grad for p in params])
-        for fused, oracle in zip(*results):
-            assert_close(fused, oracle)
+        raw0 = rng.normal(scale=scale, size=(4, 3 * knots - 1))
+        params = spline_params(raw0, cfg)
+        y = spline_points(rng, params[0], TAIL_BOUND)
+        log_std, weight = rng.normal(), rng.normal()
 
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 10_000), knots=st.integers(2, 16),
-           scale=st.sampled_from([0.1, 1.0, 3.0]))
-    def test_spline_params_match_tape_oracle(self, seed, knots, scale):
-        rng = np.random.default_rng(seed)
-        cfg = FlowConfig(context_dim=2, hidden_units=4, knots=knots)
-        raw0 = rng.normal(scale=scale, size=(5, 3 * knots - 1))
-        weights = [rng.normal(size=(5, knots + 1)) for _ in range(3)]
-        results = []
-        for fn in (spline_params, tape_oracles.spline_params):
+        def loss_and_gradient(nll):
             raw = Tensor(raw0, requires_grad=True)
-            params = fn(raw, cfg)
-            sum((p * constant(c)).sum() for p, c in zip(params, weights)).backward()
-            results.append([p.data for p in params] + [raw.grad])
-        for fused, oracle in zip(*results):
-            assert_close(fused, oracle)
+            loss = nll(raw, y, cfg, log_std)
+            (loss * weight).backward()
+            return [loss.data, raw.grad]
+
+        oracle_params = tape_oracles.spline_params(Tensor(raw0), cfg)
+        fused = [*params, *rq_spline(y, *params),
+                 *loss_and_gradient(spline_nll)]
+        oracle = [*(p.data for p in oracle_params),
+                  *(t.data for t in tape_oracles.rq_spline(y, *oracle_params)),
+                  *loss_and_gradient(tape_oracles.spline_nll)]
+        for got, want in zip(fused, oracle, strict=True):
+            assert_close(got, want)
 
     def test_gradients_through_fused_ops_match_finite_differences(self):
         rng = np.random.default_rng(30)
         cfg = FlowConfig(context_dim=2, hidden_units=4, knots=6)
         raw = Tensor(rng.normal(size=(3, 17)), requires_grad=True)
         y = rng.uniform(-4.5, 4.5, size=(3, 4))
-
-        def loss():
-            out, lad = rq_spline(y, *spline_params(raw, cfg))
-            return (out * out).sum() + lad.sum()
-
-        report = finite_difference_check(loss, [raw], tolerance=1e-6)
+        report = finite_difference_check(lambda: spline_nll(raw, y, cfg, 0.3),
+                                         [raw], tolerance=1e-6)
         assert report.passed, report.max_rel_error
 
     def test_training_records_few_tape_nodes(self, recorded):
-        raw = Tensor(np.zeros((4, 29)), requires_grad=True)
-        rq_spline(np.zeros((4, 1)), *spline_params(raw, FlowConfig(2, 4)))
-        # knots twice, derivatives, the spline, two slices
-        assert sum(recorded) == 6
+        flow = ConditionalFlow(FlowConfig(2, 4))
+        for p in flow.context_net.parameters():
+            p.requires_grad = True
+        flow.nll_tensor(np.zeros(4), np.zeros(4), np.zeros(4))
+        # the context net and the NLL
+        assert recorded == [True, True]
 
 
 class TestFlowLikelihood:

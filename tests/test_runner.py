@@ -84,6 +84,10 @@ class TestConfig:
             tiny_config(tmp_path, deltas=(-0.1,))
         with pytest.raises(ValueError):
             DatasetSpec(kind="tabular")
+        for sizes in (dict(n_train=0), dict(n_train=float("nan"), n_test=5),
+                      dict(n_test=float("nan"))):
+            with pytest.raises(ValueError, match="split sizes must be positive"):
+                DatasetSpec(**sizes)
 
     @pytest.mark.parametrize("n_grid", [0, -1])
     def test_non_positive_n_grid_rejected(self, tmp_path, n_grid):

@@ -235,7 +235,7 @@ class TestGammaField:
 
     def test_training_values_match_ball(self):
         field = self.make_field(deltas=(0.0, 0.1, 0.5))
-        raw = field.train_phis_std * field.scaler.std + field.scaler.mean
+        raw = field.index.base * field.scaler.std + field.scaler.mean
         got = field.at(raw, field.train_gamma_points)
         assert got.shape == field.train_gamma_hat.shape == (3, 60)
         assert np.allclose(got, field.train_gamma_hat)
@@ -322,7 +322,6 @@ class TestBallIndex:
         # a field whose standardization is the identity keeps the edges exact
         field = GammaField(deltas=np.array(deltas),
                            scaler=Standardizer(np.zeros(d), np.ones(d)),
-                           train_phis_std=base,
                            train_gamma_points=base_vals,
                            train_gamma_hat=sensitivity._max_within_delta(
                                base, index, base_vals, np.array(deltas)),
@@ -350,7 +349,7 @@ class TestBallIndex:
         sub = rng.choice(n, size=300, replace=False)
         q_sub = rng.choice(10_000, size=300, replace=False)
         field = build_gamma_field(phis, px, pp, DELTA_PRESETS)
-        gp, z = field.train_gamma_points, field.train_phis_std
+        gp, z = field.train_gamma_points, field.index.base
         got = field.at(queries, q_gamma)
         for i, delta in enumerate(DELTA_PRESETS):
             assert np.array_equal(field.train_gamma_hat[i, sub],
