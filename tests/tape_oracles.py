@@ -5,8 +5,8 @@ as one tape op with a hand-written backward. The versions below build the
 same maps from elementary tape ops, so their gradients come from the tape's
 own chain rule; the property tests compare the fused ops against them in
 value and gradient. The flow's NLL is composed from `spline_params` and
-`rq_spline` on the tape, whose values the tests also compare with the
-plain-array spline's. The primitives only these oracles use live here too.
+`rq_spline` on the tape, which the tests also compare with the plain-array
+spline's maps in value and with their pullbacks in gradient. The primitives only these oracles use live here too.
 So do the per-tensor loops of `AdamW` and `SgdMomentum`, which the
 flat-buffer optimizers must match bit for bit.
 """

@@ -138,7 +138,46 @@ class TestSpline:
 
 
 class TestFusedSpline:
-    """The NLL op against its composition on the tape."""
+    """The plain-array spline's maps and pullbacks, and the NLL op, against
+    their compositions on the tape."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), knots=st.integers(2, 16),
+           scale=st.sampled_from([0.1, 1.0, 3.0]))
+    def test_rq_spline_matches_tape_oracle(self, seed, knots, scale):
+        rng = np.random.default_rng(seed)
+        cfg = FlowConfig(context_dim=2, hidden_units=4, knots=knots)
+        raw = rng.normal(scale=scale, size=(4, 3 * knots - 1))
+        arrays = spline_params(raw, cfg)
+        y = spline_points(rng, arrays[0], TAIL_BOUND)
+        c_out, c_lad = rng.normal(size=y.shape), rng.normal(size=y.shape)
+        out, lad, pullback = flow_module._rq_forward(y, *arrays)
+        fused = [out, lad, *pullback(c_out, c_lad)]
+        params = [Tensor(a, requires_grad=True) for a in arrays]
+        o_out, o_lad = tape_oracles.rq_spline(y, *params)
+        ((o_out * c_out).sum() + (o_lad * c_lad).sum()).backward()
+        oracle = [o_out.data, o_lad.data, *(p.grad for p in params)]
+        for got, want in zip(fused, oracle, strict=True):
+            assert_close(got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), knots=st.integers(2, 16),
+           scale=st.sampled_from([0.1, 1.0, 3.0]))
+    def test_spline_params_match_tape_oracle(self, seed, knots, scale):
+        rng = np.random.default_rng(seed)
+        cfg = FlowConfig(context_dim=2, hidden_units=4, knots=knots)
+        raw0 = rng.normal(scale=scale, size=(5, 3 * knots - 1))
+        weights = [rng.normal(size=(5, knots + 1)) for _ in range(3)]
+        parts = flow_module._params_and_pullbacks(raw0, cfg)
+        fused = [*(p for p, _ in parts),
+                 np.concatenate([pullback(w) for (_, pullback), w
+                                 in zip(parts, weights)], axis=1)]
+        raw = Tensor(raw0, requires_grad=True)
+        params = tape_oracles.spline_params(raw, cfg)
+        sum((p * w).sum() for p, w in zip(params, weights)).backward()
+        oracle = [*(p.data for p in params), raw.grad]
+        for got, want in zip(fused, oracle, strict=True):
+            assert_close(got, want)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000), knots=st.integers(2, 16),
@@ -147,8 +186,7 @@ class TestFusedSpline:
         rng = np.random.default_rng(seed)
         cfg = FlowConfig(context_dim=2, hidden_units=4, knots=knots)
         raw0 = rng.normal(scale=scale, size=(4, 3 * knots - 1))
-        params = spline_params(raw0, cfg)
-        y = spline_points(rng, params[0], TAIL_BOUND)
+        y = spline_points(rng, spline_params(raw0, cfg)[0], TAIL_BOUND)
         log_std, weight = rng.normal(), rng.normal()
 
         def loss_and_gradient(nll):
@@ -157,12 +195,8 @@ class TestFusedSpline:
             (loss * weight).backward()
             return [loss.data, raw.grad]
 
-        oracle_params = tape_oracles.spline_params(Tensor(raw0), cfg)
-        fused = [*params, *rq_spline(y, *params),
-                 *loss_and_gradient(spline_nll)]
-        oracle = [*(p.data for p in oracle_params),
-                  *(t.data for t in tape_oracles.rq_spline(y, *oracle_params)),
-                  *loss_and_gradient(tape_oracles.spline_nll)]
+        fused = loss_and_gradient(spline_nll)
+        oracle = loss_and_gradient(tape_oracles.spline_nll)
         for got, want in zip(fused, oracle, strict=True):
             assert_close(got, want)
 
