@@ -82,12 +82,15 @@ class FlowConfig:
 #
 # The spline runs on plain arrays. `spline_params` turns the context net's raw
 # output into knot grids and derivatives, `rq_spline` applies the forward map
-# with its log-det, and `rq_inverse`, used only for sampling, the inverse
-# without it. Training records one tape op, `spline_nll`, from the raw output
-# to the mean NLL. Its hand-written backward chains the pullbacks that the
-# private maps return beside their values: the rational-quadratic map's
-# (derivatives after Durkan et al. 2019), whose bin sizes are knot
-# differences, then the knots' softmax-cumsum and the derivatives' softplus.
+# with its log-det to (n, m) points, and `rq_inverse` the inverse without it
+# to one ascending grid of base points shared by all rows: sampling's
+# quantile nodes. Each row's grid falls into its bins as consecutive runs, so
+# the inverse computes its coefficients once per bin and repeats them.
+# Training records one tape op, `spline_nll`, from the raw output to the mean
+# NLL. Its hand-written backward chains the pullbacks that the private maps
+# return beside their values: the rational-quadratic map's (derivatives after
+# Durkan et al. 2019), whose bin sizes are knot differences, then the knots'
+# softmax-cumsum and the derivatives' softplus.
 
 
 def spline_params(raw: np.ndarray, cfg: FlowConfig):
@@ -178,7 +181,11 @@ def rq_spline(inputs: np.ndarray, cumw: np.ndarray, cumh: np.ndarray,
     :func:`spline_params`. Outside [-TAIL_BOUND, TAIL_BOUND] the map is the
     identity with logabsdet 0. Returns (outputs, logabsdet), each (n, m).
     """
-    return _rq_forward(np.asarray(inputs, dtype=np.float64), cumw, cumh, d)[:2]
+    vals = np.asarray(inputs, dtype=np.float64)
+    if vals.ndim != 2 or len(vals) != len(cumw):
+        raise ValueError(f"rq_spline: inputs must have shape (n, m) with "
+                         f"n = {len(cumw)} parameter rows, got shape {vals.shape}")
+    return _rq_forward(vals, cumw, cumh, d)[:2]
 
 
 def _rq_forward(vals, cumw, cumh, d):
@@ -244,29 +251,54 @@ def _knot_adjoint(g_sizes: np.ndarray) -> np.ndarray:
 
 def rq_inverse(z: np.ndarray, cumw: np.ndarray, cumh: np.ndarray,
                d: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`rq_spline`, without the log-det.
+    """Inverse of :func:`rq_spline` at one grid of base points shared by
+    every row, without the log-det.
 
-    `z` has shape (n, m) and the parameters are the arrays of
-    :func:`spline_params`. Outside [-TAIL_BOUND, TAIL_BOUND] the map is the
-    identity; inside, the root in [0, 1] of the bin's quadratic gives the
-    position within the input bin.
+    `z` is a 1-D ascending grid of k points and the parameters are the
+    (n, K+1) arrays of :func:`spline_params`; returns the (n, k) inverse.
+    Outside [-TAIL_BOUND, TAIL_BOUND] the map is the identity; inside, the
+    root in [0, 1] of the bin's quadratic gives the position within the
+    input bin.
     """
-    vals = np.asarray(z, dtype=np.float64)
-    clamped = np.clip(vals, -TAIL_BOUND, TAIL_BOUND)
-    idx = _bin_index(clamped, cumh)
-    wk, hk, cwk, chk, dk, dk1 = _gather(idx, cumw, cumh, d)
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 1:
+        raise ValueError(f"rq_inverse: z must be a 1-D grid of shape (k,), "
+                         f"got shape {z.shape}")
+    if not np.all(z[1:] >= z[:-1]):  # NaN too
+        raise ValueError("rq_inverse: z must be an ascending grid of shape (k,)")
+    clamped = np.clip(z, -TAIL_BOUND, TAIL_BOUND)
+    # a point lies in bin j when it is at or above j interior knots, so the
+    # ascending grid splits into consecutive runs, one per bin of each row
+    ends = np.searchsorted(clamped, cumh[:, 1:-1], side="left")
+    n, k = len(cumh), len(z)
+    counts = np.diff(ends, prepend=0, append=k, axis=-1).ravel()
+
+    def per_point(coef):
+        """A per-bin coefficient (n, K) at each point of its row's bins."""
+        return np.repeat(coef.ravel(), counts).reshape(n, k)
+
+    # the per-bin terms of the quadratic, each as the per-point form rounds
+    # it; each (n, k) term is dropped after its last use, which bounds the
+    # peak memory of a stage-2 chunk
+    wk, hk = np.diff(cumw, axis=-1), np.diff(cumh, axis=-1)
+    dk, dk1 = d[:, :-1], d[:, 1:]
     s = hk / wk
-    zbar = clamped - chk
     two_s = dk1 + dk - 2.0 * s
-    qa = hk * (s - dk) + zbar * two_s
-    qb = hk * dk - zbar * two_s
-    qc = -s * zbar
+    zbar = clamped - per_point(cumh[:, :-1])
+    slope_term = zbar * per_point(two_s)
+    qa = per_point(hk * (s - dk)) + slope_term
+    qb = per_point(hk * dk) - slope_term
+    del slope_term
+    qc = -per_point(s) * zbar
+    del zbar
     disc = qb * qb - 4.0 * qa * qc
+    del qa
     if np.any(disc < -1e-9):
         raise FloatingPointError("negative discriminant in spline inverse")
     disc = np.maximum(disc, 0.0)
     theta = np.clip((2.0 * qc) / (-qb - np.sqrt(disc)), 0.0, 1.0)
-    return np.where(np.abs(vals) <= TAIL_BOUND, theta * wk + cwk, vals)
+    return np.where(np.abs(z) <= TAIL_BOUND,
+                    theta * per_point(wk) + per_point(cumw[:, :-1]), z)
 
 
 def _neg_log_density(z, logabsdet):
@@ -366,7 +398,8 @@ class ConditionalFlow:
     def sample(self, a, phi, k: int) -> np.ndarray:
         """k outcomes per context row: the base quantiles at the midpoint
         nodes z_j = Phi^-1((j - 1/2)/k), j = 1..k, pushed through the inverse
-        spline. The spline is monotone, so each row comes out ascending."""
+        spline as one grid shared by every row. The spline is monotone, so
+        each row comes out ascending."""
         if k < 1:
             raise ValueError("k must be positive")
         z = ndtri((np.arange(k) + 0.5) / k)
@@ -376,8 +409,7 @@ class ConditionalFlow:
         # a batch; paired with its copy, a row comes out as in a larger chunk
         params = [p[:n] for p in self._spline_params(
             np.repeat(ctx, 2 if n == 1 else 1, axis=0))]
-        out = rq_inverse(np.broadcast_to(z, (n, k)), *params)
-        out = self.y_scaler.invert(out)
+        out = self.y_scaler.invert(rq_inverse(z, *params))
         if not np.all(np.isfinite(out)):
             raise NonFiniteError("non-finite flow samples")
         return out

@@ -1,8 +1,9 @@
 """Numeric oracles the tests check the package against.
 
-Finite-difference gradient checks for tape code, the total mass of a flow
-density by quadrature, and the closed-form tilt coefficients of one
-(Gamma, pi) pair. The package itself never calls these.
+Finite-difference gradient checks for tape code, the per-point inverse of
+the flow's spline, the total mass of a flow density by quadrature, and the
+closed-form tilt coefficients of one (Gamma, pi) pair. The package itself
+never calls these.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from scipy.integrate import trapezoid
 from scipy.stats import norm
 
 from catebounds.autodiff import Tensor
-from catebounds.flow import TAIL_BOUND, ConditionalFlow
+from catebounds.flow import TAIL_BOUND, ConditionalFlow, _bin_index, _gather
 from catebounds.nets import Mlp
 
 
@@ -96,6 +97,32 @@ def grad_check(
         return loss_fn(net(x))
 
     return finite_difference_check(f, net.parameters(), tolerance, h=h)
+
+
+# -- the spline inverse --------------------------------------------------------
+
+
+def rq_inverse_points(z: np.ndarray, cumw: np.ndarray, cumh: np.ndarray,
+                      d: np.ndarray) -> np.ndarray:
+    """Inverse of `flow.rq_spline` point by point: each of the (n, m) points
+    `z` is located in its row's bins and gathers that bin's knots and
+    derivatives. `flow.rq_inverse` must match it bit for bit on a grid."""
+    vals = np.asarray(z, dtype=np.float64)
+    clamped = np.clip(vals, -TAIL_BOUND, TAIL_BOUND)
+    idx = _bin_index(clamped, cumh)
+    wk, hk, cwk, chk, dk, dk1 = _gather(idx, cumw, cumh, d)
+    s = hk / wk
+    zbar = clamped - chk
+    two_s = dk1 + dk - 2.0 * s
+    qa = hk * (s - dk) + zbar * two_s
+    qb = hk * dk - zbar * two_s
+    qc = -s * zbar
+    disc = qb * qb - 4.0 * qa * qc
+    if np.any(disc < -1e-9):
+        raise FloatingPointError("negative discriminant in spline inverse")
+    disc = np.maximum(disc, 0.0)
+    theta = np.clip((2.0 * qc) / (-qb - np.sqrt(disc)), 0.0, 1.0)
+    return np.where(np.abs(vals) <= TAIL_BOUND, theta * wk + cwk, vals)
 
 
 # -- flow densities ------------------------------------------------------------

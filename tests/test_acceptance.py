@@ -309,12 +309,18 @@ def test_criterion_05_numerics():
                                            knots=10))
     yv = np.random.default_rng(2).uniform(-4.9, 4.9, size=(50, 1))
     z, logdet_f = rq_spline(yv, *params)
-    back = rq_inverse(z, *params)
+
+    def inverse(v):
+        # one point per row: each row's point as a 1-point grid
+        return np.concatenate([rq_inverse(v[i], *(p[i:i + 1] for p in params))
+                               for i in range(len(v))])
+
+    back = inverse(z)
     inv_err = float(np.max(np.abs(back - yv)))
     assert inv_err < 1e-8
     # the inverse's slope (five-point central difference) is exp(-logdet_f)
     h = 1e-5
-    inv = [rq_inverse(z + j * h, *params) for j in (-2, -1, 1, 2)]
+    inv = [inverse(z + j * h) for j in (-2, -1, 1, 2)]
     slope = (inv[0] - 8 * inv[1] + 8 * inv[2] - inv[3]) / (12 * h)
     assert float(np.max(np.abs(np.log(slope) + logdet_f))) < 1e-8
 

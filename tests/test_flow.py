@@ -1,10 +1,13 @@
 """Conditional flow tests: spline algebra, likelihoods, sampling, training."""
 
 import copy
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtri
 from scipy.stats import kstest, norm
 
 from catebounds import flow as flow_module
@@ -23,7 +26,8 @@ from catebounds.flow import (
     train_cnf,
 )
 from catebounds.nets import Standardizer, TrainRun, encode_array
-from numeric_oracles import finite_difference_check, integrate_density
+from numeric_oracles import (finite_difference_check, integrate_density,
+                             rq_inverse_points)
 
 import tape_oracles
 from tape_oracles import assert_close
@@ -50,10 +54,22 @@ def random_params(n: int, knots: int, seed: int, scale: float = 1.0):
     return spline_params(raw, cfg), raw, cfg
 
 
+def rowwise_inverse(z: np.ndarray, params) -> np.ndarray:
+    """The inverse of one point per row, (n, 1): each row's point as a
+    1-point grid under that row's parameters."""
+    return np.concatenate([rq_inverse(z[i], *(p[i:i + 1] for p in params))
+                           for i in range(len(z))])
+
+
+def midpoint_nodes(k: int) -> np.ndarray:
+    return ndtri((np.arange(k) + 0.5) / k)
+
+
 def inverse_slope(params, z: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Five-point central difference of the inverse spline at `z`."""
+    """Five-point central difference of the inverse spline at `z`, one point
+    per row."""
     def inv(v):
-        return rq_inverse(v, *params)
+        return rowwise_inverse(v, params)
 
     return (inv(z - 2 * h) - 8 * inv(z - h) + 8 * inv(z + h) - inv(z + 2 * h)) / (12 * h)
 
@@ -79,7 +95,7 @@ class TestSpline:
         rng = np.random.default_rng(2)
         y = rng.uniform(-4.9, 4.9, size=(50, 1))
         z, logdet_f = rq_spline(y, *params)
-        back = rq_inverse(z, *params)
+        back = rowwise_inverse(z, params)
         assert np.max(np.abs(back - y)) < 1e-8
         # the inverse's slope at z is exp(-logdet) of the forward at y
         slope = inverse_slope(params, z)
@@ -133,8 +149,53 @@ class TestSpline:
         params = spline_params(raw, cfg)
         y = rng.uniform(-5.0, 5.0, size=(4, 1))
         z, _ = rq_spline(y, *params)
-        back = rq_inverse(z, *params)
+        back = rowwise_inverse(z, params)
         assert np.max(np.abs(back - y)) < 1e-8
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), knots=st.integers(2, 16),
+           scale=st.sampled_from([0.1, 1.0, 3.0]),
+           n=st.sampled_from([1, 2, 7, 128]),
+           k=st.sampled_from([1, 2, 7, 100, 2000]), edges=st.booleans())
+    def test_grid_inverse_matches_per_point_oracle(self, seed, knots, scale, n,
+                                                   k, edges):
+        rng = np.random.default_rng(seed)
+        cfg = FlowConfig(context_dim=2, hidden_units=4, knots=knots)
+        params = spline_params(rng.normal(scale=scale, size=(n, 3 * knots - 1)),
+                               cfg)
+        z = midpoint_nodes(k)
+        if edges:
+            # points beyond and on both bounds, on one row's interior knots,
+            # and repeated points
+            b = TAIL_BOUND
+            beyond = rng.uniform(b, 2 * b, size=3) * rng.choice([-1, 1], 3)
+            z = np.sort(np.concatenate([
+                z, beyond, [-b, b, b], params[1][rng.integers(n), 1:-1],
+                rng.choice(z, size=3)]))
+        got = rq_inverse(z, *params)
+        want = rq_inverse_points(np.broadcast_to(z, (n, len(z))), *params)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_rq_spline_refuses_other_shapes(self):
+        (params, _, _) = random_params(3, 4, seed=7)
+        for bad in (np.array([0.1, 0.2, 0.3]), np.zeros((2, 3)),
+                    np.zeros((3, 1, 1))):
+            with pytest.raises(ValueError, match=(
+                    r"rq_spline: inputs must have shape \(n, m\) with n = 3 "
+                    r"parameter rows, got shape " + re.escape(str(bad.shape)))):
+                rq_spline(bad, *params)
+
+    def test_rq_inverse_refuses_other_grids(self):
+        (params, _, _) = random_params(3, 4, seed=8)
+        with pytest.raises(ValueError, match=(
+                r"rq_inverse: z must be a 1-D grid of shape \(k,\), "
+                r"got shape \(3, 2\)")):
+            rq_inverse(np.zeros((3, 2)), *params)
+        for bad in ([0.5, -0.5], [0.0, np.nan]):
+            with pytest.raises(ValueError, match=(
+                    r"rq_inverse: z must be an ascending grid of shape \(k,\)")):
+                rq_inverse(np.array(bad), *params)
 
 
 class TestFusedSpline:
@@ -342,6 +403,38 @@ class TestSampling:
         assert (flow.log_density(y, a, phi).tobytes()
                 == (unit.log_density((y - mean) / std, a, phi)
                     - np.log(std)).tobytes())
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_sample_matches_per_point_oracle(self, n):
+        flow = ConditionalFlow(FlowConfig(context_dim=2, hidden_units=4, seed=9))
+        rng = np.random.default_rng(28)
+        flow.context_net.w2.data[:] = 0.5 * rng.normal(size=flow.context_net.w2.data.shape)
+        flow.y_scaler = Standardizer(np.array([0.37]), np.array([2.3]))
+        a, phi, k = rng.integers(0, 2, size=n).astype(float), rng.normal(size=n), 300
+        # a lone row is evaluated beside its copy, as `sample` pairs it
+        ctx = flow._context(a, phi)
+        params = [p[:n] for p in flow._spline_params(
+            np.repeat(ctx, 2 if n == 1 else 1, axis=0))]
+        want = flow.y_scaler.invert(
+            rq_inverse_points(np.broadcast_to(midpoint_nodes(k), (n, k)), *params))
+        assert flow.sample(a, phi, k).tobytes() == want.tobytes()
+
+    def test_sample_peak_memory(self):
+        # one stage-2 chunk: the traced peak stays below 14 float64 arrays of
+        # the output's size (the per-point inverse held about 18)
+        flow = ConditionalFlow(FlowConfig(context_dim=2, hidden_units=8, seed=10))
+        rng = np.random.default_rng(29)
+        flow.context_net.w2.data[:] = 0.3 * rng.normal(size=flow.context_net.w2.data.shape)
+        n, k = 128, 2000
+        a, phi = np.ones(n), rng.normal(size=n)
+        flow.sample(a, phi, k)
+        tracemalloc.start()
+        try:
+            flow.sample(a, phi, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 * n * k * 8, peak / (n * k * 8)
 
     def test_invalid_k_rejected(self):
         flow = ConditionalFlow(FlowConfig(context_dim=2, hidden_units=4, seed=7))
