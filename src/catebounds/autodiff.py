@@ -65,11 +65,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """Node in the autodiff graph wrapping a float64 ndarray."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "grad_out", "requires_grad", "_parents",
+                 "_backward")
 
     def __init__(self, data, requires_grad: bool = False, *, _op: str = "tensor"):
         self.data = _check_finite(np.asarray(data, dtype=np.float64), _op)
         self.grad: np.ndarray | None = None
+        # where the first adjoint is copied to, if not to a new array: an
+        # optimizer's gradient buffer gives each parameter its slice
+        self.grad_out: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
@@ -100,7 +104,10 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
+        if self.grad is None and self.grad_out is not None:
+            np.copyto(self.grad_out, g)
+            self.grad = self.grad_out
+        elif self.grad is None:
             self.grad = np.array(g, dtype=np.float64, copy=True)
         else:
             self.grad += g

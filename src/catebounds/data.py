@@ -270,7 +270,9 @@ def parse_idx(path: str | Path) -> np.ndarray:
         if len(raw) < end:
             raise ValueError(f"{path}: truncated IDX file")
         pixels = np.frombuffer(raw[16:end], dtype=np.uint8)
-        return pixels.reshape(n, rows * cols).astype(np.float64) / 255.0
+        images = pixels.reshape(n, rows * cols).astype(np.float64)
+        images /= 255.0
+        return images
     if magic == _IDX_LABELS_MAGIC:
         n = struct.unpack(">i", raw[4:8])[0]
         if len(raw) < 8 + n:

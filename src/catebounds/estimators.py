@@ -286,14 +286,18 @@ def train_stage0(model: Stage0Model, x: np.ndarray, a: np.ndarray, y: np.ndarray
 
 
 def representation(model: Stage0Model, x: np.ndarray) -> np.ndarray:
-    return model.nets["phi"](np.asarray(x, dtype=np.float64)).data
+    return model.nets["phi"].predict(np.asarray(x, dtype=np.float64))
 
 
 def predict_heads(model: Stage0Model, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Potential-outcome head predictions (mu0_hat, mu1_hat), each (n,), from
     representations `phi` (as `representation` returns them)."""
-    m0, m1 = model._head_outputs(np.asarray(phi, dtype=np.float64))
-    return m0.data[:, 0], m1.data[:, 0]
+    phi = np.asarray(phi, dtype=np.float64)
+    if model.config.kind is EstimatorKind.BNN:
+        out = model.nets["snet"].predict(phi)
+        return out[:, 0], out[:, 1]
+    return (model.nets["head0"].predict(phi)[:, 0],
+            model.nets["head1"].predict(phi)[:, 0])
 
 
 def predict_point_cate(model: Stage0Model, phi: np.ndarray) -> np.ndarray:

@@ -362,7 +362,7 @@ class ConditionalFlow:
         return np.concatenate([a, self.context_scaler.apply(phi)], axis=1)
 
     def _spline_params(self, ctx: np.ndarray):
-        return spline_params(self.context_net(ctx).data, self.cfg)
+        return spline_params(self.context_net.predict(ctx), self.cfg)
 
     # public ops ---------------------------------------------------------------
 
@@ -387,7 +387,12 @@ class ConditionalFlow:
                           float(np.log(self.y_scaler.std[0])))
 
     def nll(self, y, a, phi) -> float:
-        return float(self.nll_tensor(y, a, phi).data)
+        """The mean NLL of `nll_tensor` without noise, the context net run
+        by `Mlp.predict`."""
+        y_std = self.y_scaler.apply(np.ravel(y))
+        raw = Tensor(self.context_net.predict(self._context(a, phi)))
+        return float(spline_nll(raw, y_std, self.cfg,
+                                float(np.log(self.y_scaler.std[0]))).data)
 
     def log_density(self, y: np.ndarray, a, phi) -> np.ndarray:
         """log p(y | a, phi) per point, original outcome units."""

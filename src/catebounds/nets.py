@@ -22,6 +22,7 @@ from .autodiff import (NonFiniteError, Tensor, _check_finite, _unbroadcast,
 __all__ = [
     "MlpConfig",
     "Mlp",
+    "ROW_BLOCK",
     "forward_mlp",
     "AdamW",
     "SgdMomentum",
@@ -54,6 +55,11 @@ class MlpConfig:
             raise ValueError("hidden_units must be positive")
 
 
+# rows per network call outside training. Blocks start at row 0, so a row's
+# output never depends on how a caller splits its rows into chunks.
+ROW_BLOCK = 2048
+
+
 def _init_weight(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
@@ -75,6 +81,27 @@ class Mlp:
 
     def __call__(self, x) -> Tensor:
         return forward_mlp(self.cfg, self.parameters(), x)
+
+    def predict(self, x, prepare: Callable | None = None) -> np.ndarray:
+        """The network's outputs at the rows of `x`, without recording.
+
+        The rows run through `forward_mlp` in blocks of ROW_BLOCK from row
+        0, each block passed through `prepare` first (a standardizer's
+        `apply`), so the temporaries are of one block's size, not of n.
+        A call on at most ROW_BLOCK rows is one `forward_mlp` call.
+        """
+        x = np.asarray(x)
+
+        def run(block):
+            block = block if prepare is None else prepare(block)
+            return forward_mlp(self.cfg, self.parameters(), block).data
+
+        if len(x) <= ROW_BLOCK:
+            return run(x)
+        out = np.empty((len(x), self.cfg.output_dim))
+        for lo in range(0, len(x), ROW_BLOCK):
+            out[lo:lo + ROW_BLOCK] = run(x[lo:lo + ROW_BLOCK])
+        return out
 
     def zero_output_layer(self) -> None:
         """Zero the output layer (used to start flows at the identity map)."""
@@ -135,21 +162,27 @@ ADAM_EPS = 1e-8
 SGD_MOMENTUM = 0.9
 
 
+def _slices(flat: np.ndarray, params: Sequence[Tensor]) -> list[np.ndarray]:
+    """Consecutive views of `flat`, one per parameter, in its shape."""
+    views, offset = [], 0
+    for p in params:
+        views.append(flat[offset:offset + p.data.size].reshape(p.data.shape))
+        offset += p.data.size
+    return views
+
+
 def _flatten(params: Sequence[Tensor]) -> np.ndarray:
     """One contiguous buffer holding the values of `params`; each parameter's
     `data` becomes a view of its slice, so an update in place moves it."""
     flat = np.concatenate([p.data for p in params], axis=None)
-    offset = 0
-    for p in params:
-        size = p.data.size
-        p.data = flat[offset:offset + size].reshape(p.data.shape)
-        offset += size
+    for p, view in zip(params, _slices(flat, params)):
+        p.data = view
     return flat
 
 
 class _FlatOptimizer:
-    """The parameters of an optimizer as one buffer, and their gradients
-    gathered into another beside it; subclasses update in place."""
+    """The parameters of an optimizer as one buffer, and their gradients in
+    another beside it; subclasses update in place."""
 
     def __init__(self, params: Sequence[Tensor], lr: float,
                  weight_decay: float):
@@ -163,16 +196,22 @@ class _FlatOptimizer:
         self.flat = _flatten(self.params)
         self.grad = np.empty_like(self.flat)
         self._scratch = np.empty_like(self.flat)
+        # backpropagation copies each parameter's first adjoint into its
+        # slice of the gradient buffer and adds the others there
+        self._grad_slices = _slices(self.grad, self.params)
+        for p, view in zip(self.params, self._grad_slices):
+            p.grad_out = view
 
     def _gather(self) -> np.ndarray:
         """Every parameter's gradient, in the buffer's layout, after checking
-        that each has one and that all are finite."""
-        grads = [p.grad for p in self.params]
-        for i, g in enumerate(grads):
-            if g is None:
+        that each has one and that all are finite. A gradient that is not its
+        slice (one set by hand) is copied in."""
+        for i, (p, view) in enumerate(zip(self.params, self._grad_slices)):
+            if p.grad is None:
                 raise ValueError(f"optimizer step: parameter {i} (shape "
-                                 f"{self.params[i].shape}) has no gradient")
-        np.concatenate(grads, axis=None, out=self.grad)
+                                 f"{p.shape}) has no gradient")
+            if p.grad is not view:
+                np.copyto(view, p.grad)
         if not np.isfinite(self.grad).all():
             raise NonFiniteError("non-finite gradient in optimizer step")
         return self.grad
@@ -231,8 +270,11 @@ class SgdMomentum(_FlatOptimizer):
         g = self._gather()
         p, s, v = self.flat, self._scratch, self.velocity
         if self.weight_decay:
+            # summed in the scratch buffer, so the parameters' gradients,
+            # views of the gradient buffer, keep their values
             np.multiply(self.weight_decay, p, out=s)
-            g += s
+            s += g
+            g = s
         np.multiply(SGD_MOMENTUM, v, out=v)
         v += g
         np.multiply(self.lr, v, out=s)
@@ -338,8 +380,11 @@ class Standardizer(NamedTuple):
     std: np.ndarray
 
     def apply(self, values) -> np.ndarray:
-        """`values` (rows of observations, or one 1-D column) standardized."""
-        return (as_columns(values) - self.mean) / self.std
+        """`values` (rows of observations, or one 1-D column) standardized,
+        in one new array."""
+        out = as_columns(values) - self.mean
+        out /= self.std
+        return out
 
     def invert(self, values) -> np.ndarray:
         """The inverse of `apply`: standardized `values` back in original
@@ -347,12 +392,36 @@ class Standardizer(NamedTuple):
         return as_columns(values) * self.std + self.mean
 
 
+def _column_sums(blocks: Iterator[np.ndarray]) -> np.ndarray:
+    """The column sums of the row blocks stacked, added row after row: each
+    block is summed onto the running total as the next rows of one matrix."""
+    total = None
+    for block in blocks:
+        total = block.sum(axis=0) if total is None else np.concatenate(
+            [total[None], block]).sum(axis=0)
+    return total
+
+
 def fit_standardizer(values: np.ndarray) -> Standardizer:
     """Column means and standard deviations of `values`, one row per
     observation (a 1-D array is one column). The deviations are floored at
-    1e-8, so a constant column standardizes to zero."""
+    1e-8, so a constant column standardizes to zero.
+
+    numpy sums axis 0 of a C-ordered matrix of two or more columns row after
+    row, so on more than ROW_BLOCK such rows the sums run over row blocks
+    and give `v.mean(axis=0)` and `v.std(axis=0)` bit for bit, without a
+    full-size deviation matrix. Other layouts (one column, which numpy sums
+    pairwise) take numpy's own path.
+    """
     v = as_columns(values)
-    return Standardizer(v.mean(axis=0), np.maximum(v.std(axis=0), 1e-8))
+    n = len(v)
+    if n <= ROW_BLOCK or v.shape[1] < 2 or not v.flags.c_contiguous:
+        return Standardizer(v.mean(axis=0), np.maximum(v.std(axis=0), 1e-8))
+    starts = range(0, n, ROW_BLOCK)
+    mean = _column_sums(v[lo:lo + ROW_BLOCK] for lo in starts) / n
+    var = _column_sums(np.square(v[lo:lo + ROW_BLOCK] - mean)
+                       for lo in starts) / n
+    return Standardizer(mean, np.maximum(np.sqrt(var), 1e-8))
 
 
 # -- the model record ----------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import NonFiniteError
+from .autodiff import NonFiniteError, Tensor
 from .balancing import BalancingConfig, BalancingMetric
 from .bounds import cate_bounds, read_bounds_csv, write_bounds_csv
 from .data import (Dataset, HcMnistConfig, build_hcmnist, gen_synthetic,
@@ -468,7 +468,8 @@ def _candidate_score(stage: str, config: ExperimentConfig, params,
         phi_va = representation(model, train.x[va_idx])
         score = _factual_mse(model, phi_va, a_va, train.y[va_idx])
         if model.config.kind == EstimatorKind.CFR_ISW:
-            score += float(bce_logits(model.nets["prop_phi"](phi_va), a_va).data)
+            logits = Tensor(model.nets["prop_phi"].predict(phi_va))
+            score += float(bce_logits(logits, a_va).data)
         return score
     if stage in ("prop_x", "prop_phi"):
         inputs = train.x if stage == "prop_x" else phi

@@ -72,7 +72,7 @@ class PropensityModel:
     loss_trace: list[float] = field(default_factory=list)
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
-        logits = self.net(self.scaler.apply(inputs)).data[:, 0]
+        logits = self.net.predict(inputs, prepare=self.scaler.apply)[:, 0]
         return np.clip(expit(logits), *PROPENSITY_CLIP)
 
     def to_checkpoint(self) -> dict:
@@ -103,14 +103,15 @@ def train_propensity(inputs: np.ndarray, treatments: np.ndarray, run: TrainRun,
     if a.min() == a.max():
         raise ValueError("dataset has a single treatment group")
     scaler = fit_standardizer(x)
-    z = scaler.apply(x)
 
     seeds = child_seeds(seed, ("net", "shuffle"))
     net = Mlp(MlpConfig(x.shape[1], hidden_units, 1, seed=seeds["net"]))
     opt = AdamW(net.parameters(), lr=run.learning_rate,
                 weight_decay=run.weight_decay)
-    trace = list(fit(lambda idx: bce_logits(net(z[idx]), a[idx]), [opt],
-                     len(x), run, np.random.default_rng(seeds["shuffle"])))
+    # each batch is standardized as it is drawn, which gives the rows of a
+    # standardized copy of x bit for bit without holding one
+    trace = list(fit(lambda idx: bce_logits(net(scaler.apply(x[idx])), a[idx]),
+                     [opt], len(x), run, np.random.default_rng(seeds["shuffle"])))
     return PropensityModel(net, scaler, loss_trace=trace)
 
 

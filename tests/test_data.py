@@ -191,6 +191,14 @@ class TestIdx:
         assert out.min() >= 0.0 and out.max() <= 1.0
         assert out[0, 128] == 128.0 / 255.0
 
+    def test_images_equal_the_divided_copy_byte_for_byte(self, tmp_path):
+        images, _ = toy_mnist(n_per_class=2, seed=4)
+        pixels = (images * 256.0).astype(np.uint8).reshape(-1, 28, 28)
+        path = tmp_path / "imgs.idx"
+        path.write_bytes(idx_images_bytes(pixels))
+        want = pixels.reshape(len(pixels), -1).astype(np.float64) / 255.0
+        assert parse_idx(path).tobytes() == want.tobytes()
+
     def test_labels_parsed(self, tmp_path):
         path = tmp_path / "labels.idx"
         path.write_bytes(idx_labels_bytes([0, 3, 9, 1]))

@@ -3,13 +3,14 @@ the checkpoint codec."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from catebounds import estimators, flow, runner, sensitivity
+from catebounds import estimators, flow, nets, runner, sensitivity
 from catebounds.autodiff import NonFiniteError, Tensor, constant, take_rows
 from catebounds.balancing import BalancingConfig, mmd, sinkhorn_wasserstein
 from catebounds.estimators import (BNN_BALANCING, NEEDS_BALANCING,
@@ -23,15 +24,18 @@ from catebounds.nets import (
     Mlp,
     MlpConfig,
     SgdMomentum,
+    Standardizer,
     TrainRun,
+    as_columns,
     checkpoint,
     decode_array,
     encode_array,
     fit,
+    fit_standardizer,
     forward_mlp,
     load_checkpoint,
 )
-from catebounds.sensitivity import train_propensity
+from catebounds.sensitivity import PropensityModel, train_propensity
 from numeric_oracles import (
     backward_gradients,
     finite_difference_check,
@@ -390,6 +394,33 @@ class TestFlatOptimizers:
         assert all(np.array_equal(p.data, np.ones(p.shape)) for p in params)
 
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("kind", ["AdamW", "SgdMomentum"])
+    def test_backpropagated_gradients_match_per_tensor_loop(self, kind,
+                                                            weight_decay):
+        # the net runs twice per loss, so each parameter's second adjoint is
+        # added to the first in place
+        x = np.random.default_rng(3).normal(size=(6, 3))
+        flat_net, loop_net = (Mlp(MlpConfig(3, 5, 2, seed=4)) for _ in range(2))
+        flat = {"AdamW": AdamW, "SgdMomentum": SgdMomentum}[kind](
+            flat_net.parameters(), lr=0.1, weight_decay=weight_decay)
+        loop = getattr(tape_oracles, kind)(loop_net.parameters(), lr=0.1,
+                                           weight_decay=weight_decay)
+        for net in (flat_net, loop_net):
+            for p in net.parameters():
+                p.requires_grad = True
+        for _ in range(3):
+            for net, opt in ((flat_net, flat), (loop_net, loop)):
+                for p in net.parameters():
+                    p.zero_grad()
+                ((net(x) ** 2).sum() + net(x[::-1]).sum()).backward()
+                opt.step()
+            assert all(np.shares_memory(p.grad, flat.grad)
+                       for p in flat_net.parameters())
+            for got, want in zip(flat_net.parameters(), loop_net.parameters()):
+                assert got.data.tobytes() == want.data.tobytes()
+
+
 class TestTrainRun:
     @pytest.mark.parametrize("settings", [{"prop_learning_rate": 0.0},
                                           {"prop_learning_rate": -0.01},
@@ -717,3 +748,116 @@ class TestCheckpointCodec:
         with pytest.raises(ValueError, match=r"^toy checkpoint: net 'net' is not "
                                              r"a list of array cells"):
             load_toy(payload)
+
+
+_BLOCK_CASES = {"one row": lambda b: 1, "a block less one": lambda b: b - 1,
+                "one block": lambda b: b, "a block and one": lambda b: b + 1,
+                "two blocks and three": lambda b: 2 * b + 3}
+
+
+class TestPredict:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), block=st.integers(2, 6),
+           case=st.sampled_from(sorted(_BLOCK_CASES)), d_in=st.integers(1, 4),
+           hidden=st.integers(1, 5), d_out=st.integers(1, 3),
+           prepared=st.booleans())
+    def test_runs_forward_mlp_block_by_block_from_row_zero(
+            self, data, block, case, d_in, hidden, d_out, prepared):
+        n = _BLOCK_CASES[case](block)
+        x = data.draw(arrays(np.float64, (n, d_in),
+                             elements=st.floats(-10.0, 10.0)))
+        net = Mlp(MlpConfig(d_in, hidden, d_out, seed=data.draw(
+            st.integers(0, 2**32 - 1))))
+        prepare = None
+        if prepared:
+            mean = data.draw(arrays(np.float64, d_in, elements=st.floats(-5, 5)))
+            std = data.draw(arrays(np.float64, d_in, elements=st.floats(0.1, 5)))
+            prepare = Standardizer(mean, std).apply
+        want = np.concatenate([
+            forward_mlp(net.cfg, net.parameters(),
+                        x[lo:lo + block] if prepare is None
+                        else prepare(x[lo:lo + block])).data
+            for lo in range(0, n, block)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nets, "ROW_BLOCK", block)
+            got = net.predict(x, prepare)
+        assert got.shape == (n, d_out)
+        assert got.tobytes() == want.tobytes()
+
+    def test_rows_of_other_blocks_leave_a_row_unchanged(self, monkeypatch):
+        monkeypatch.setattr(nets, "ROW_BLOCK", 8)
+        rng = np.random.default_rng(6)
+        x = rng.random((27, 785))
+        net = Mlp(MlpConfig(785, 40, 3, seed=2))
+        base = net.predict(x)
+        moved = x.copy()
+        moved[:8] = rng.random((8, 785))
+        moved[16:] = rng.random((11, 785))
+        assert net.predict(moved)[8:16].tobytes() == base[8:16].tobytes()
+        # a longer call runs the same first blocks
+        assert net.predict(x[:16]).tobytes() == base[:16].tobytes()
+
+    def test_inference_peak_memory_is_one_blocks_not_ns(self, monkeypatch):
+        block, d_x, hidden = 64, 200, 300
+        monkeypatch.setattr(nets, "ROW_BLOCK", block)
+        x = np.random.default_rng(8).random((12 * block, d_x))
+        model = build_stage0(EstimatorConfig(
+            EstimatorKind.TARNET, d_x=d_x, d_phi=1, rep_hidden=hidden,
+            head_hidden=4, seed=1))
+        prop = PropensityModel(Mlp(MlpConfig(d_x, hidden, 1, seed=2)),
+                               fit_standardizer(x))
+        block_hidden = block * hidden * 8  # one block's hidden layer, bytes
+        for call in (lambda: estimators.representation(model, x),
+                     lambda: prop.predict(x)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the whole input at once would hold 12 blocks' hidden layers
+            assert peak < 3 * block_hidden
+
+
+_STANDARDIZER_VALUES = st.one_of(st.floats(-1e6, 1e6),
+                                 st.sampled_from([0.0, -0.0, 5e-324, 1e-300]))
+
+
+class TestStandardizer:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 9), d=st.integers(0, 3))
+    def test_apply_equals_subtract_then_divide(self, data, n, d):
+        # d == 0 draws a 1-D input, which is one column
+        values = data.draw(arrays(np.float64, (n, d) if d else (n,),
+                                  elements=_STANDARDIZER_VALUES))
+        mean = data.draw(arrays(np.float64, max(d, 1),
+                                elements=_STANDARDIZER_VALUES))
+        std = data.draw(arrays(np.float64, max(d, 1),
+                               elements=st.floats(1e-8, 1e6)))
+        got = Standardizer(mean, std).apply(values)
+        assert got.tobytes() == ((as_columns(values) - mean) / std).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40), d=st.integers(0, 4),
+           block=st.integers(1, 8), order=st.sampled_from("CF"))
+    def test_fit_equals_numpy_mean_and_std(self, data, n, d, block, order):
+        values = np.asarray(data.draw(arrays(
+            np.float64, (n, d) if d else (n,), elements=_STANDARDIZER_VALUES)),
+            order=order)
+        v = as_columns(values)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nets, "ROW_BLOCK", block)
+            got = fit_standardizer(values)
+        assert got.mean.tobytes() == v.mean(axis=0).tobytes()
+        assert got.std.tobytes() == np.maximum(v.std(axis=0), 1e-8).tobytes()
+
+    def test_fit_holds_no_full_size_deviations(self, monkeypatch):
+        monkeypatch.setattr(nets, "ROW_BLOCK", 64)
+        x = np.random.default_rng(9).random((12 * 64, 50))
+        tracemalloc.start()
+        try:
+            fit_standardizer(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 64 * 50 * 8  # numpy's std holds a copy of x

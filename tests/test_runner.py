@@ -543,18 +543,18 @@ class TestPipeline:
         train, test = load_dataset(cfg.dataset)
         model = train_seed(cfg, train, 0)
         phi_rows, prop_rows = [], {}
-        call, predict = Mlp.__call__, PropensityModel.predict
+        net_predict, predict = Mlp.predict, PropensityModel.predict
 
-        def counted_call(self, x):
+        def counted_net_predict(self, x, prepare=None):
             if self is model.nets["phi"]:
                 phi_rows.append(len(x))
-            return call(self, x)
+            return net_predict(self, x, prepare)
 
         def counted_predict(self, inputs):
             prop_rows.setdefault(id(self), []).append(len(inputs))
             return predict(self, inputs)
 
-        monkeypatch.setattr(Mlp, "__call__", counted_call)
+        monkeypatch.setattr(Mlp, "predict", counted_net_predict)
         monkeypatch.setattr(PropensityModel, "predict", counted_predict)
         refute_seed(cfg, train, test, 0, model=model)
         splits = sorted([train.n, test.n])

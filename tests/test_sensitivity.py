@@ -6,7 +6,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from catebounds import sensitivity
-from catebounds.nets import Standardizer, TrainRun, as_columns, encode_array
+from catebounds.estimators import bce_logits
+from catebounds.nets import (AdamW, Mlp, MlpConfig, Standardizer, TrainRun,
+                             as_columns, child_seeds, encode_array, fit,
+                             fit_standardizer)
 from catebounds.sensitivity import (
     DELTA_PRESETS,
     GammaField,
@@ -32,7 +35,38 @@ def _brute_ball_max(query, base, base_vals, self_vals, delta, chunk=64):
     return out
 
 
+def _train_on_standardized_copy(inputs, treatments, run, *, hidden_units,
+                                seed):
+    """Oracle for `train_propensity`: the whole input matrix is standardized
+    before training and every batch is drawn from that copy. Returns the net
+    and the loss trace."""
+    x = as_columns(inputs)
+    a = np.asarray(treatments, dtype=np.float64).reshape(-1)
+    z = fit_standardizer(x).apply(x)
+    seeds = child_seeds(seed, ("net", "shuffle"))
+    net = Mlp(MlpConfig(x.shape[1], hidden_units, 1, seed=seeds["net"]))
+    opt = AdamW(net.parameters(), lr=run.learning_rate,
+                weight_decay=run.weight_decay)
+    trace = list(fit(lambda idx: bce_logits(net(z[idx]), a[idx]), [opt],
+                     len(x), run, np.random.default_rng(seeds["shuffle"])))
+    return net, trace
+
+
 class TestPropensity:
+    @pytest.mark.parametrize("shape", [(300, 5), (300,)])
+    def test_batch_standardization_matches_standardized_copy(self, shape):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=shape) * rng.uniform(0.01, 100.0, shape[1:]) + 3.0
+        a = (rng.random(shape[0]) < expit(as_columns(x)[:, 0] / 50.0)).astype(float)
+        run = TrainRun(batch_size=32, learning_rate=0.01, weight_decay=0.001,
+                       n_iter=40)
+        model = train_propensity(x, a, run, hidden_units=6, seed=7)
+        net, trace = _train_on_standardized_copy(x, a, run, hidden_units=6,
+                                                 seed=7)
+        assert model.loss_trace == trace
+        for got, want in zip(model.net.parameters(), net.parameters()):
+            assert got.data.tobytes() == want.data.tobytes()
+
     def test_independent_treatment_predicts_base_rate(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(5000, 2))
