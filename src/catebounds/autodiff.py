@@ -27,7 +27,6 @@ __all__ = [
     "NonFiniteError",
     "Tensor",
     "as_tensor",
-    "constant",
     "slice_last",
     "take_rows",
 ]
@@ -197,15 +196,6 @@ class Tensor:
 
         return Tensor._result(out_data, (self, other), backward, "div")
 
-    def __rtruediv__(self, other):
-        return as_tensor(other) / self
-
-    def __neg__(self):
-        def backward(g):
-            self._accumulate(-g)
-
-        return Tensor._result(-self.data, (self,), backward, "neg")
-
     def __pow__(self, exponent: float):
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
@@ -288,11 +278,6 @@ class Tensor:
 
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
-
-
-def constant(value) -> Tensor:
-    """Wrap `value` as a graph constant (gradient never flows into it)."""
-    return Tensor(np.asarray(value, dtype=np.float64))
 
 
 def slice_last(t: Tensor, lo: int, hi: int) -> Tensor:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import NonFiniteError, Tensor, as_tensor, constant
+from .autodiff import NonFiniteError, Tensor, as_tensor
 
 __all__ = [
     "BalancingMetric",
@@ -57,7 +57,7 @@ class BalancingConfig:
 def _group_weights(weights, n: int) -> Tensor:
     """Normalise optional per-sample weights to sum 1; uniform when absent."""
     if weights is None:
-        return constant(np.full((n, 1), 1.0 / n))
+        return Tensor(np.full((n, 1), 1.0 / n))
     w = as_tensor(weights)
     if w.ndim == 1:
         w = w.reshape(-1, 1)
@@ -85,14 +85,12 @@ def _transpose(t: Tensor) -> Tensor:
 
 
 def mmd(rep_a: Tensor | np.ndarray, rep_b: Tensor | np.ndarray, *,
-        kernel: str = "linear", weights_a=None, weights_b=None,
-        rbf_bandwidth: float | None = None) -> Tensor:
+        kernel: str = "linear", weights_a=None, weights_b=None) -> Tensor:
     """Squared MMD between two representation samples of shape (n_i, d).
 
     Linear kernel: || weighted_mean(a) - weighted_mean(b) ||^2. RBF kernel:
-    biased V-statistic; bandwidth is the median pairwise squared distance of
-    the pooled sample unless given explicitly, and is treated as a constant
-    for gradients either way.
+    biased V-statistic; the bandwidth is the median pairwise squared distance
+    of the pooled sample, treated as a constant for gradients.
     """
     a, b = as_tensor(rep_a), as_tensor(rep_b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
@@ -108,18 +106,7 @@ def mmd(rep_a: Tensor | np.ndarray, rep_b: Tensor | np.ndarray, *,
         return (diff * diff).sum()
     if kernel != "rbf":
         raise ValueError(f"unknown kernel {kernel!r}")
-    if rbf_bandwidth is None:
-        pooled = np.concatenate([a.data, b.data], axis=0)
-        d2 = (
-            (pooled**2).sum(1)[:, None] + (pooled**2).sum(1)[None, :]
-            - 2.0 * pooled @ pooled.T
-        )
-        med = np.median(d2[np.triu_indices_from(d2, k=1)]) if pooled.shape[0] > 1 else 1.0
-        bandwidth = max(float(med), 1e-12)
-    else:
-        bandwidth = float(rbf_bandwidth)
-        if not bandwidth > 0.0:  # NaN too
-            raise ValueError("rbf_bandwidth must be positive")
+    bandwidth = _median_bandwidth(np.concatenate([a.data, b.data], axis=0))
     k_aa = (_pairwise_sq_dists(a, a) * (-1.0 / bandwidth)).exp()
     k_bb = (_pairwise_sq_dists(b, b) * (-1.0 / bandwidth)).exp()
     k_ab = (_pairwise_sq_dists(a, b) * (-1.0 / bandwidth)).exp()
@@ -129,6 +116,16 @@ def mmd(rep_a: Tensor | np.ndarray, rep_b: Tensor | np.ndarray, *,
         - 2.0 * (wa * k_ab * _transpose(wb)).sum()
     )
     return val.relu()  # V-statistic is >= 0 analytically; clamp float dust
+
+
+def _median_bandwidth(pooled: np.ndarray) -> float:
+    """The median pairwise squared distance of the rows of `pooled` (two or
+    more), floored at 1e-12."""
+    d2 = (
+        (pooled**2).sum(1)[:, None] + (pooled**2).sum(1)[None, :]
+        - 2.0 * pooled @ pooled.T
+    )
+    return max(float(np.median(d2[np.triu_indices_from(d2, k=1)])), 1e-12)
 
 
 def sinkhorn_wasserstein(

@@ -175,7 +175,8 @@ def cate_bounds(
 def read_bounds_csv(path: str | Path) -> CateBounds:
     """Load a table written by write_bounds_csv."""
     header, rows = read_table(path)
-    if header[:6] != ["id", "tau_hat", "lower", "upper", "gamma", "pi1_phi"]:
+    if header != ["id", "tau_hat", "lower", "upper", "gamma", "pi1_phi",
+                  "decision"]:
         raise ValueError(f"{path}: not a bounds table")
     if not rows:
         raise ValueError(f"{path}: empty bounds table")
@@ -185,11 +186,9 @@ def read_bounds_csv(path: str | Path) -> CateBounds:
 
 
 def write_bounds_csv(path: str | Path, bounds: CateBounds,
-                     decisions: Sequence[str] | None = None) -> None:
+                     decisions: Sequence[str]) -> None:
     """Per-point interval table: id, point, interval, Gamma, pi, decision."""
-    columns = {"id": np.arange(len(bounds.point)), "tau_hat": bounds.point,
-               "lower": bounds.lower, "upper": bounds.upper,
-               "gamma": bounds.gamma, "pi1_phi": bounds.pi1_phi}
-    if decisions is not None:
-        columns["decision"] = decisions
-    write_table(path, columns)
+    write_table(path, {"id": np.arange(len(bounds.point)),
+                       "tau_hat": bounds.point, "lower": bounds.lower,
+                       "upper": bounds.upper, "gamma": bounds.gamma,
+                       "pi1_phi": bounds.pi1_phi, "decision": decisions})

@@ -340,22 +340,19 @@ def _alpha_beta(phi: np.ndarray, gamma_star: float) -> tuple[np.ndarray, np.ndar
 
 
 def build_hcmnist(images: np.ndarray, labels: np.ndarray, seed: int,
-                  config: HcMnistConfig | None = None,
-                  split: str = "train") -> Dataset:
+                  config: HcMnistConfig, split: str = "train") -> Dataset:
     """Semi-synthetic treatment/outcome mechanism on top of MNIST images.
 
     The treatment depends on the scalar image summary phi and a binary
     confounder U (kept observed: appended as the 785th covariate). Outcome
     means are (2A-1)*phi + (2A-1) - 2*sin(2*(2A-1)*phi) - 2*(2U-1)*(1+0.5*phi)
-    with unit Gaussian noise shared across arms. Pass `config` to reuse train
-    statistics when building the test split.
+    with unit Gaussian noise shared across arms. `config` holds the training
+    images' statistics (`HcMnistConfig.from_data`), for either split.
     """
     images = np.asarray(images, dtype=np.float64)
     labels = np.asarray(labels)
     if len(images) != len(labels):
         raise ValueError("images and labels must align")
-    if config is None:
-        config = HcMnistConfig.from_data(images, labels)
     rng = _stream(seed, split)
     n = len(images)
     u = (rng.uniform(size=n) < 0.5).astype(np.float64)

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 from scipy.special import expit
 
-from .autodiff import Tensor, constant, slice_last, take_rows
+from .autodiff import Tensor, slice_last, take_rows
 from .balancing import BalancingConfig, BalancingMetric, balancing_penalty
 from .nets import (AdamW, Mlp, MlpConfig, TrainRun, checkpoint, child_seeds,
                    fit, load_checkpoint, read_checkpoint)
@@ -163,7 +163,7 @@ def build_stage0(config: EstimatorConfig) -> Stage0Model:
 
 def bce_logits(logits: Tensor, a: np.ndarray) -> Tensor:
     """Numerically stable mean BCE: softplus(z) - a*z on raw logits."""
-    a_col = constant(a.reshape(-1, 1))
+    a_col = Tensor(a.reshape(-1, 1))
     return (logits.softplus() - a_col * logits).mean()
 
 
@@ -197,9 +197,9 @@ def stage0_loss(model: Stage0Model, x: np.ndarray, a: np.ndarray,
     kind = model.config.kind
     rep = model.nets["phi"](x)
     m0, m1 = model._head_outputs(rep)
-    a_col = constant(a.reshape(-1, 1))
+    a_col = Tensor(a.reshape(-1, 1))
     pred = a_col * m1 + (1.0 - a_col) * m0
-    sq = (pred - constant(y.reshape(-1, 1))) ** 2
+    sq = (pred - y.reshape(-1, 1)) ** 2
 
     # one propensity-subnet call gives the MSE weights (as constants) and BCE
     logits = None
@@ -219,7 +219,7 @@ def stage0_loss(model: Stage0Model, x: np.ndarray, a: np.ndarray,
         weigh = _isw_weights if kind is EstimatorKind.CFR_ISW else _overlap_weights
         w = weigh(logits, a)
         parts["mean_weight"] = float(w.mean())
-        mse = (constant(w.reshape(-1, 1)) * sq).mean()
+        mse = (Tensor(w.reshape(-1, 1)) * sq).mean()
     else:
         mse = sq.mean()
     parts["mse"] = float(mse.data)
@@ -241,7 +241,7 @@ def stage0_loss(model: Stage0Model, x: np.ndarray, a: np.ndarray,
 
     if kind is EstimatorKind.INV_TARNET:
         recon = model.nets["decoder"](rep)
-        l_rec = ((recon - constant(x)) ** 2).mean()
+        l_rec = ((recon - x) ** 2).mean()
         parts["reconstruction"] = float(l_rec.data)
         loss = loss + l_rec
 

@@ -408,12 +408,7 @@ class ConditionalFlow:
         if k < 1:
             raise ValueError("k must be positive")
         z = ndtri((np.arange(k) + 0.5) / k)
-        ctx = self._context(a, phi)
-        n = len(ctx)
-        # numpy multiplies a lone row by gemv, which rounds unlike the gemm of
-        # a batch; paired with its copy, a row comes out as in a larger chunk
-        params = [p[:n] for p in self._spline_params(
-            np.repeat(ctx, 2 if n == 1 else 1, axis=0))]
+        params = self._spline_params(self._context(a, phi))
         out = self.y_scaler.invert(rq_inverse(z, *params))
         if not np.all(np.isfinite(out)):
             raise NonFiniteError("non-finite flow samples")
@@ -450,7 +445,8 @@ def train_cnf(
     phi: np.ndarray,
     run: TrainRun,
 ) -> ConditionalFlow:
-    """Fit the flow by SGD with momentum 0.9 on noise-regularized NLL.
+    """Fit the flow by SGD with momentum 0.9, without weight decay, on
+    noise-regularized NLL.
 
     Standardizers are fit on the training outcomes/representations. Training
     aborts with :class:`FlowDivergenceError` when the minibatch NLL exceeds
@@ -464,14 +460,16 @@ def train_cnf(
         raise ValueError("y, a, phi must have equal length")
     if len(y) < 2:
         raise ValueError("need at least 2 training points")
+    if run.weight_decay:
+        raise ValueError("the flow trains without weight decay, got "
+                         f"weight_decay={run.weight_decay}")
 
     flow.y_scaler = fit_standardizer(y)
     flow.context_scaler = fit_standardizer(phi)
 
     seq = np.random.SeedSequence(flow.cfg.seed)
     shuffle_rng, noise_rng = [np.random.default_rng(s) for s in seq.spawn(2)]
-    opt = SgdMomentum(flow.context_net.parameters(), lr=run.learning_rate,
-                      weight_decay=run.weight_decay)
+    opt = SgdMomentum(flow.context_net.parameters(), lr=run.learning_rate)
     flow.loss_trace = []
     high_streak = 0
     for val in fit(lambda idx: flow.nll_tensor(y[idx], a[idx], phi[idx],

@@ -88,19 +88,18 @@ class Mlp:
         The rows run through `forward_mlp` in blocks of ROW_BLOCK from row
         0, each block passed through `prepare` first (a standardizer's
         `apply`), so the temporaries are of one block's size, not of n.
-        A call on at most ROW_BLOCK rows is one `forward_mlp` call.
+        numpy multiplies a lone row by gemv, which rounds unlike the gemm of
+        a larger block, so a block of one row runs beside its copy.
         """
         x = np.asarray(x)
-
-        def run(block):
-            block = block if prepare is None else prepare(block)
-            return forward_mlp(self.cfg, self.parameters(), block).data
-
-        if len(x) <= ROW_BLOCK:
-            return run(x)
         out = np.empty((len(x), self.cfg.output_dim))
         for lo in range(0, len(x), ROW_BLOCK):
-            out[lo:lo + ROW_BLOCK] = run(x[lo:lo + ROW_BLOCK])
+            block = x[lo:lo + ROW_BLOCK]
+            block = block if prepare is None else prepare(block)
+            out[lo:lo + ROW_BLOCK] = forward_mlp(
+                self.cfg, self.parameters(),
+                np.repeat(block, 2, axis=0) if len(block) == 1 else block,
+            ).data[:len(block)]
         return out
 
     def zero_output_layer(self) -> None:
@@ -184,15 +183,11 @@ class _FlatOptimizer:
     """The parameters of an optimizer as one buffer, and their gradients in
     another beside it; subclasses update in place."""
 
-    def __init__(self, params: Sequence[Tensor], lr: float,
-                 weight_decay: float):
+    def __init__(self, params: Sequence[Tensor], lr: float):
         if not lr > 0.0:  # NaN fails every range test
             raise ValueError("learning rate must be positive")
-        if not weight_decay >= 0.0:
-            raise ValueError("weight decay must be non-negative")
         self.params = list(params)
         self.lr = lr
-        self.weight_decay = weight_decay
         self.flat = _flatten(self.params)
         self.grad = np.empty_like(self.flat)
         self._scratch = np.empty_like(self.flat)
@@ -222,7 +217,10 @@ class AdamW(_FlatOptimizer):
 
     def __init__(self, params: Sequence[Tensor], lr: float,
                  weight_decay: float = 0.0):
-        super().__init__(params, lr, weight_decay)
+        if not weight_decay >= 0.0:
+            raise ValueError("weight decay must be non-negative")
+        super().__init__(params, lr)
+        self.weight_decay = weight_decay
         self.t = 0
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
@@ -258,23 +256,16 @@ class AdamW(_FlatOptimizer):
 
 
 class SgdMomentum(_FlatOptimizer):
-    """SGD with heavy-ball momentum SGD_MOMENTUM and optional L2 weight decay."""
+    """SGD with heavy-ball momentum SGD_MOMENTUM."""
 
-    def __init__(self, params: Sequence[Tensor], lr: float, weight_decay: float = 0.0):
-        super().__init__(params, lr, weight_decay)
+    def __init__(self, params: Sequence[Tensor], lr: float):
+        super().__init__(params, lr)
         self.velocity = np.zeros_like(self.flat)
 
     def step(self) -> None:
-        """v = momentum * v + (g + wd * p), the decay term only at wd > 0;
-        then p - lr * v."""
+        """v = momentum * v + g; then p - lr * v."""
         g = self._gather()
         p, s, v = self.flat, self._scratch, self.velocity
-        if self.weight_decay:
-            # summed in the scratch buffer, so the parameters' gradients,
-            # views of the gradient buffer, keep their values
-            np.multiply(self.weight_decay, p, out=s)
-            s += g
-            g = s
         np.multiply(SGD_MOMENTUM, v, out=v)
         v += g
         np.multiply(self.lr, v, out=s)
@@ -408,14 +399,14 @@ def fit_standardizer(values: np.ndarray) -> Standardizer:
     1e-8, so a constant column standardizes to zero.
 
     numpy sums axis 0 of a C-ordered matrix of two or more columns row after
-    row, so on more than ROW_BLOCK such rows the sums run over row blocks
-    and give `v.mean(axis=0)` and `v.std(axis=0)` bit for bit, without a
+    row, so on such a matrix the sums run over row blocks of ROW_BLOCK and
+    give `v.mean(axis=0)` and `v.std(axis=0)` bit for bit, without a
     full-size deviation matrix. Other layouts (one column, which numpy sums
     pairwise) take numpy's own path.
     """
     v = as_columns(values)
     n = len(v)
-    if n <= ROW_BLOCK or v.shape[1] < 2 or not v.flags.c_contiguous:
+    if v.shape[1] < 2 or not v.flags.c_contiguous:
         return Standardizer(v.mean(axis=0), np.maximum(v.std(axis=0), 1e-8))
     starts = range(0, n, ROW_BLOCK)
     mean = _column_sums(v[lo:lo + ROW_BLOCK] for lo in starts) / n

@@ -185,6 +185,8 @@ class ExperimentConfig:
         if self.grid_resolution < 0 or self.grid_resolution == 1:
             raise ValueError("grid_resolution must be 0 (no grid) or at least "
                              f"2, got {self.grid_resolution}")
+        if self.dataset.kind != "synthetic":
+            _refuse_unused(self, "grid_resolution", f"{self.dataset.kind} data")
         # each section's numbers as above, then what its stage builds, so that
         # a bad setting fails here and not after earlier stages have trained
         for section in _STAGES:
@@ -196,6 +198,10 @@ class ExperimentConfig:
                 for name, value in dataclasses.asdict(params).items():
                     if name.endswith("multiplier") and not value > 0.0:
                         raise ValueError(f"{name} must be positive")
+                # only cfr_isw trains a propensity subnet in stage 0
+                if (section == "stage0" and EstimatorKind(self.method)
+                        is not EstimatorKind.CFR_ISW):
+                    _refuse_unused(params, "prop_", self.method)
                 if section == "flow":
                     _flow_config(self, params, seed=0)
             except ValueError as err:
@@ -209,6 +215,15 @@ class ExperimentConfig:
 
 
 _NUMERIC = {"float": float, "float | None": float, "int": int, "int | None": int}
+
+
+def _refuse_unused(obj, prefix: str | tuple[str, ...], user: str) -> None:
+    """Refuse each field of dataclass `obj` named with `prefix` that is off
+    its default: `user` never reads it, yet it would enter config_hash."""
+    for f in dataclasses.fields(obj):
+        if f.name.startswith(prefix) and getattr(obj, f.name) != f.default:
+            raise ValueError(f"{user} does not use {f.name}; leave it at its "
+                             f"default {f.default!r}")
 
 
 def _number(name: str, value, kind: type):
@@ -308,8 +323,8 @@ def _hidden_units(multiplier: float, r: int, d: int) -> int:
 
 def _balancing_config(config: ExperimentConfig) -> BalancingConfig | None:
     # the knobs enter config_hash and results.json whatever the method, so
-    # they are range-checked for every method, and a method that does not
-    # read them refuses any knob moved off its default
+    # they are range-checked for every method, and a method or metric that
+    # does not read them refuses any knob moved off its default
     metric = config.balancing_metric
     knobs = BalancingConfig(
         metric=BalancingMetric.MMD if metric is None else BalancingMetric(metric),
@@ -320,12 +335,10 @@ def _balancing_config(config: ExperimentConfig) -> BalancingConfig | None:
     if kind in NEEDS_BALANCING and kind is not EstimatorKind.BNN:
         if metric is None:
             raise ValueError(f"{config.method} needs a balancing_metric")
+        _refuse_unused(config, "sinkhorn_" if metric == "mmd"
+                       else "balancing_kernel", f"{metric} balancing")
         return knobs
-    for f in dataclasses.fields(ExperimentConfig):
-        knob = f.name.startswith(("balancing_", "sinkhorn_"))
-        if knob and getattr(config, f.name) != f.default:
-            raise ValueError(f"{config.method} does not use {f.name}; leave it "
-                             f"at its default {f.default!r}")
+    _refuse_unused(config, ("balancing_", "sinkhorn_"), config.method)
     return BNN_BALANCING if kind is EstimatorKind.BNN else None
 
 
@@ -629,7 +642,7 @@ def refute_seed(config: ExperimentConfig, train: Dataset, test: Dataset,
         write_bounds_csv(sdir / _delta_file(delta), bounds,
                          [d.value for d in bounds_policy(bounds)])
 
-    if config.grid_resolution > 0 and config.dataset.kind == "synthetic":
+    if config.grid_resolution > 0:
         _emit_decision_grid(config, sdir, model, prop_x, prop_phi, flow, field)
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from catebounds.autodiff import Tensor, as_tensor, constant, slice_last
+from catebounds.autodiff import Tensor, as_tensor, slice_last
 from catebounds.balancing import _group_weights, _pairwise_sq_dists, _transpose
 from catebounds.flow import (LOG_2PI, MIN_BIN, MIN_DERIVATIVE, TAIL_BOUND,
                              FlowConfig, _bin_index)
@@ -99,8 +99,8 @@ def logsumexp_last(t: Tensor, keepdims: bool = False) -> Tensor:
     constant shift, so gradients are exact.
     """
     shift = np.max(t.data, axis=-1, keepdims=True)
-    shifted = t - constant(shift)
-    out = log(shifted.exp().sum(axis=-1, keepdims=True)) + constant(shift)
+    shifted = t - Tensor(shift)
+    out = log(shifted.exp().sum(axis=-1, keepdims=True)) + Tensor(shift)
     if not keepdims:
         out = out.reshape(*t.data.shape[:-1])
     return out
@@ -108,7 +108,7 @@ def logsumexp_last(t: Tensor, keepdims: bool = False) -> Tensor:
 
 def softmax_last(t: Tensor) -> Tensor:
     shift = np.max(t.data, axis=-1, keepdims=True)
-    e = (t - constant(shift)).exp()
+    e = (t - Tensor(shift)).exp()
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -153,21 +153,16 @@ class AdamW:
 
 
 class SgdMomentum:
-    """SGD with heavy-ball momentum and optional L2 weight decay, one
-    parameter tensor at a time."""
+    """SGD with heavy-ball momentum, one parameter tensor at a time."""
 
-    def __init__(self, params: Sequence[Tensor], lr: float,
-                 weight_decay: float = 0.0):
+    def __init__(self, params: Sequence[Tensor], lr: float):
         self.params = list(params)
         self.lr = lr
-        self.weight_decay = weight_decay
         self.velocity = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
         for i, p in enumerate(self.params):
             g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
             self.velocity[i] = SGD_MOMENTUM * self.velocity[i] + g
             p.data = p.data - self.lr * self.velocity[i]
 
@@ -181,11 +176,11 @@ def sinkhorn_wasserstein(rep_a, rep_b, *, epsilon: float = 0.1, iters: int = 10,
     a, b = as_tensor(rep_a), as_tensor(rep_b)
     wa = _group_weights(weights_a, a.shape[0])
     wb = _group_weights(weights_b, b.shape[0])
-    log_wa = constant(np.log(np.maximum(wa.data, 1e-300)))
-    log_wb = constant(np.log(np.maximum(wb.data, 1e-300)))
+    log_wa = Tensor(np.log(np.maximum(wa.data, 1e-300)))
+    log_wb = Tensor(np.log(np.maximum(wb.data, 1e-300)))
     cost = _pairwise_sq_dists(a, b)
-    f = constant(np.zeros((a.shape[0], 1)))
-    g = constant(np.zeros((1, b.shape[0])))
+    f = Tensor(np.zeros((a.shape[0], 1)))
+    g = Tensor(np.zeros((1, b.shape[0])))
     neg_cost = cost * (-1.0 / epsilon)
     for _ in range(iters):
         f = logsumexp_last(neg_cost + g * (1.0 / epsilon) + _transpose(log_wb),
@@ -211,8 +206,8 @@ def spline_params(raw: Tensor, cfg: FlowConfig):
     uh = slice_last(raw, k, 2 * k)
     ud = slice_last(raw, 2 * k, 3 * k - 1)
 
-    neg_b = constant(np.full((n, 1), -b))
-    pos_b = constant(np.full((n, 1), b))
+    neg_b = Tensor(np.full((n, 1), -b))
+    pos_b = Tensor(np.full((n, 1), b))
 
     def _knots(u: Tensor):
         widths = softmax_last(u) * (1.0 - MIN_BIN * k) + MIN_BIN
@@ -222,7 +217,7 @@ def spline_params(raw: Tensor, cfg: FlowConfig):
     cumw, cumh = _knots(uw), _knots(uh)
     shift = float(np.log(np.expm1(1.0 - MIN_DERIVATIVE)))
     inner_d = (ud + shift).softplus() + MIN_DERIVATIVE
-    one = constant(np.ones((n, 1)))
+    one = Tensor(np.ones((n, 1)))
     d = concat_last([one, inner_d, one])
     return cumw, cumh, d
 
@@ -244,15 +239,15 @@ def rq_spline(vals: np.ndarray, cumw: Tensor, cumh: Tensor, d: Tensor):
     dk1 = take_along_last(d, idx + 1)
     s = hk / wk
 
-    theta = (constant(clamped) - cwk) / wk
+    theta = (Tensor(clamped) - cwk) / wk
     t1m = theta * (1.0 - theta)
     denom = s + (dk1 + dk - 2.0 * s) * t1m
     deriv_num = s * s * (dk1 * theta * theta + 2.0 * s * t1m + dk * (1.0 - theta) ** 2)
     logabsdet = log(deriv_num) - 2.0 * log(denom)
     out = chk + hk * (s * theta * theta + dk * t1m) / denom
 
-    mask = constant(inside.astype(np.float64))
-    out = mask * out + constant(np.where(inside, 0.0, vals))
+    mask = Tensor(inside.astype(np.float64))
+    out = mask * out + Tensor(np.where(inside, 0.0, vals))
     logabsdet = mask * logabsdet
     return out, logabsdet
 

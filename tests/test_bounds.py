@@ -301,6 +301,13 @@ class TestCateBounds:
         assert lines[0] == "id,tau_hat,lower,upper,gamma,pi1_phi,decision"
         assert lines[1].endswith("defer")
 
+    def test_table_without_decisions_rejected(self, tmp_path):
+        path = tmp_path / "bounds.csv"
+        path.write_text("id,tau_hat,lower,upper,gamma,pi1_phi\r\n"
+                        "0,0.5,-0.1,1.2,1.7,0.45\r\n")
+        with pytest.raises(ValueError, match="not a bounds table"):
+            read_bounds_csv(path)
+
     def test_ragged_csv_rejected(self, tmp_path):
         path = tmp_path / "bounds.csv"
         path.write_text("id,tau_hat,lower,upper,gamma,pi1_phi\r\n"

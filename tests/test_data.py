@@ -240,16 +240,17 @@ class TestHcMnist:
 
     def test_dataset_shape_and_confounder_column(self):
         images, labels = toy_mnist()
-        d = build_hcmnist(images, labels, seed=1)
+        d = build_hcmnist(images, labels, seed=1,
+                          config=HcMnistConfig.from_data(images, labels))
         assert d.d_x == 785
         u = d.x[:, -1]
         assert np.all((u == 0.0) | (u == 1.0))
 
     def test_consistency_and_oracle(self):
         images, labels = toy_mnist()
-        d = build_hcmnist(images, labels, seed=2)
-        assert np.array_equal(d.y, d.a * d.y1 + (1.0 - d.a) * d.y0)
         cfg = HcMnistConfig.from_data(images, labels)
+        d = build_hcmnist(images, labels, seed=2, config=cfg)
+        assert np.array_equal(d.y, d.a * d.y1 + (1.0 - d.a) * d.y0)
         phi = phi_from_images(images, labels, cfg)
         assert np.allclose(d.tau_oracle, 2.0 * phi + 2.0 - 4.0 * np.sin(2.0 * phi))
 
@@ -266,7 +267,7 @@ class TestHcMnist:
         images, labels = toy_mnist()
         keep = labels != 4
         with pytest.raises(ValueError, match="class 4"):
-            build_hcmnist(images[keep], labels[keep], seed=0)
+            HcMnistConfig.from_data(images[keep], labels[keep])
 
     def test_deterministic_and_split_streams(self):
         images, labels = toy_mnist()

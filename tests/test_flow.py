@@ -411,10 +411,7 @@ class TestSampling:
         flow.context_net.w2.data[:] = 0.5 * rng.normal(size=flow.context_net.w2.data.shape)
         flow.y_scaler = Standardizer(np.array([0.37]), np.array([2.3]))
         a, phi, k = rng.integers(0, 2, size=n).astype(float), rng.normal(size=n), 300
-        # a lone row is evaluated beside its copy, as `sample` pairs it
-        ctx = flow._context(a, phi)
-        params = [p[:n] for p in flow._spline_params(
-            np.repeat(ctx, 2 if n == 1 else 1, axis=0))]
+        params = flow._spline_params(flow._context(a, phi))
         want = flow.y_scaler.invert(
             rq_inverse_points(np.broadcast_to(midpoint_nodes(k), (n, k)), *params))
         assert flow.sample(a, phi, k).tobytes() == want.tobytes()
@@ -513,6 +510,14 @@ class TestTraining:
         run = TrainRun(batch_size=64, learning_rate=80.0, n_iter=3000)
         with pytest.raises((FlowDivergenceError, FloatingPointError)):
             train_cnf(flow, y, a, phi, run)
+
+    def test_weight_decay_refused(self):
+        # the flow's SGD has no decay term; a decaying run would be ignored
+        rng = np.random.default_rng(25)
+        flow = ConditionalFlow(FlowConfig(context_dim=2, hidden_units=4, seed=15))
+        with pytest.raises(ValueError, match="weight_decay=0.01"):
+            train_cnf(flow, rng.normal(size=20), np.ones(20), rng.normal(size=20),
+                      TrainRun(weight_decay=0.01, n_iter=5))
 
     def test_loss_trace_trends_down(self):
         rng = np.random.default_rng(24)

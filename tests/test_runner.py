@@ -234,9 +234,48 @@ class TestConfig:
         [name] = knob
         with pytest.raises(ValueError, match=f"^{method} does not use {name}"):
             tiny_config(tmp_path, method=method, **knob)
+        # accepted with the metric that reads it
+        metric = "wasserstein" if name.startswith("sinkhorn_") else "mmd"
         cfg = tiny_config(tmp_path, method="cfr",
-                          **{"balancing_metric": "mmd", **knob})
+                          **{"balancing_metric": metric, **knob})
         assert getattr(cfg, name) == knob[name]
+
+    @pytest.mark.parametrize("metric, knob", [
+        ("mmd", dict(sinkhorn_epsilon=0.5)), ("mmd", dict(sinkhorn_iters=3)),
+        ("wasserstein", dict(balancing_kernel="rbf"))])
+    def test_balancing_knob_refused_by_metric_that_ignores_it(
+            self, tmp_path, metric, knob):
+        [name] = knob
+        with pytest.raises(ValueError, match=f"^{metric} balancing does not "
+                                             f"use {name}; leave it at its "
+                                             "default"):
+            tiny_config(tmp_path, method="cfr", balancing_metric=metric, **knob)
+
+    @pytest.mark.parametrize("method, balancing", [
+        ("tarnet", {}), ("cfr", dict(balancing_metric="mmd")),
+        ("bwcfr", dict(balancing_metric="wasserstein")), ("bnn", {})])
+    @pytest.mark.parametrize("name", ["prop_learning_rate", "prop_weight_decay"])
+    def test_joint_propensity_setting_refused_without_cfr_isw(
+            self, tmp_path, method, balancing, name):
+        # only cfr_isw trains a propensity subnet in stage 0
+        stage0 = Stage0Params(n_iter=40, batch_size=32, **{name: 0.1})
+        with pytest.raises(ValueError, match=f"^stage0: {method} does not use "
+                                             f"{name}; leave it at its default "
+                                             "None"):
+            tiny_config(tmp_path, method=method, stage0=stage0, **balancing)
+        cfg = tiny_config(tmp_path, method="cfr_isw", balancing_metric="mmd",
+                          stage0=stage0)
+        assert getattr(cfg.stage0, name) == 0.1
+
+    @pytest.mark.parametrize("kind", ["ihdp", "hcmnist"])
+    def test_grid_resolution_refused_on_real_data(self, tmp_path, kind):
+        # the decision grid spans the synthetic covariates only
+        with pytest.raises(ValueError, match=f"^{kind} data does not use "
+                                             "grid_resolution; leave it at "
+                                             "its default 0"):
+            tiny_config(tmp_path, dataset=DatasetSpec(kind=kind),
+                        grid_resolution=4)
+        assert tiny_config(tmp_path, grid_resolution=4).grid_resolution == 4
 
     def test_r_multiplier(self, tmp_path):
         assert tiny_config(tmp_path).r_multiplier == 2
@@ -715,8 +754,10 @@ class TestEmitResults:
     @pytest.mark.parametrize("section, name", FLOAT_FIELDS + [(None, "deltas")])
     def test_float_setting_given_as_int_is_one_config(self, tmp_path, section,
                                                       name):
-        # cfr with Wasserstein balancing, so that every balancing knob may move
-        base = tiny_config(tmp_path, method="cfr", balancing_metric="wasserstein")
+        # cfr_isw with Wasserstein balancing, so that every float setting,
+        # the balancing knobs and the joint propensity's included, may move
+        base = tiny_config(tmp_path, method="cfr_isw",
+                           balancing_metric="wasserstein")
 
         def written(value):
             overrides = ({name: value} if section is None else
