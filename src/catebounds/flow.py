@@ -155,20 +155,22 @@ def _bin_index(values: np.ndarray, cum: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _gather(idx, cumw, cumh, d):
+def _gather(at, cumw, cumh, d):
     """Each point's bin width and height, left knots and knot derivatives;
-    a bin's width (height) is the difference of its two knots."""
+    a bin's width (height) is the difference of its two knots. `at` holds
+    each point's flat index into the raveled (n, K+1) parameter arrays:
+    its row times K+1 plus its bin."""
+    at1 = at + 1
     cwk, cwk1, chk, chk1, dk, dk1 = [
-        np.take_along_axis(p, j, axis=-1)
-        for p in (cumw, cumh, d) for j in (idx, idx + 1)]
+        np.take(p.ravel(), j) for p in (cumw, cumh, d) for j in (at, at1)]
     return cwk1 - cwk, chk1 - chk, cwk, chk, dk, dk1
 
 
-def _scatter(values: np.ndarray, idx: np.ndarray, width: int) -> np.ndarray:
-    """Sum `values` (n, m) into an (n, width) array at column `idx` of each
-    row: the adjoint of a gather along the last axis."""
+def _scatter(values: np.ndarray, flat: np.ndarray, width: int) -> np.ndarray:
+    """Sum `values` (n, m) into an (n, width) array at the flat indices
+    `flat` (row times `width` plus column): the adjoint of a gather along the
+    last axis."""
     n = values.shape[0]
-    flat = np.arange(n)[:, None] * width + idx
     return np.bincount(flat.ravel(), weights=values.ravel(),
                        minlength=n * width).reshape(n, width)
 
@@ -194,7 +196,10 @@ def _rq_forward(vals, cumw, cumh, d):
     inside = np.abs(vals) <= TAIL_BOUND
     clamped = np.clip(vals, -TAIL_BOUND, TAIL_BOUND)
     idx = _bin_index(clamped, cumw)
-    wk, hk, cwk, chk, dk, dk1 = _gather(idx, cumw, cumh, d)
+    k1 = d.shape[-1]
+    row = np.arange(len(vals))[:, None]
+    at = row * k1 + idx           # flat index of each point's left knot
+    wk, hk, cwk, chk, dk, dk1 = _gather(at, cumw, cumh, d)
     s = hk / wk
     theta = (clamped - cwk) / wk
     t1m = theta * (1.0 - theta)
@@ -228,14 +233,14 @@ def _rq_forward(vals, cumw, cumh, d):
         # theta = (x - cwk) / wk and s = hk / wk; wk and hk are knot
         # differences, and cwk and chk left knots
         g_cwk = -g_theta / wk
-        k1 = d.shape[-1]
+        at_bin = at - row         # flat index of each point's bin among K
         return (
-            _knot_adjoint(_scatter(g_cwk * theta - g_s * s / wk, idx, k1 - 1))
-            + _scatter(g_cwk, idx, k1),
-            _knot_adjoint(_scatter(g_out * frac + g_s / wk, idx, k1 - 1))
-            + _scatter(g_out, idx, k1),
+            _knot_adjoint(_scatter(g_cwk * theta - g_s * s / wk, at_bin, k1 - 1))
+            + _scatter(g_cwk, at, k1),
+            _knot_adjoint(_scatter(g_out * frac + g_s / wk, at_bin, k1 - 1))
+            + _scatter(g_out, at, k1),
             _scatter(np.concatenate([g_dk, g_dk1], axis=-1),
-                     np.concatenate([idx, idx + 1], axis=-1), k1),
+                     np.concatenate([at, at + 1], axis=-1), k1),
         )
 
     return out, np.where(inside, logabsdet, 0.0), pullback

@@ -1,9 +1,9 @@
 """Numeric oracles the tests check the package against.
 
-Finite-difference gradient checks for tape code, the per-point inverse of
-the flow's spline, the total mass of a flow density by quadrature, and the
-closed-form tilt coefficients of one (Gamma, pi) pair. The package itself
-never calls these.
+Finite-difference gradient checks for tape code, the spline's per-point
+gathers along each row and its per-point inverse, the total mass of a flow
+density by quadrature, and the closed-form tilt coefficients of one
+(Gamma, pi) pair. The package itself never calls these.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from scipy.integrate import trapezoid
 from scipy.stats import norm
 
 from catebounds.autodiff import Tensor
-from catebounds.flow import TAIL_BOUND, ConditionalFlow, _bin_index, _gather
+from catebounds.flow import TAIL_BOUND, ConditionalFlow, _bin_index
 from catebounds.nets import Mlp
 
 
@@ -102,6 +102,17 @@ def grad_check(
 # -- the spline inverse --------------------------------------------------------
 
 
+def gather_knots(idx: np.ndarray, cumw: np.ndarray, cumh: np.ndarray,
+                 d: np.ndarray):
+    """Each point's bin width and height, left knots and knot derivatives,
+    gathered along each row at its bin `idx` (n, m). `flow._gather` must
+    match it bit for bit."""
+    cwk, cwk1, chk, chk1, dk, dk1 = [
+        np.take_along_axis(p, j, axis=-1)
+        for p in (cumw, cumh, d) for j in (idx, idx + 1)]
+    return cwk1 - cwk, chk1 - chk, cwk, chk, dk, dk1
+
+
 def rq_inverse_points(z: np.ndarray, cumw: np.ndarray, cumh: np.ndarray,
                       d: np.ndarray) -> np.ndarray:
     """Inverse of `flow.rq_spline` point by point: each of the (n, m) points
@@ -110,7 +121,7 @@ def rq_inverse_points(z: np.ndarray, cumw: np.ndarray, cumh: np.ndarray,
     vals = np.asarray(z, dtype=np.float64)
     clamped = np.clip(vals, -TAIL_BOUND, TAIL_BOUND)
     idx = _bin_index(clamped, cumh)
-    wk, hk, cwk, chk, dk, dk1 = _gather(idx, cumw, cumh, d)
+    wk, hk, cwk, chk, dk, dk1 = gather_knots(idx, cumw, cumh, d)
     s = hk / wk
     zbar = clamped - chk
     two_s = dk1 + dk - 2.0 * s

@@ -115,6 +115,11 @@ class TestMmd:
         assert v == mmd(b, a).item()
 
 
+# six points near the origin; four near it and one 10 units away
+_NEAR = np.random.default_rng(16).normal(size=(10, 2))
+FAR_POINT = (_NEAR[:6], np.concatenate([_NEAR[6:], [[10.0, 0.0]]]))
+
+
 class TestSinkhorn:
     def test_single_points_cost_is_squared_distance(self):
         a = np.array([[0.0]])
@@ -174,6 +179,49 @@ class TestSinkhorn:
     def test_invalid_epsilon(self):
         with pytest.raises(ValueError):
             sinkhorn_wasserstein(np.zeros((2, 1)), np.zeros((2, 1)), epsilon=0.0)
+
+    @pytest.mark.parametrize("iters", [0, -1, 2.5, float("nan"), True])
+    def test_iters_must_be_a_positive_integer(self, iters):
+        with pytest.raises(ValueError,
+                           match="^iters must be positive and an integer"):
+            sinkhorn_wasserstein(np.zeros((2, 1)), np.ones((2, 1)), iters=iters)
+
+    @pytest.mark.parametrize("xa, xb, weights_b, epsilon, iters, axes", [
+        # a point 10 units from the other cloud: its kernel column
+        # underflows, so a g half-step re-bases
+        (*FAR_POINT, None, 0.05, 3, {0}),
+        (*FAR_POINT, None, 0.05, 10, {0}),
+        # a nearly weightless point beside a: the scalings drift until an
+        # f half-step re-bases too
+        (np.array([[0.0], [10.0]]), np.array([[1.0], [9.0], [12.0]]),
+         np.array([1e-6, 1.0, 1.0]), 0.01, 20, {0, 1}),
+    ])
+    def test_rebased_half_steps_match_tape_oracle(
+            self, monkeypatch, xa, xb, weights_b, epsilon, iters, axes):
+        """Value and both gradients follow the loop unrolled on the tape
+        when half-steps re-base in the log domain."""
+        log_domain_axes = []
+        soft_min = balancing._soft_min
+
+        def counted(z, axis, eps):
+            log_domain_axes.append(axis)
+            return soft_min(z, axis, eps)
+
+        results = []
+        for fn in (sinkhorn_wasserstein, tape_oracles.sinkhorn_wasserstein):
+            a = Tensor(xa, requires_grad=True)
+            b = Tensor(xb, requires_grad=True)
+            with monkeypatch.context() as patch:
+                patch.setattr(balancing, "_soft_min", counted)
+                value = fn(a, b, epsilon=epsilon, iters=iters,
+                           weights_b=weights_b)
+            value.backward()
+            results.append((value.data, a.grad, b.grad))
+        # the first f half-step (axis 1), then the re-based ones
+        assert log_domain_axes[0] == 1
+        assert set(log_domain_axes[1:]) == axes, log_domain_axes
+        for fused, oracle in zip(*results):
+            assert_close(fused, oracle)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 8), m=st.integers(1, 8),
@@ -254,5 +302,7 @@ class TestConfigDispatch:
             BalancingConfig(kernel="poly")
         with pytest.raises(ValueError):
             BalancingConfig(sinkhorn_epsilon=-0.1)
-        with pytest.raises(ValueError):
-            BalancingConfig(sinkhorn_iters=0)
+        for iters in (0, 2.5, float("nan"), True):
+            with pytest.raises(ValueError, match="^sinkhorn_iters must be "
+                                                 "positive and an integer"):
+                BalancingConfig(sinkhorn_iters=iters)

@@ -19,6 +19,7 @@ from catebounds.flow import (
     FlowDivergenceError,
     TAIL_BOUND,
     _bin_index,
+    _gather,
     rq_inverse,
     rq_spline,
     spline_nll,
@@ -26,8 +27,8 @@ from catebounds.flow import (
     train_cnf,
 )
 from catebounds.nets import Standardizer, TrainRun, encode_array
-from numeric_oracles import (finite_difference_check, integrate_density,
-                             rq_inverse_points)
+from numeric_oracles import (finite_difference_check, gather_knots,
+                             integrate_density, rq_inverse_points)
 
 import tape_oracles
 from tape_oracles import assert_close
@@ -139,6 +140,21 @@ class TestSpline:
         brute = np.clip((v[..., None] >= cum[:, None, :-1]).sum(-1) - 1,
                         0, knots - 1)
         assert np.array_equal(_bin_index(v, cum), brute)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 10_000), knots=st.integers(2, 16),
+           n=st.integers(1, 6), m=st.integers(1, 9))
+    def test_gather_matches_take_along_axis(self, seed, knots, n, m):
+        """The flat-index gathers return the bytes of row-wise gathers."""
+        rng = np.random.default_rng(seed)
+        cfg = FlowConfig(context_dim=2, hidden_units=4, knots=knots)
+        params = spline_params(rng.normal(scale=2.0, size=(n, 3 * knots - 1)),
+                               cfg)
+        idx = rng.integers(0, knots, size=(n, m))
+        at = np.arange(n)[:, None] * (knots + 1) + idx
+        for fused, oracle in zip(_gather(at, *params),
+                                 gather_knots(idx, *params)):
+            assert fused.tobytes() == oracle.tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), knots=st.integers(2, 16))
