@@ -21,6 +21,8 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import expit
 
+from .nets import ROW_BLOCK
+
 __all__ = [
     "Dataset",
     "gen_synthetic",
@@ -252,9 +254,11 @@ def load_ihdp_csv(directory: str | Path, replicate: int) -> tuple[Dataset, Datas
 def parse_idx(path: str | Path) -> np.ndarray:
     """Parse one IDX file (optionally gzipped) into a numpy array.
 
-    Image files (magic 0x00000803) yield (n, rows*cols) floats in [0, 1];
-    label files (magic 0x00000801) yield (n,) integer labels in 0..9.
-    Truncated files are rejected outright — never a partial dataset.
+    Image files (magic 0x00000803) yield the pixels themselves: a read-only
+    (n, rows*cols) uint8 view of the file's bytes, with no float copy;
+    `build_hcmnist` writes them, divided by 255, into its covariates. Label
+    files (magic 0x00000801) yield (n,) integer labels in 0..9. Truncated
+    files are rejected outright — never a partial dataset.
     """
     raw = Path(path).read_bytes()
     if raw[:2] == b"\x1f\x8b":
@@ -266,13 +270,11 @@ def parse_idx(path: str | Path) -> np.ndarray:
         if len(raw) < 16:
             raise ValueError(f"{path}: truncated IDX file")
         n, rows, cols = struct.unpack(">iii", raw[4:16])
-        end = 16 + n * rows * cols
-        if len(raw) < end:
+        if len(raw) < 16 + n * rows * cols:
             raise ValueError(f"{path}: truncated IDX file")
-        pixels = np.frombuffer(raw[16:end], dtype=np.uint8)
-        images = pixels.reshape(n, rows * cols).astype(np.float64)
-        images /= 255.0
-        return images
+        pixels = np.frombuffer(raw, dtype=np.uint8, count=n * rows * cols,
+                               offset=16)
+        return pixels.reshape(n, rows * cols)
     if magic == _IDX_LABELS_MAGIC:
         n = struct.unpack(">i", raw[4:8])[0]
         if len(raw) < 8 + n:
@@ -282,6 +284,35 @@ def parse_idx(path: str | Path) -> np.ndarray:
             raise ValueError(f"{path}: label outside 0..9")
         return labels
     raise ValueError(f"{path}: bad IDX magic {magic:#010x}")
+
+
+def _check_images(who: str, pixels: np.ndarray,
+                  labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`pixels` and `labels` as arrays, checked to be an image set: (n, p)
+    uint8 pixels, as `parse_idx` returns them, and n integer labels in
+    0..9. Anything else raises ValueError naming `who`; float images would
+    otherwise be divided by 255 a second time."""
+    pixels, labels = np.asarray(pixels), np.asarray(labels)
+    if pixels.ndim != 2 or pixels.dtype != np.uint8:
+        raise ValueError(f"{who}: pixels must be a 2-D uint8 array, got "
+                         f"{pixels.ndim}-D {pixels.dtype}")
+    if labels.shape != (len(pixels),):
+        raise ValueError(f"{who}: labels of shape {labels.shape} do not align "
+                         f"with {len(pixels)} images")
+    if labels.size and (not np.issubdtype(labels.dtype, np.integer)
+                        or labels.min() < 0 or labels.max() > 9):
+        raise ValueError(f"{who}: labels must be integers in 0..9")
+    return pixels, labels
+
+
+def _intensity(pixels: np.ndarray) -> np.ndarray:
+    """Mean intensity of each image, `(pixels / 255.0).mean(axis=1)`, over
+    row blocks of ROW_BLOCK: a row's mean has the same bits, and the float
+    temporary is one block."""
+    out = np.empty(len(pixels))
+    for lo in range(0, len(pixels), ROW_BLOCK):
+        out[lo:lo + ROW_BLOCK] = (pixels[lo:lo + ROW_BLOCK] / 255.0).mean(axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -298,9 +329,9 @@ class HcMnistConfig:
             raise ValueError("class intensity stds must be positive")
 
     @classmethod
-    def from_data(cls, images: np.ndarray, labels: np.ndarray) -> "HcMnistConfig":
-        intensity = np.asarray(images, dtype=np.float64).mean(axis=1)
-        labels = np.asarray(labels)
+    def from_data(cls, pixels: np.ndarray, labels: np.ndarray) -> "HcMnistConfig":
+        pixels, labels = _check_images("HcMnistConfig.from_data", pixels, labels)
+        intensity = _intensity(pixels)
         means, stds = [], []
         for c in range(10):
             mask = labels == c
@@ -317,12 +348,12 @@ def _class_range(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, lo + 0.4
 
 
-def phi_from_images(images: np.ndarray, labels: np.ndarray,
+def phi_from_images(pixels: np.ndarray, labels: np.ndarray,
                     config: HcMnistConfig) -> np.ndarray:
     """One-dimensional image summary: standardized mean intensity, clipped,
     mapped affinely onto the class-specific bin [Min_c, Max_c]."""
-    intensity = np.asarray(images, dtype=np.float64).mean(axis=1)
-    labels = np.asarray(labels)
+    pixels, labels = _check_images("phi_from_images", pixels, labels)
+    intensity = _intensity(pixels)
     mu = np.asarray(config.class_means)[labels]
     sd = np.asarray(config.class_stds)[labels]
     z = np.clip((intensity - mu) / sd, -HCMNIST_CLIP, HCMNIST_CLIP)
@@ -339,7 +370,7 @@ def _alpha_beta(phi: np.ndarray, gamma_star: float) -> tuple[np.ndarray, np.ndar
     return alpha, beta
 
 
-def build_hcmnist(images: np.ndarray, labels: np.ndarray, seed: int,
+def build_hcmnist(pixels: np.ndarray, labels: np.ndarray, seed: int,
                   config: HcMnistConfig, split: str = "train") -> Dataset:
     """Semi-synthetic treatment/outcome mechanism on top of MNIST images.
 
@@ -348,15 +379,16 @@ def build_hcmnist(images: np.ndarray, labels: np.ndarray, seed: int,
     means are (2A-1)*phi + (2A-1) - 2*sin(2*(2A-1)*phi) - 2*(2U-1)*(1+0.5*phi)
     with unit Gaussian noise shared across arms. `config` holds the training
     images' statistics (`HcMnistConfig.from_data`), for either split.
+
+    `pixels` are uint8, as `parse_idx` returns them. They are divided by 255
+    straight into the (n, d + 1) covariate matrix, the one float copy of
+    the images.
     """
-    images = np.asarray(images, dtype=np.float64)
-    labels = np.asarray(labels)
-    if len(images) != len(labels):
-        raise ValueError("images and labels must align")
+    pixels, labels = _check_images("build_hcmnist", pixels, labels)
     rng = _stream(seed, split)
-    n = len(images)
+    n, d = pixels.shape
     u = (rng.uniform(size=n) < 0.5).astype(np.float64)
-    phi = phi_from_images(images, labels, config)
+    phi = phi_from_images(pixels, labels, config)
     alpha, beta = _alpha_beta(phi, HCMNIST_GAMMA_STAR)
     p_treat = u / alpha + (1.0 - u) / beta
     a = (rng.uniform(size=n) < p_treat).astype(np.float64)
@@ -367,6 +399,8 @@ def build_hcmnist(images: np.ndarray, labels: np.ndarray, seed: int,
     y1 = m1 + eps
     y0 = m0 + eps
     y = np.where(a == 1.0, y1, y0)
-    x = np.column_stack([images, u])
+    x = np.empty((n, d + 1))
+    np.divide(pixels, 255.0, out=x[:, :d])
+    x[:, d] = u
     return Dataset(x=x, a=a, y=y, y0=y0, y1=y1,
                    tau_oracle=m1 - m0, split=split)

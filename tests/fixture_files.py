@@ -37,11 +37,12 @@ def idx_labels_bytes(labels):
 
 
 def toy_mnist(n_per_class=8, seed=0):
-    """Random images whose mean intensity varies within every class."""
+    """Random uint8 pixels, as `parse_idx` returns them, whose mean
+    intensity varies within every class, and their labels."""
     rng = np.random.default_rng(seed)
     images, labels = [], []
     for c in range(10):
         base = rng.uniform(0.2, 0.8, size=n_per_class)
         images.append(rng.uniform(0, 1, size=(n_per_class, 784)) * base[:, None])
         labels.append(np.full(n_per_class, c))
-    return np.concatenate(images), np.concatenate(labels)
+    return (np.concatenate(images) * 255).astype(np.uint8), np.concatenate(labels)

@@ -2,13 +2,17 @@
 
 Finite-difference gradient checks for tape code, the spline's per-point
 gathers along each row and its per-point inverse, the total mass of a flow
-density by quadrature, and the closed-form tilt coefficients of one
-(Gamma, pi) pair. The package itself never calls these.
+density by quadrature, the closed-form tilt coefficients of one
+(Gamma, pi) pair, and HC-MNIST built from a float copy of the images. The
+package itself never calls these.
 """
 
 from __future__ import annotations
 
+import gzip
+import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -16,6 +20,9 @@ from scipy.integrate import trapezoid
 from scipy.stats import norm
 
 from catebounds.autodiff import Tensor
+from catebounds.data import (HCMNIST_CLIP, HCMNIST_GAMMA_STAR, Dataset,
+                             HcMnistConfig, _alpha_beta, _class_range,
+                             _stream)
 from catebounds.flow import TAIL_BOUND, ConditionalFlow, _bin_index
 from catebounds.nets import Mlp
 
@@ -187,3 +194,63 @@ def shift_coefficients(gamma: float, pi: float) -> ShiftCoefficients:
     c_minus = 1.0 / (1.0 + gamma)
     c_plus = gamma / (1.0 + gamma)
     return ShiftCoefficients(s_minus, s_plus, c_minus, c_plus)
+
+
+# -- HC-MNIST from float images ------------------------------------------------
+
+
+def parse_idx_float(path: str | Path) -> np.ndarray:
+    """An IDX image file (optionally gzipped) as (n, rows*cols) floats in
+    [0, 1]: its pixel bytes copied out, converted to float64, then divided
+    by 255 in place."""
+    raw = Path(path).read_bytes()
+    if raw[:2] == b"\x1f\x8b":
+        raw = gzip.decompress(raw)
+    magic, n, rows, cols = struct.unpack(">iiii", raw[:16])
+    assert magic == 0x00000803
+    pixels = np.frombuffer(raw[16:16 + n * rows * cols], dtype=np.uint8)
+    images = pixels.reshape(n, rows * cols).astype(np.float64)
+    images /= 255.0
+    return images
+
+
+def hcmnist_stats_float(images: np.ndarray, labels: np.ndarray) -> HcMnistConfig:
+    """Per-class mean and std of the float images' mean intensity."""
+    intensity = images.mean(axis=1)
+    return HcMnistConfig(
+        class_means=tuple(float(intensity[labels == c].mean()) for c in range(10)),
+        class_stds=tuple(float(intensity[labels == c].std()) for c in range(10)))
+
+
+def phi_float(images: np.ndarray, labels: np.ndarray,
+              config: HcMnistConfig) -> np.ndarray:
+    """phi from the float images' mean intensity, computed over all rows at once."""
+    intensity = images.mean(axis=1)
+    mu = np.asarray(config.class_means)[labels]
+    sd = np.asarray(config.class_stds)[labels]
+    z = np.clip((intensity - mu) / sd, -HCMNIST_CLIP, HCMNIST_CLIP)
+    lo, hi = _class_range(labels)
+    return lo + (z + HCMNIST_CLIP) * (hi - lo) / (2.0 * HCMNIST_CLIP)
+
+
+def build_hcmnist_float(images: np.ndarray, labels: np.ndarray, seed: int,
+                        config: HcMnistConfig, split: str) -> Dataset:
+    """HC-MNIST on float images, the covariates column-stacked from the
+    images and the confounder. `data.build_hcmnist` must match it bit for
+    bit from the uint8 pixels."""
+    rng = _stream(seed, split)
+    n = len(images)
+    u = (rng.uniform(size=n) < 0.5).astype(np.float64)
+    phi = phi_float(images, labels, config)
+    alpha, beta = _alpha_beta(phi, HCMNIST_GAMMA_STAR)
+    p_treat = u / alpha + (1.0 - u) / beta
+    a = (rng.uniform(size=n) < p_treat).astype(np.float64)
+    lean = -2.0 * (2.0 * u - 1.0) * (1.0 + 0.5 * phi)
+    m1 = phi + 1.0 - 2.0 * np.sin(2.0 * phi) + lean
+    m0 = -phi - 1.0 + 2.0 * np.sin(2.0 * phi) + lean
+    eps = rng.standard_normal(n)
+    y1 = m1 + eps
+    y0 = m0 + eps
+    y = np.where(a == 1.0, y1, y0)
+    return Dataset(x=np.column_stack([images, u]), a=a, y=y, y0=y0, y1=y1,
+                   tau_oracle=m1 - m0, split=split)

@@ -31,6 +31,7 @@ from catebounds.data import (
     IHDP_TEST_ROWS,
     IHDP_TRAIN_ROWS,
     HcMnistConfig,
+    build_hcmnist,
     gen_synthetic,
     load_ihdp_csv,
     parse_idx,
@@ -418,9 +419,16 @@ def test_criterion_09_ingestion(tmp_path):
     te_x = parse_idx(tmp_path / "t10k-images")
     te_y = parse_idx(tmp_path / "t10k-labels")
     assert tr_x.shape == (60_000, 784) and te_x.shape == (10_000, 784)
+    assert tr_x.dtype == np.uint8 and te_x.dtype == np.uint8
     assert tr_y.shape == (60_000,) and te_y.shape == (10_000,)
     assert set(np.unique(tr_y)) <= set(range(10))
-    assert 0.0 <= te_x.min() and te_x.max() <= 1.0
+
+    # the covariates are the pixels / 255 plus the confounder column
+    test = build_hcmnist(te_x, te_y, 0, HcMnistConfig.from_data(tr_x, tr_y),
+                         "test")
+    covariates = test.x[:, :784]
+    assert np.array_equal(covariates, te_x / 255.0)
+    assert 0.0 <= covariates.min() and covariates.max() <= 1.0
 
     # reduced feature respects the per-class interval tiling of [-2, 2]
     cfg = HcMnistConfig.from_data(te_x, te_y)
@@ -438,8 +446,9 @@ def test_criterion_09_ingestion(tmp_path):
     write_ihdp_pair(tmp_path, 2, n_train=600)
     with pytest.raises(ValueError):
         load_ihdp_csv(tmp_path, 2)
-    print(f"criterion 09 ingestion: PASS — IDX 60000/10000 parsed with valid "
-          f"labels, reduced feature inside all 10 class bins, tabular loader "
+    print(f"criterion 09 ingestion: PASS — IDX 60000/10000 parsed as uint8 "
+          f"pixels with valid labels, covariates pixels / 255 in [0, 1], "
+          f"reduced feature inside all 10 class bins, tabular loader "
           f"enforces {IHDP_TRAIN_ROWS}/{IHDP_TEST_ROWS}/{IHDP_COVARIATES}")
 
 

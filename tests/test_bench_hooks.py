@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from fixture_files import idx_images_bytes, idx_labels_bytes, toy_mnist
+
 from catebounds import bounds, runner
 from catebounds.estimators import (EstimatorConfig, EstimatorKind, build_stage0,
                                    representation)
@@ -38,6 +40,27 @@ def test_tracer_installs_and_restores_every_hook(monkeypatch):
         pass
     for owner, attr, original in originals:
         assert owner.__dict__[attr] is original, attr
+
+
+def test_hcmnist_loading_is_traced(monkeypatch, tmp_path):
+    # the tracer wraps runner.parse_idx and runner.build_hcmnist, so
+    # load_dataset must keep calling them through runner's names
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    pixels, labels = toy_mnist(n_per_class=3)
+    for split, n in (("train", 30), ("t10k", 20)):
+        (tmp_path / f"{split}-images-idx3-ubyte").write_bytes(
+            idx_images_bytes(pixels[:n].reshape(-1, 28, 28)))
+        (tmp_path / f"{split}-labels-idx1-ubyte").write_bytes(
+            idx_labels_bytes(labels[:n]))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        runner.load_dataset(runner.DatasetSpec(
+            kind="hcmnist", n_train=30, n_test=20, path=str(tmp_path)))
+    names = [s.name for s in tracer.spans]
+    assert names.count("data.parse_idx") == 4
+    assert names.count("data.build_hcmnist") == 2
 
 
 def test_workload_configs_load_and_round_trip(monkeypatch):

@@ -26,6 +26,7 @@ from catebounds.data import (
     write_table,
 )
 from catebounds.evaluation import Decision
+from catebounds.nets import ROW_BLOCK
 
 _FLOATS = st.one_of(
     st.floats(allow_nan=False),
@@ -103,6 +104,8 @@ class TestDatasetValidation:
 
 from fixture_files import (idx_images_bytes, idx_labels_bytes, toy_mnist,
                       write_ihdp_pair)
+from numeric_oracles import (build_hcmnist_float, hcmnist_stats_float,
+                             parse_idx_float, phi_float)
 
 
 class TestIhdp:
@@ -182,22 +185,24 @@ class TestTable:
 
 
 class TestIdx:
-    def test_images_parsed_and_scaled(self, tmp_path):
+    def test_images_parsed_as_read_only_pixels(self, tmp_path):
         imgs = np.arange(5 * 28 * 28, dtype=np.int64).reshape(5, 28, 28) % 256
         path = tmp_path / "imgs.idx"
         path.write_bytes(idx_images_bytes(imgs))
         out = parse_idx(path)
-        assert out.shape == (5, 784)
-        assert out.min() >= 0.0 and out.max() <= 1.0
-        assert out[0, 128] == 128.0 / 255.0
+        assert out.shape == (5, 784) and out.dtype == np.uint8
+        assert out[0, 128] == 128
+        assert not out.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            out[0, 0] = 1
 
-    def test_images_equal_the_divided_copy_byte_for_byte(self, tmp_path):
+    def test_images_equal_the_files_bytes(self, tmp_path):
         images, _ = toy_mnist(n_per_class=2, seed=4)
-        pixels = (images * 256.0).astype(np.uint8).reshape(-1, 28, 28)
         path = tmp_path / "imgs.idx"
-        path.write_bytes(idx_images_bytes(pixels))
-        want = pixels.reshape(len(pixels), -1).astype(np.float64) / 255.0
-        assert parse_idx(path).tobytes() == want.tobytes()
+        path.write_bytes(idx_images_bytes(images.reshape(-1, 28, 28)))
+        out = parse_idx(path)
+        assert out.dtype == np.uint8
+        assert out.tobytes() == path.read_bytes()[16:] == images.tobytes()
 
     def test_labels_parsed(self, tmp_path):
         path = tmp_path / "labels.idx"
@@ -283,3 +288,74 @@ class TestHcMnist:
             HcMnistConfig(class_means=(0.0,) * 9, class_stds=(1.0,) * 9)
         with pytest.raises(ValueError):
             HcMnistConfig(class_means=(0.0,) * 10, class_stds=(0.0,) * 10)
+
+    def test_image_sets_checked(self):
+        images, labels = toy_mnist()
+        cfg = HcMnistConfig.from_data(images, labels)
+        bad_label = labels.copy()
+        bad_label[3] = 15
+        calls = {
+            "HcMnistConfig.from_data": HcMnistConfig.from_data,
+            "phi_from_images": lambda pix, lab: phi_from_images(pix, lab, cfg),
+            "build_hcmnist": lambda pix, lab: build_hcmnist(pix, lab, 0, cfg),
+        }
+        cases = [
+            (images, labels[:19], "do not align"),
+            (images, labels[:, None], "do not align"),
+            (images, bad_label, "0..9"),
+            (images, labels - 1, "0..9"),
+            (images, labels.astype(np.float64), "integers"),
+            # float images would be divided by 255 a second time
+            (images / 255.0, labels, "2-D uint8"),
+            (images.astype(np.int64), labels, "2-D uint8"),
+            (images.reshape(-1, 28, 28), labels, "2-D uint8"),
+        ]
+        for who, call in calls.items():
+            for pixels, lab, why in cases:
+                with pytest.raises(ValueError, match=f"^{re.escape(who)}: .*{why}"):
+                    call(pixels, lab)
+
+
+_N_TEST = (1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1)
+
+
+def _idx_pixels(data, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n random images with some rows all 0 and some all 255, and labels."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    pixels = rng.integers(0, 256, size=(n, 784), dtype=np.uint8)
+    for value in (0, 255):
+        rows = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+        pixels[rows] = value
+    return pixels, rng.integers(0, 10, size=n)
+
+
+class TestHcMnistOracle:
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_float_image_path(self, data, tmp_path_factory):
+        # the oracle divides a float copy of the images, takes every row's
+        # intensity at once and column-stacks the covariates; the training
+        # split is large enough to hold every class
+        tmp = tmp_path_factory.mktemp("idx")
+        gzipped = data.draw(st.booleans())
+        files = {}
+        for split, sizes in (("train", _N_TEST[2:]), ("test", _N_TEST)):
+            pixels, labels = _idx_pixels(data, data.draw(st.sampled_from(sizes)))
+            blob = idx_images_bytes(pixels.reshape(-1, 28, 28))
+            path = tmp / f"{split}.idx"
+            path.write_bytes(gzip.compress(blob) if gzipped else blob)
+            files[split] = path, labels
+        tr_path, tr_labels = files["train"]
+        stats = HcMnistConfig.from_data(parse_idx(tr_path), tr_labels)
+        want_stats = hcmnist_stats_float(parse_idx_float(tr_path), tr_labels)
+        assert (np.array(stats.class_means + stats.class_stds).tobytes()
+                == np.array(want_stats.class_means + want_stats.class_stds).tobytes())
+        for split, (path, labels) in files.items():
+            pixels, images = parse_idx(path), parse_idx_float(path)
+            assert (phi_from_images(pixels, labels, stats).tobytes()
+                    == phi_float(images, labels, stats).tobytes())
+            got = build_hcmnist(pixels, labels, 5, stats, split)
+            want = build_hcmnist_float(images, labels, 5, stats, split)
+            for name in ("x", "a", "y", "y0", "y1", "tau_oracle"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert got.x.flags.c_contiguous and got.split == split

@@ -4,6 +4,7 @@ determinism, and results emission (kept at toy sizes)."""
 import dataclasses
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -307,7 +308,7 @@ class TestLoadDataset:
     @staticmethod
     def write_toy_idx(directory):
         images, labels = toy_mnist(n_per_class=6)
-        pix = (images.reshape(-1, 28, 28) * 255).astype(np.uint8)
+        pix = images.reshape(-1, 28, 28)
         (directory / "train-images-idx3-ubyte").write_bytes(idx_images_bytes(pix))
         (directory / "train-labels-idx1-ubyte").write_bytes(idx_labels_bytes(labels))
         (directory / "t10k-images-idx3-ubyte").write_bytes(idx_images_bytes(pix[:30]))
@@ -337,6 +338,31 @@ class TestLoadDataset:
     def test_missing_idx_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_dataset(DatasetSpec(kind="hcmnist", path=str(tmp_path)))
+
+    def test_hcmnist_holds_one_float_copy_of_the_images(self, tmp_path):
+        # the pixels stay uint8 until build_hcmnist divides them into the
+        # covariates; a float copy of the images on top of the covariates
+        # would take the peak to about twice the two matrices
+        rng = np.random.default_rng(0)
+        rows = {"train": 4096, "t10k": 512}
+        for split, n in rows.items():
+            pixels = rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
+            labels = np.arange(n) % 10
+            (tmp_path / f"{split}-images-idx3-ubyte").write_bytes(
+                idx_images_bytes(pixels))
+            (tmp_path / f"{split}-labels-idx1-ubyte").write_bytes(
+                idx_labels_bytes(labels))
+        spec = DatasetSpec(kind="hcmnist", n_train=rows["train"],
+                           n_test=rows["t10k"], path=str(tmp_path))
+        tracemalloc.start()
+        try:
+            train, test = runner.load_dataset(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pixel_bytes = sum(rows.values()) * 784
+        assert train.x.nbytes + test.x.nbytes == sum(rows.values()) * 785 * 8
+        assert peak < pixel_bytes + 1.25 * (train.x.nbytes + test.x.nbytes)
 
 
 class TestGridSearch:
