@@ -70,7 +70,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, *, _op: str = "tensor"):
         self.data = _check_finite(np.asarray(data, dtype=np.float64), _op)
         self.grad: np.ndarray | None = None
-        # where the first adjoint is copied to, if not to a new array: an
+        # where the first adjoint is written, if not to a new array: an
         # optimizer's gradient buffer gives each parameter its slice
         self.grad_out: np.ndarray | None = None
         self.requires_grad = requires_grad

@@ -23,6 +23,7 @@ __all__ = [
     "MlpConfig",
     "Mlp",
     "ROW_BLOCK",
+    "UPDATE_BLOCK",
     "forward_mlp",
     "AdamW",
     "SgdMomentum",
@@ -119,7 +120,9 @@ def forward_mlp(cfg: MlpConfig, params: Sequence[Tensor], x) -> Tensor:
     derivative is h + 1). So training and inference run one path, and a
     forward holds h and one (n, hidden) mask beside its output. The
     pre-activation is checked for finiteness before the ELU, which would
-    map -inf to -1; the output is checked as every op's.
+    map -inf to -1; the output is checked as every op's. A weight's first
+    adjoint is written by its matmul straight into the weight's slice of an
+    optimizer's gradient buffer (`grad_out`), where it has one.
     """
     x = as_tensor(x)
     if x.ndim != 2 or x.shape[1] != cfg.input_dim:
@@ -142,16 +145,26 @@ def forward_mlp(cfg: MlpConfig, params: Sequence[Tensor], x) -> Tensor:
         if b2.requires_grad:
             b2._accumulate(_unbroadcast(g, b2.data.shape))
         if w2.requires_grad:
-            w2._accumulate(h.T @ g)
+            _accumulate_matmul(w2, h.T, g)
         g_pre = (g @ w2d.T) * np.where(h > 0.0, 1.0, h + 1.0)
         if b1.requires_grad:
             b1._accumulate(_unbroadcast(g_pre, b1.data.shape))
         if x.requires_grad:
             x._accumulate(g_pre @ w1d.T)
         if w1.requires_grad:
-            w1._accumulate(xd.T @ g_pre)
+            _accumulate_matmul(w1, xd.T, g_pre)
 
     return Tensor._result(out, (x, w1, b1, w2, b2), backward, "mlp")
+
+
+def _accumulate_matmul(weight: Tensor, a: np.ndarray, b: np.ndarray) -> None:
+    """Add `a @ b` to the gradient of `weight`. A first adjoint with a slice
+    to go to (an optimizer's `grad_out`) is the matmul's own output there, so
+    no weight-sized temporary is made; a later one is added in place."""
+    if weight.grad is None and weight.grad_out is not None:
+        weight.grad = np.matmul(a, b, out=weight.grad_out)
+    else:
+        weight._accumulate(a @ b)
 
 
 # AdamW's moment decay rates and denominator guard
@@ -159,6 +172,10 @@ ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 # SgdMomentum's heavy-ball coefficient
 SGD_MOMENTUM = 0.9
+# elements per block of an optimizer update: a block of each of AdamW's six
+# arrays (parameters, gradient, two moments, two scratch) is 1.5 MiB, so the
+# update's passes over one block stay in a 2 MiB L2 cache
+UPDATE_BLOCK = 32768
 
 
 def _slices(flat: np.ndarray, params: Sequence[Tensor]) -> list[np.ndarray]:
@@ -180,8 +197,16 @@ def _flatten(params: Sequence[Tensor]) -> np.ndarray:
 
 
 class _FlatOptimizer:
-    """The parameters of an optimizer as one buffer, and their gradients in
-    another beside it; subclasses update in place."""
+    """The parameters of an optimizer as one buffer, their gradients in a
+    second and the optimizer's state in more of the same size beside them.
+
+    A step checks once that every gradient is present and finite, then runs
+    the subclass's `_update` over consecutive blocks of UPDATE_BLOCK elements
+    of the buffers, each block with the same numpy calls in the same order.
+    The update is elementwise, so the values are those of whole-buffer
+    passes, while each pass over a block finds it still in cache. Scratch
+    arrays are one block long; a vector shorter than a block is one block.
+    """
 
     def __init__(self, params: Sequence[Tensor], lr: float):
         if not lr > 0.0:  # NaN fails every range test
@@ -190,17 +215,28 @@ class _FlatOptimizer:
         self.lr = lr
         self.flat = _flatten(self.params)
         self.grad = np.empty_like(self.flat)
-        self._scratch = np.empty_like(self.flat)
-        # backpropagation copies each parameter's first adjoint into its
+        # backpropagation writes each parameter's first adjoint into its
         # slice of the gradient buffer and adds the others there
         self._grad_slices = _slices(self.grad, self.params)
         for p, view in zip(self.params, self._grad_slices):
             p.grad_out = view
 
-    def _gather(self) -> np.ndarray:
-        """Every parameter's gradient, in the buffer's layout, after checking
-        that each has one and that all are finite. A gradient that is not its
-        slice (one set by hand) is copied in."""
+    def _block_views(self, state: Sequence[np.ndarray],
+                     scratch: int) -> list[list[np.ndarray]]:
+        """Per block: its views of the parameters, the gradient and each
+        `state` buffer, then `scratch` arrays of its length, shared by every
+        block."""
+        size = self.flat.size
+        block = min(UPDATE_BLOCK, size)
+        spare = np.empty((scratch, block))
+        return [[a[lo:lo + block] for a in (self.flat, self.grad, *state)]
+                + [s[:min(block, size - lo)] for s in spare]
+                for lo in range(0, size, block)]
+
+    def _gather(self) -> None:
+        """Check that every parameter has a gradient and that all are
+        finite. A gradient that is not its slice (one set by hand) is copied
+        in."""
         for i, (p, view) in enumerate(zip(self.params, self._grad_slices)):
             if p.grad is None:
                 raise ValueError(f"optimizer step: parameter {i} (shape "
@@ -209,11 +245,23 @@ class _FlatOptimizer:
                 np.copyto(view, p.grad)
         if not np.isfinite(self.grad).all():
             raise NonFiniteError("non-finite gradient in optimizer step")
-        return self.grad
+
+    def step(self) -> None:
+        """Check the gradients, then update every block in place; no
+        parameter moves unless all gradients are finite."""
+        self._gather()
+        self._start_step()
+        for block in self._blocks:
+            self._update(*block)
+
+    def _start_step(self) -> None:
+        """Set what every block of this step shares."""
 
 
 class AdamW(_FlatOptimizer):
-    """Adam with decoupled weight decay, at ADAM_BETAS and ADAM_EPS."""
+    """Adam with decoupled weight decay, at ADAM_BETAS and ADAM_EPS. It keeps
+    four parameter-sized buffers (parameters, gradient, m, v) and two scratch
+    blocks."""
 
     def __init__(self, params: Sequence[Tensor], lr: float,
                  weight_decay: float = 0.0):
@@ -224,18 +272,21 @@ class AdamW(_FlatOptimizer):
         self.t = 0
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
-        self._update = np.empty_like(self.flat)
+        self._blocks = self._block_views((self.m, self.v), scratch=2)
 
-    def step(self) -> None:
+    def _start_step(self) -> None:
+        b1, b2 = ADAM_BETAS
+        self.t += 1
+        self._corrections = (1.0 - b1**self.t, 1.0 - b2**self.t)
+
+    def _update(self, p, g, m, v, s, u) -> None:
         """p - lr * (m_hat / (sqrt(v_hat) + eps) + wd * p), with m and v the
         moment estimates and m_hat, v_hat their bias corrections, each term
         rounded as written. The decay term is skipped at wd = 0, where it
         cannot change the sum: m starts at +0.0 and so is never -0.0, and
         neither is the term it is added to."""
         b1, b2 = ADAM_BETAS
-        self.t += 1
-        g = self._gather()
-        m, v, p, s, u = self.m, self.v, self.flat, self._scratch, self._update
+        c1, c2 = self._corrections
         np.multiply(b1, m, out=m)
         np.multiply(1.0 - b1, g, out=s)
         m += s
@@ -243,8 +294,8 @@ class AdamW(_FlatOptimizer):
         np.multiply(1.0 - b2, g, out=s)
         s *= g
         v += s
-        np.divide(m, 1.0 - b1**self.t, out=u)
-        np.divide(v, 1.0 - b2**self.t, out=s)
+        np.divide(m, c1, out=u)
+        np.divide(v, c2, out=s)
         np.sqrt(s, out=s)
         s += ADAM_EPS
         u /= s
@@ -261,11 +312,10 @@ class SgdMomentum(_FlatOptimizer):
     def __init__(self, params: Sequence[Tensor], lr: float):
         super().__init__(params, lr)
         self.velocity = np.zeros_like(self.flat)
+        self._blocks = self._block_views((self.velocity,), scratch=1)
 
-    def step(self) -> None:
+    def _update(self, p, g, v, s) -> None:
         """v = momentum * v + g; then p - lr * v."""
-        g = self._gather()
-        p, s, v = self.flat, self._scratch, self.velocity
         np.multiply(SGD_MOMENTUM, v, out=v)
         v += g
         np.multiply(self.lr, v, out=s)
@@ -330,21 +380,27 @@ def fit(batch_loss: Callable[[np.ndarray], Tensor], optimizers: Sequence,
     up to its end, a step that raises, or the consumer stopping early. Per
     step: draw a batch of row indices with :class:`MinibatchSampler`, zero
     the parameters' gradients, backpropagate `batch_loss(indices)`, step
-    every optimizer, and yield the step's loss.
+    every optimizer, and yield the step's loss. A `NonFiniteError` raised in
+    a step is raised again with the step's 1-based iteration appended to its
+    message.
     """
     params = [p for opt in optimizers for p in opt.params]
     sampler = MinibatchSampler(n, run.batch_size, rng)
     for p in params:
         p.requires_grad = True
     try:
-        for _ in range(run.n_iter):
+        for iteration in range(1, run.n_iter + 1):
             idx = sampler.next_indices()
             for p in params:
                 p.zero_grad()
-            loss = batch_loss(idx)
-            loss.backward()
-            for opt in optimizers:
-                opt.step()
+            try:
+                loss = batch_loss(idx)
+                loss.backward()
+                for opt in optimizers:
+                    opt.step()
+            except NonFiniteError as err:
+                raise NonFiniteError(
+                    f"{err} at iteration {iteration}") from err
             yield float(loss.data)
     finally:
         for p in params:

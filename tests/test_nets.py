@@ -326,33 +326,40 @@ class TestOptimizers:
 
 @st.composite
 def optimizer_runs(draw):
-    """Parameter arrays with signed zeros, and a few steps of gradients."""
+    """An update block size, parameters totalling from below one block to
+    just past three, with signed zeros, and a few steps of gradients."""
     values = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0]))
-    shapes = draw(st.lists(st.one_of(st.tuples(st.integers(1, 4)),
-                                     st.tuples(st.integers(1, 3),
-                                               st.integers(1, 3))),
-                           min_size=1, max_size=3))
+    block = draw(st.integers(1, 6))
+    total = draw(st.integers(1, 3 * block + 1))
+    cuts = draw(st.lists(st.integers(1, total - 1), max_size=2, unique=True)
+                if total > 1 else st.just([]))
+    bounds = [0, *sorted(cuts), total]
+    shapes = []
+    for k in (hi - lo for lo, hi in zip(bounds[:-1], bounds[1:])):
+        rows = draw(st.sampled_from([r for r in (1, 2, 3) if k % r == 0]))
+        shapes.append((rows, k // rows) if draw(st.booleans()) else (k,))
     params = [draw(arrays(np.float64, s, elements=values)) for s in shapes]
-    steps = draw(st.integers(1, 4))
     grads = [[draw(arrays(np.float64, s, elements=values)) for s in shapes]
-             for _ in range(steps)]
-    return params, grads
+             for _ in range(draw(st.integers(1, 4)))]
+    return block, params, grads
 
 
 class TestFlatOptimizers:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(run=optimizer_runs(), lr=st.sampled_from([1e-3, 0.1]),
            weight_decay=st.sampled_from([0.0, 0.01, 0.5]),
            kind=st.sampled_from(["AdamW", "SgdMomentum"]))
     def test_matches_per_tensor_loop_bit_for_bit(self, run, lr, weight_decay,
                                                  kind):
-        values, grads = run
+        block, values, grads = run
         flat_params = [Tensor(a.copy()) for a in values]
         loop_params = [Tensor(a.copy()) for a in values]
         # only AdamW decays
         decay = {"weight_decay": weight_decay} if kind == "AdamW" else {}
-        flat = {"AdamW": AdamW, "SgdMomentum": SgdMomentum}[kind](
-            flat_params, lr=lr, **decay)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nets, "UPDATE_BLOCK", block)
+            flat = {"AdamW": AdamW, "SgdMomentum": SgdMomentum}[kind](
+                flat_params, lr=lr, **decay)
         loop = getattr(tape_oracles, kind)(loop_params, lr=lr, **decay)
         for step in grads:
             for params in (flat_params, loop_params):
@@ -417,6 +424,62 @@ class TestFlatOptimizers:
                        for p in flat_net.parameters())
             for got, want in zip(flat_net.parameters(), loop_net.parameters()):
                 assert got.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("cls", [AdamW, SgdMomentum])
+    def test_non_finite_in_last_block_moves_no_parameter(self, monkeypatch,
+                                                         cls):
+        # blocks of 4, 4 and 2 elements; the inf is the last element
+        monkeypatch.setattr(nets, "UPDATE_BLOCK", 4)
+        params = [Tensor(np.ones(3)), Tensor(np.ones((2, 3))),
+                  Tensor(np.ones(1))]
+        opt = cls(params, lr=0.1)
+        assert len(opt._blocks) == 3
+        for p in params:
+            p.grad = np.full(p.shape, 0.5)
+        opt.step()
+        before = [p.data.copy() for p in params]
+        params[2].grad = np.array([np.inf])
+        with pytest.raises(NonFiniteError):
+            opt.step()
+        assert all(p.data.tobytes() == b.tobytes()
+                   for p, b in zip(params, before))
+
+    def test_adamw_holds_four_parameter_buffers_and_two_blocks(self):
+        net = Mlp(MlpConfig(785, 1178, 1, seed=0))
+        size = sum(p.data.size for p in net.parameters())
+        x = np.random.default_rng(0).normal(size=(2, 785))
+        tracemalloc.start()
+        try:
+            opt = AdamW(net.parameters(), lr=0.01, weight_decay=0.01)
+            for p in net.parameters():
+                p.requires_grad = True
+            net(x).sum().backward()
+            tracemalloc.reset_peak()
+            opt.step()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # parameters, gradient, m and v, and the two scratch blocks
+        buffers = 8 * (4 * size + 2 * nets.UPDATE_BLOCK)
+        assert held < buffers + 2**16
+        # the finiteness check's one-byte mask is the step's one temporary
+        assert peak < buffers + size + 2**16
+
+    def test_backward_makes_no_first_layer_sized_temporary(self):
+        net = Mlp(MlpConfig(785, 1178, 1, seed=0))
+        AdamW(net.parameters(), lr=0.01)
+        for p in net.parameters():
+            p.requires_grad = True
+        loss = net(np.random.default_rng(0).normal(size=(128, 785))).sum()
+        tracemalloc.start()
+        try:
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the W1 gradient is the matmul's output in the optimizer's buffer;
+        # what the backward allocates is a few (128, 1178) arrays
+        assert peak < net.w1.data.nbytes
 
 
 class TestTrainRun:
@@ -630,6 +693,35 @@ class TestFit:
         assert losses == ref_losses
         for got, want in zip(params, ref_params):
             assert np.array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("where, message", [
+        ("forward", "non-finite values produced by op 'tensor'"),
+        ("gradient", "non-finite gradient in optimizer step")])
+    def test_non_finite_step_names_its_iteration(self, where, message):
+        net = Mlp(MlpConfig(2, 3, 1, seed=0))
+        x = np.ones((4, 2))
+        calls = []
+
+        def batch_loss(idx):
+            calls.append(idx)
+            bad = len(calls) == 3
+            if where == "forward":
+                return net(x[idx] * (np.inf if bad else 1.0)).sum()
+
+            def backward(g):
+                for p in net.parameters():
+                    p._accumulate(np.full(p.shape, np.inf if bad else 1.0))
+
+            return Tensor._result(np.zeros(()), tuple(net.parameters()),
+                                  backward, "probe")
+
+        steps = fit(batch_loss, [AdamW(net.parameters(), lr=0.01)], len(x),
+                    TrainRun(batch_size=2, n_iter=5), np.random.default_rng(0))
+        with pytest.raises(NonFiniteError) as err:
+            list(steps)
+        assert type(err.value) is NonFiniteError
+        assert str(err.value) == f"{message} at iteration 3"
+        assert len(calls) == 3
 
 
 # bit patterns the codec must carry: -0.0, the smallest and largest
