@@ -21,7 +21,8 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
+
+from .special import expit
 
 __all__ = [
     "NonFiniteError",

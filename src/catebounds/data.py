@@ -19,9 +19,9 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .nets import ROW_BLOCK
+from .special import expit
 
 __all__ = [
     "Dataset",

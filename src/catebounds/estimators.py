@@ -25,12 +25,12 @@ import enum
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-from scipy.special import expit
 
 from .autodiff import Tensor, slice_last, take_rows
 from .balancing import BalancingConfig, BalancingMetric, balancing_penalty
 from .nets import (AdamW, Mlp, MlpConfig, TrainRun, checkpoint, child_seeds,
                    fit, load_checkpoint, read_checkpoint)
+from .special import expit
 
 __all__ = [
     "EstimatorKind",

@@ -20,12 +20,11 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from scipy.special import expit, ndtri
-
 from .autodiff import NonFiniteError, Tensor
 from .nets import (Mlp, MlpConfig, SgdMomentum, Standardizer, TrainRun,
                    as_columns, checkpoint, fit, fit_standardizer,
                    load_checkpoint, read_checkpoint)
+from .special import expit, ndtri
 
 __all__ = [
     "FlowConfig",
@@ -407,9 +406,10 @@ class ConditionalFlow:
 
     def sample(self, a, phi, k: int) -> np.ndarray:
         """k outcomes per context row: the base quantiles at the midpoint
-        nodes z_j = Phi^-1((j - 1/2)/k), j = 1..k, pushed through the inverse
-        spline as one grid shared by every row. The spline is monotone, so
-        each row comes out ascending."""
+        nodes z_j = Phi^-1((j - 1/2)/k), j = 1..k (`special.ndtri`, Cephes'
+        routine bit for bit), pushed through the inverse spline as one grid
+        shared by every row. The spline is monotone, so each row comes out
+        ascending."""
         if k < 1:
             raise ValueError("k must be positive")
         z = ndtri((np.arange(k) + 0.5) / k)

@@ -18,6 +18,7 @@ import numbers
 import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -595,10 +596,22 @@ def _delta_file(delta: float) -> str:
     return f"bounds_{delta!r}.csv"
 
 
+@contextmanager
+def _stage(seed: int, stage: str):
+    """Raises a `NonFiniteError` or `FlowDivergenceError` from a stage's fit
+    again as the same type, with the pipeline seed and the stage before
+    its message."""
+    try:
+        yield
+    except (NonFiniteError, FlowDivergenceError) as err:
+        raise type(err)(f"seed {seed}, stage {stage}: {err}") from err
+
+
 def train_seed(config: ExperimentConfig, train: Dataset, seed: int) -> Stage0Model:
     """Stage 0 for one seed; saves the checkpoint under the seed directory."""
-    model = _fit_stage0(config, config.stage0, train.x, train.a, train.y,
-                        child_seeds(seed, _STAGES)["stage0"])
+    with _stage(seed, "stage0"):
+        model = _fit_stage0(config, config.stage0, train.x, train.a, train.y,
+                            child_seeds(seed, _STAGES)["stage0"])
     _save_checkpoint(_seed_dir(config, seed) / "stage0.json", model)
     return model
 
@@ -618,15 +631,18 @@ def refute_seed(config: ExperimentConfig, train: Dataset, test: Dataset,
         model = _load_checkpoint(path, Stage0Model)
     phi_tr = representation(model, train.x)
 
-    prop_x = _fit_propensity(config, config.prop_x, train.x, train.a,
-                             seeds["prop_x"])
-    prop_phi = _fit_propensity(config, config.prop_phi, phi_tr, train.a,
-                               seeds["prop_phi"])
+    with _stage(seed, "prop_x"):
+        prop_x = _fit_propensity(config, config.prop_x, train.x, train.a,
+                                 seeds["prop_x"])
+    with _stage(seed, "prop_phi"):
+        prop_phi = _fit_propensity(config, config.prop_phi, phi_tr, train.a,
+                                   seeds["prop_phi"])
     _save_checkpoint(sdir / "prop_x.json", prop_x)
     _save_checkpoint(sdir / "prop_phi.json", prop_phi)
 
-    flow = _fit_flow(config, config.flow, train.y, train.a, phi_tr,
-                     seeds["flow"])
+    with _stage(seed, "flow"):
+        flow = _fit_flow(config, config.flow, train.y, train.a, phi_tr,
+                         seeds["flow"])
     _save_checkpoint(sdir / "flow.json", flow)
 
     pi1_x_tr = prop_x.predict(train.x)

@@ -33,13 +33,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from .data import write_table
 from .estimators import PROPENSITY_CLIP, bce_logits
 from .nets import (AdamW, Mlp, MlpConfig, Standardizer, TrainRun, as_columns,
                    checkpoint, child_seeds, fit, fit_standardizer,
                    load_checkpoint, read_checkpoint)
+from .special import expit
 
 __all__ = [
     "DELTA_PRESETS",

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from fixture_files import idx_images_bytes, idx_labels_bytes, toy_mnist, write_ihdp_pair
 
-from catebounds import runner
+from catebounds import estimators, flow as flow_module, runner, sensitivity
+from catebounds.autodiff import NonFiniteError
 from catebounds.balancing import BalancingConfig
 from catebounds.bounds import cate_bounds
 from catebounds.data import gen_synthetic, read_table, synthetic_tau
@@ -21,7 +22,7 @@ from catebounds.estimators import (NEEDS_BALANCING, EstimatorConfig,
                                    predict_heads, representation)
 from catebounds.evaluation import (PolicyReport, bounds_policy, make_grid,
                                    write_decision_grid_csv)
-from catebounds.flow import ConditionalFlow
+from catebounds.flow import ConditionalFlow, FlowDivergenceError
 from catebounds.nets import TrainRun
 from catebounds.sensitivity import (PropensityModel, build_gamma_field,
                                     train_propensity)
@@ -707,6 +708,60 @@ class TestPipeline:
         write_decision_grid_csv(expected, grid, synthetic_tau(grid),
                                 full[0].point, bounds_policy(full[0]))
         assert path.read_bytes() == expected.read_bytes()
+
+
+class TestStageErrors:
+    """A stage whose fit fails names the pipeline seed and the stage, and a
+    non-finite value also the iteration."""
+
+    @staticmethod
+    def poison(monkeypatch, module, name, call):
+        """Make the loss `module.name` returns on its `call`-th call
+        infinite, through a tape op."""
+        original, calls = getattr(module, name), []
+
+        def poisoned(*args):
+            out = original(*args)
+            calls.append(None)
+            if len(calls) != call:
+                return out
+            if isinstance(out, tuple):  # stage0_loss: (loss, parts)
+                return (out[0] / 0.0, *out[1:])
+            return out / 0.0
+
+        monkeypatch.setattr(module, name, poisoned)
+
+    def test_stage0_names_seed_stage_and_iteration(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path)
+        train, _ = load_dataset(cfg.dataset)
+        self.poison(monkeypatch, estimators, "stage0_loss", 3)
+        with pytest.raises(NonFiniteError) as info:
+            train_seed(cfg, train, 7)
+        assert str(info.value) == ("seed 7, stage stage0: non-finite values "
+                                   "produced by op 'div' at iteration 3")
+
+    def test_prop_phi_names_seed_stage_and_iteration(self, tmp_path,
+                                                     monkeypatch):
+        cfg = tiny_config(tmp_path)
+        train, test = load_dataset(cfg.dataset)
+        model = train_seed(cfg, train, 7)
+        # prop_x's 40 steps come first, so call 45 is prop_phi's 5th step
+        self.poison(monkeypatch, sensitivity, "bce_logits",
+                    cfg.prop_x.n_iter + 5)
+        with pytest.raises(NonFiniteError) as info:
+            refute_seed(cfg, train, test, 7, model=model)
+        assert str(info.value) == ("seed 7, stage prop_phi: non-finite values "
+                                   "produced by op 'div' at iteration 5")
+
+    def test_flow_divergence_names_seed_and_stage(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path)
+        train, test = load_dataset(cfg.dataset)
+        model = train_seed(cfg, train, 2)
+        monkeypatch.setattr(flow_module, "DIVERGENCE_FACTOR", -1.0)
+        monkeypatch.setattr(flow_module, "DIVERGENCE_PATIENCE", 1)
+        with pytest.raises(FlowDivergenceError,
+                           match=r"^seed 2, stage flow: NLL .* for 1 steps$"):
+            refute_seed(cfg, train, test, 2, model=model)
 
 
 class TestTrainTau:

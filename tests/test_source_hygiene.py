@@ -1,10 +1,13 @@
 """Source hygiene of the package: every exported name exists and every
 module-level import is used, in the package and in its tests, so a deletion
-leaves no stale export or import behind; and no module rebinds its globals
-from a function."""
+leaves no stale export or import behind; no module rebinds its globals
+from a function; and nothing in the package imports scipy."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +64,39 @@ def test_no_global_statement(name):
     tree = ast.parse((PACKAGE / f"{name}.py").read_text())
     lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Global)]
     assert not lines, f"catebounds.{name}: global statement on lines {lines}"
+
+
+def scipy_imports(path: Path) -> list[int]:
+    """Lines of `path` that import scipy or a scipy submodule, anywhere in
+    the module, function bodies included."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(n.split(".")[0] == "scipy" for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_scipy_import(name):
+    # scipy is a test-only oracle: importing it costs every CLI process
+    # about 0.15 s and 20 MiB before any work starts
+    lines = scipy_imports(PACKAGE / f"{name}.py")
+    assert not lines, f"catebounds.{name}: imports scipy on lines {lines}"
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, catebounds.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]", f"import catebounds.cli loaded {out.strip()}"
