@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import read_table, write_table
+from .data import read_table, write_tables
 from .estimators import Stage0Model, predict_point_cate, representation
 from .flow import ConditionalFlow
 from .sensitivity import GammaField, PropensityModel, gamma_pointwise
@@ -180,15 +180,23 @@ def read_bounds_csv(path: str | Path) -> CateBounds:
         raise ValueError(f"{path}: not a bounds table")
     if not rows:
         raise ValueError(f"{path}: empty bounds table")
-    cols = np.array(rows)[:, 1:6].astype(np.float64)
-    return CateBounds(point=cols[:, 0], lower=cols[:, 1], upper=cols[:, 2],
-                      gamma=cols[:, 3], pi1_phi=cols[:, 4])
+    point, lower, upper, gamma, pi1_phi = (
+        np.fromiter(map(float, column), np.float64, len(rows))
+        for column in list(zip(*rows))[1:6])
+    return CateBounds(point=point, lower=lower, upper=upper, gamma=gamma,
+                      pi1_phi=pi1_phi)
 
 
-def write_bounds_csv(path: str | Path, bounds: CateBounds,
-                     decisions: Sequence[str]) -> None:
-    """Per-point interval table: id, point, interval, Gamma, pi, decision."""
-    write_table(path, {"id": np.arange(len(bounds.point)),
-                       "tau_hat": bounds.point, "lower": bounds.lower,
-                       "upper": bounds.upper, "gamma": bounds.gamma,
-                       "pi1_phi": bounds.pi1_phi, "decision": decisions})
+def write_bounds_csv(paths: Sequence[str | Path],
+                     per_delta: Sequence[CateBounds],
+                     decisions: Sequence[Sequence[str]]) -> None:
+    """Per-point interval tables, one per delta: id, point, interval, Gamma,
+    pi, decision. `paths[i]` gets `per_delta[i]` and `decisions[i]`; a
+    column object that several deltas share, such as the point estimates,
+    is formatted once."""
+    # every delta bounds the same points, so one id column serves them all
+    ids = np.arange(len(per_delta[0].point)) if per_delta else None
+    write_tables([(path, {"id": ids, "tau_hat": b.point, "lower": b.lower,
+                          "upper": b.upper, "gamma": b.gamma,
+                          "pi1_phi": b.pi1_phi, "decision": d})
+                  for path, b, d in zip(paths, per_delta, decisions, strict=True)])

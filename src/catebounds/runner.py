@@ -650,13 +650,13 @@ def refute_seed(config: ExperimentConfig, train: Dataset, test: Dataset,
     _write_train_tau(sdir / "train_tau.csv", predict_point_cate(model, phi_tr))
 
     field = build_gamma_field(phi_tr, pi1_x_tr, pi1_phi_tr, config.deltas)
-    for delta, gamma_hat in zip(config.deltas, field.train_gamma_hat):
-        write_gamma_csv(sdir / f"gamma_{delta!r}.csv", phi_tr, pi1_x_tr,
-                        pi1_phi_tr, field.train_gamma_points, gamma_hat)
+    write_gamma_csv([sdir / f"gamma_{delta!r}.csv" for delta in config.deltas],
+                    phi_tr, pi1_x_tr, pi1_phi_tr, field.train_gamma_points,
+                    field.train_gamma_hat)
     per_delta = cate_bounds(test.x, model, prop_x, prop_phi, field, flow, config.k)
-    for delta, bounds in zip(config.deltas, per_delta):
-        write_bounds_csv(sdir / _delta_file(delta), bounds,
-                         [d.value for d in bounds_policy(bounds)])
+    write_bounds_csv([sdir / _delta_file(delta) for delta in config.deltas],
+                     per_delta, [[d.value for d in bounds_policy(bounds)]
+                                 for bounds in per_delta])
 
     if config.grid_resolution > 0:
         _emit_decision_grid(config, sdir, model, prop_x, prop_phi, flow, field)
@@ -664,8 +664,8 @@ def refute_seed(config: ExperimentConfig, train: Dataset, test: Dataset,
 
 def _read_tau_csv(path: Path) -> np.ndarray:
     header, rows = read_table(path)
-    cols = np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
-    return cols[:, header.index("tau_hat")]
+    j = header.index("tau_hat")
+    return np.array([float(row[j]) for row in rows], dtype=np.float64)
 
 
 def evaluate_seed(config: ExperimentConfig, train: Dataset, test: Dataset,

@@ -31,10 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from .data import write_table
+from .data import write_tables
 from .estimators import PROPENSITY_CLIP, bce_logits
 from .nets import (AdamW, Mlp, MlpConfig, Standardizer, TrainRun, as_columns,
                    checkpoint, child_seeds, fit, fit_standardizer,
@@ -304,13 +305,16 @@ def build_gamma_field(train_phis: np.ndarray, train_pi1_x: np.ndarray,
                       index=index)
 
 
-def write_gamma_csv(path: str | Path, phis: np.ndarray, pi1_x: np.ndarray,
-                    pi1_phi: np.ndarray, gamma_points: np.ndarray,
-                    gamma_hat: np.ndarray) -> None:
-    """Per-point sensitivity table: id, representation, propensities, Gammas."""
+def write_gamma_csv(paths: Sequence[str | Path], phis: np.ndarray,
+                    pi1_x: np.ndarray, pi1_phi: np.ndarray,
+                    gamma_points: np.ndarray,
+                    gamma_hats: Sequence[np.ndarray]) -> None:
+    """Per-point sensitivity tables, one per delta: id, representation,
+    propensities, Gammas. `paths[i]` gets `gamma_hats[i]`; the other
+    columns are the same in every table and are formatted once."""
     phis = as_columns(phis)
-    columns = {"id": np.arange(len(phis))}
-    columns.update({f"phi{j + 1}": phis[:, j] for j in range(phis.shape[1])})
-    columns.update(pi1_x=pi1_x, pi1_phi=pi1_phi, gamma_point=gamma_points,
-                   gamma_hat=gamma_hat)
-    write_table(path, columns)
+    shared = {"id": np.arange(len(phis))}
+    shared.update({f"phi{j + 1}": phis[:, j] for j in range(phis.shape[1])})
+    shared.update(pi1_x=pi1_x, pi1_phi=pi1_phi, gamma_point=gamma_points)
+    write_tables([(path, {**shared, "gamma_hat": gamma_hat})
+                  for path, gamma_hat in zip(paths, gamma_hats, strict=True)])

@@ -3,19 +3,23 @@
 Finite-difference gradient checks for tape code, the spline's per-point
 gathers along each row and its per-point inverse, the total mass of a flow
 density by quadrature, the closed-form tilt coefficients of one
-(Gamma, pi) pair, and HC-MNIST built from a float copy of the images. The
-package itself never calls these.
+(Gamma, pi) pair, HC-MNIST built from a float copy of the images, and a
+CSV table written cell by cell through `csv.writer`. The package itself
+never calls these.
 """
 
 from __future__ import annotations
 
+import csv
 import gzip
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 from scipy.stats import norm
 
@@ -254,3 +258,42 @@ def build_hcmnist_float(images: np.ndarray, labels: np.ndarray, seed: int,
     y = np.where(a == 1.0, y1, y0)
     return Dataset(x=np.column_stack([images, u]), a=a, y=y, y0=y0, y1=y1,
                    tau_oracle=m1 - m0, split=split)
+
+
+# -- CSV tables cell by cell ---------------------------------------------------
+
+# doubles whose shortest text is hardest to write or parse: signed zeros,
+# the infinities and NaN, subnormals and the normal boundary, the largest
+# double, and neighbours of 1e16 and 1e-4, where repr switches between
+# positional and exponent notation
+FLOAT_EDGES = (
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+    2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+    1e16, math.nextafter(1e16, 0.0), math.nextafter(1e16, math.inf), -1e16,
+    1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0), -1e-4,
+)
+# doubles of every kind, with FLOAT_EDGES and the ranges around 1e16 and
+# 1e-4 drawn often
+EDGE_FLOATS = st.one_of(st.floats(), st.sampled_from(FLOAT_EDGES),
+                        st.floats(1e15, 1e17), st.floats(1e-5, 1e-3))
+
+
+def _cell_per_value(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def write_table_per_cell(path: str | Path, columns: Mapping[str, Sequence]) -> None:
+    """A table as `data.write_table` writes it, one cell and one
+    `csv.writer` row at a time: each value formatted on its own and the
+    quoting left to csv's excel dialect."""
+    cells = [[_cell_per_value(v)
+              for v in (c.tolist() if isinstance(c, np.ndarray) else c)]
+             for c in columns.values()]
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(zip(*cells, strict=True))

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
+import catebounds.data as data_module
 from catebounds import bounds as bounds_module
 from catebounds.bounds import (
     CateBounds,
@@ -17,7 +18,9 @@ from catebounds.bounds import (
     read_bounds_csv,
     write_bounds_csv,
 )
-from numeric_oracles import shift_coefficients
+from catebounds.data import read_table
+from numeric_oracles import (EDGE_FLOATS, FLOAT_EDGES, shift_coefficients,
+                             write_table_per_cell)
 from catebounds.flow import ConditionalFlow, FlowConfig
 
 
@@ -296,10 +299,53 @@ class TestCateBounds:
                        upper=np.array([1.2]), gamma=np.array([1.7]),
                        pi1_phi=np.array([0.45]))
         path = tmp_path / "bounds.csv"
-        write_bounds_csv(path, b, decisions=["defer"])
+        write_bounds_csv([path], [b], decisions=[["defer"]])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "id,tau_hat,lower,upper,gamma,pi1_phi,decision"
         assert lines[1].endswith("defer")
+
+    def test_one_call_matches_one_table_per_delta(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(3)
+        n = len(FLOAT_EDGES)
+        # as cate_bounds returns them: every delta holds the same point
+        # and propensity arrays
+        point, pi1_phi = rng.normal(size=n), rng.uniform(size=n)
+        per_delta = [CateBounds(point=point, lower=point - g, upper=point + g,
+                                gamma=g, pi1_phi=pi1_phi)
+                     for g in rng.uniform(1.0, 3.0, size=(3, n))]
+        per_delta[1].lower = np.array(FLOAT_EDGES)
+        decisions = [list(rng.choice(["treat", "no_treat", "defer"], size=n))
+                     for _ in per_delta]
+        calls = []
+        cells = data_module._cells
+        monkeypatch.setattr(data_module, "_cells",
+                            lambda column: calls.append(1) or cells(column))
+        paths = [tmp_path / f"bounds_{i}.csv" for i in range(3)]
+        write_bounds_csv(paths, per_delta, decisions)
+        # id, tau_hat and pi1_phi once, then four columns per delta
+        assert len(calls) == 3 + 4 * 3
+        for path, b, d in zip(paths, per_delta, decisions):
+            write_table_per_cell(tmp_path / "want.csv", {
+                "id": np.arange(n), "tau_hat": b.point, "lower": b.lower,
+                "upper": b.upper, "gamma": b.gamma, "pi1_phi": b.pi1_phi,
+                "decision": d})
+            assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.lists(EDGE_FLOATS, min_size=5, max_size=5),
+                           min_size=1, max_size=8))
+    def test_read_parses_as_the_string_array_cast(self, tmp_path_factory,
+                                                   values):
+        columns = np.array(values).T
+        path = tmp_path_factory.mktemp("bounds") / "bounds.csv"
+        write_bounds_csv([path], [CateBounds(*columns)],
+                         [["defer"] * len(values)])
+        got = read_bounds_csv(path)
+        _, rows = read_table(path)
+        cast = np.array(rows)[:, 1:6].astype(np.float64)
+        for j, name in enumerate(["point", "lower", "upper", "gamma",
+                                  "pi1_phi"]):
+            assert getattr(got, name).tobytes() == cast[:, j].tobytes(), name
 
     def test_table_without_decisions_rejected(self, tmp_path):
         path = tmp_path / "bounds.csv"

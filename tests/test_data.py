@@ -4,10 +4,17 @@ HC-MNIST construction."""
 import gzip
 import re
 import struct
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from fixture_files import (idx_images_bytes, idx_labels_bytes, toy_mnist,
+                      write_ihdp_pair)
+from numeric_oracles import (EDGE_FLOATS, build_hcmnist_float,
+                             hcmnist_stats_float, parse_idx_float, phi_float,
+                             write_table_per_cell)
 
 from catebounds.data import (
     Dataset,
@@ -24,7 +31,9 @@ from catebounds.data import (
     read_table,
     synthetic_tau,
     write_table,
+    write_tables,
 )
+import catebounds.data as data_module
 from catebounds.evaluation import Decision
 from catebounds.nets import ROW_BLOCK
 
@@ -37,6 +46,25 @@ _CELLS = st.one_of(
     _FLOATS, _FLOATS.map(np.float64), st.none(), st.integers(-10**9, 10**9),
     st.sampled_from([d.value for d in Decision]),
 )
+# short strings built from the characters csv must quote
+_TEXT = st.text(st.sampled_from(list('ab ,"\r\n\t')), max_size=4)
+
+
+def _column(n_rows: int) -> st.SearchStrategy:
+    """A table column of n_rows entries: a float, int or bool array, or a
+    list mixing None, numbers and strings."""
+    def values(strategy):
+        return st.lists(strategy, min_size=n_rows, max_size=n_rows)
+
+    return st.one_of(
+        values(EDGE_FLOATS).map(np.array),
+        values(st.floats(width=32)).map(lambda v: np.array(v, dtype=np.float32)),
+        values(st.integers(-2**63, 2**63 - 1)).map(
+            lambda v: np.array(v, dtype=np.int64)),
+        values(st.booleans()).map(lambda v: np.array(v, dtype=bool)),
+        values(st.one_of(st.none(), EDGE_FLOATS, EDGE_FLOATS.map(np.float64),
+                         st.integers(), st.booleans(), _TEXT)),
+    )
 
 
 class TestSynthetic:
@@ -100,12 +128,6 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             Dataset(x=np.zeros((2, 1)), a=np.zeros(2), y=np.zeros(2),
                     tau_oracle=np.zeros(3))
-
-
-from fixture_files import (idx_images_bytes, idx_labels_bytes, toy_mnist,
-                      write_ihdp_pair)
-from numeric_oracles import (build_hcmnist_float, hcmnist_stats_float,
-                             parse_idx_float, phi_float)
 
 
 class TestIhdp:
@@ -173,6 +195,83 @@ class TestTable:
                             == struct.pack("<d", float(v)))
                 else:
                     assert cell == str(v)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n_rows=st.integers(0, 6), n_cols=st.integers(1, 4))
+    def test_bytes_match_the_per_cell_writer(self, tmp_path_factory, data,
+                                             n_rows, n_cols):
+        headers = data.draw(st.lists(_TEXT, min_size=n_cols, max_size=n_cols,
+                                     unique=True))
+        columns = {h: data.draw(_column(n_rows)) for h in headers}
+        directory = tmp_path_factory.mktemp("table")
+        write_table(directory / "got.csv", columns)
+        write_table_per_cell(directory / "want.csv", columns)
+        assert ((directory / "got.csv").read_bytes()
+                == (directory / "want.csv").read_bytes())
+
+    @pytest.mark.parametrize("columns", [
+        {"a": [None, None, ""]},
+        {"": [None, "x", None]},
+        {"a": np.array([-0.0, np.nan])},
+        {"a": []},
+        {"a": np.array([], dtype=np.float64), "b": []},
+        {"a": [None], "b": [None]},
+        {"a": ["treat", "defer"], "b": ["x,y", 'q"']},
+        {"a": [""]},
+    ])
+    def test_one_column_and_zero_row_tables_match(self, tmp_path, columns):
+        # csv writes a lone empty field as "", so the row is not blank
+        write_table(tmp_path / "got.csv", columns)
+        write_table_per_cell(tmp_path / "want.csv", columns)
+        assert ((tmp_path / "got.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
+
+    def test_many_tables_match_one_call_each(self, tmp_path):
+        ids, shared = np.arange(3), np.array([0.1, -0.0, 1e16])
+        tables = [(tmp_path / "t0.csv", {"id": ids, "s": shared,
+                                         "own": np.array([1.5, 2.0, 5e-324])}),
+                  # `s` skips a table, and `own` is held twice by one table
+                  (tmp_path / "t1.csv", {"id": ids, "own": [None, "a,b", 'q"'],
+                                         "again": ["x", None, "\r\n"]}),
+                  (tmp_path / "t2.csv", {"id": ids, "s": shared,
+                                         "flag": np.array([True, False, True])})]
+        tables[1][1]["again"] = tables[1][1]["own"]
+        write_tables(tables)
+        got = [path.read_bytes() for path, _ in tables]
+        for path, columns in tables:
+            write_table(path, columns)
+        assert got == [path.read_bytes() for path, _ in tables]
+
+    def test_shared_column_formatted_once_and_dropped_after_last_use(
+            self, tmp_path, monkeypatch):
+        class Cells(list):
+            pass  # unlike a list, it can be referenced weakly
+
+        formatted, live = [], []
+        cells = data_module._cells
+        write_rows = data_module._write_rows
+
+        def counted(column):
+            out = Cells(cells(column))
+            formatted.append((id(column), weakref.ref(out)))
+            return out
+
+        def write_counting_live(path, header, body):
+            live.append(sum(ref() is not None for _, ref in formatted))
+            write_rows(path, header, body)
+
+        monkeypatch.setattr(data_module, "_cells", counted)
+        monkeypatch.setattr(data_module, "_write_rows", write_counting_live)
+        ids, shared = np.arange(4), np.linspace(0.0, 1.0, 4)
+        owns = list(np.arange(12.0).reshape(3, 4))
+        write_tables([(tmp_path / f"t{t}.csv",
+                       {"id": ids, "shared": shared, "own": own})
+                      for t, own in enumerate(owns)])
+        assert sorted(i for i, _ in formatted) == sorted(
+            {id(ids), id(shared)} | {id(own) for own in owns})
+        # no table holds more cells than its own three columns
+        assert live == [3, 3, 3]
+        assert all(ref() is None for _, ref in formatted)
 
     def test_empty_and_ragged_files_rejected(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from fixture_files import idx_images_bytes, idx_labels_bytes, toy_mnist, write_ihdp_pair
+from hypothesis import given, settings, strategies as st
+from numeric_oracles import EDGE_FLOATS
 
 from catebounds import estimators, flow as flow_module, runner, sensitivity
 from catebounds.autodiff import NonFiniteError
@@ -770,6 +772,15 @@ class TestTrainTau:
         path = tmp_path / "train_tau.csv"
         _write_train_tau(path, tau)
         assert _read_tau_csv(path).tobytes() == tau.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(tau=st.lists(EDGE_FLOATS, max_size=8))
+    def test_read_parses_as_the_float_array_cast(self, tmp_path_factory, tau):
+        path = tmp_path_factory.mktemp("tau") / "train_tau.csv"
+        _write_train_tau(path, np.array(tau, dtype=np.float64))
+        _, rows = read_table(path)
+        cast = np.array(rows, dtype=np.float64).reshape(len(rows), 2)[:, 1]
+        assert _read_tau_csv(path).tobytes() == cast.tobytes()
 
     def test_ragged_csv_rejected(self, tmp_path):
         path = tmp_path / "train_tau.csv"

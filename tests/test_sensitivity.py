@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
+import catebounds.data as data_module
 from catebounds import sensitivity
 from catebounds.estimators import bce_logits
 from catebounds.nets import (AdamW, Mlp, MlpConfig, Standardizer, TrainRun,
@@ -19,6 +20,7 @@ from catebounds.sensitivity import (
     train_propensity,
     write_gamma_csv,
 )
+from numeric_oracles import FLOAT_EDGES, write_table_per_cell
 
 
 def _brute_ball_max(query, base, base_vals, self_vals, delta, chunk=64):
@@ -398,8 +400,8 @@ class TestCsvExport:
     def test_file_layout(self, tmp_path):
         path = tmp_path / "gamma.csv"
         phis = np.array([[0.1, 0.2], [0.3, 0.4]])
-        write_gamma_csv(path, phis, np.array([0.5, 0.6]), np.array([0.5, 0.5]),
-                        np.array([1.0, 1.5]), np.array([1.5, 1.5]))
+        write_gamma_csv([path], phis, np.array([0.5, 0.6]), np.array([0.5, 0.5]),
+                        np.array([1.0, 1.5]), [np.array([1.5, 1.5])])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "id,phi1,phi2,pi1_x,pi1_phi,gamma_point,gamma_hat"
         assert len(lines) == 3
@@ -408,3 +410,32 @@ class TestCsvExport:
         # every cell reads back as a plain number, the phi cells exactly
         rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
         assert np.array_equal(np.array(rows)[:, 1:3], phis)
+
+    @pytest.mark.parametrize("d_phi", [1, 2])
+    def test_one_call_matches_one_table_per_delta(self, tmp_path, monkeypatch,
+                                                  d_phi):
+        rng = np.random.default_rng(7)
+        n = len(FLOAT_EDGES)
+        # a 1-D representation is one column
+        phis = rng.normal(size=(n, d_phi) if d_phi > 1 else n)
+        pi1_x, pi1_phi = rng.uniform(size=n), rng.uniform(size=n)
+        gamma_points = rng.uniform(1.0, 3.0, size=n)
+        gamma_hats = rng.uniform(1.0, 3.0, size=(3, n))
+        gamma_hats[1] = FLOAT_EDGES
+        calls = []
+        cells = data_module._cells
+        monkeypatch.setattr(data_module, "_cells",
+                            lambda column: calls.append(1) or cells(column))
+        paths = [tmp_path / f"gamma_{i}.csv" for i in range(3)]
+        write_gamma_csv(paths, phis, pi1_x, pi1_phi, gamma_points, gamma_hats)
+        # id, each phi column, the two propensities and gamma_point once,
+        # then one gamma_hat per delta
+        assert len(calls) == 4 + d_phi + 3
+        for path, gamma_hat in zip(paths, gamma_hats):
+            columns = {"id": np.arange(n)}
+            columns.update({f"phi{j + 1}": as_columns(phis)[:, j]
+                            for j in range(d_phi)})
+            columns.update(pi1_x=pi1_x, pi1_phi=pi1_phi,
+                           gamma_point=gamma_points, gamma_hat=gamma_hat)
+            write_table_per_cell(tmp_path / "want.csv", columns)
+            assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()

@@ -1,7 +1,8 @@
 """Source hygiene of the package: every exported name exists and every
 module-level import is used, in the package and in its tests, so a deletion
 leaves no stale export or import behind; no module rebinds its globals
-from a function; and nothing in the package imports scipy."""
+from a function; nothing in the package imports scipy; and only
+`catebounds.data` imports csv."""
 
 import ast
 import importlib
@@ -66,9 +67,9 @@ def test_no_global_statement(name):
     assert not lines, f"catebounds.{name}: global statement on lines {lines}"
 
 
-def scipy_imports(path: Path) -> list[int]:
-    """Lines of `path` that import scipy or a scipy submodule, anywhere in
-    the module, function bodies included."""
+def imports_of(path: Path, package: str) -> list[int]:
+    """Lines of `path` that import `package` or one of its submodules,
+    anywhere in the module, function bodies included."""
     lines = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
@@ -77,7 +78,7 @@ def scipy_imports(path: Path) -> list[int]:
             names = [node.module or ""]
         else:
             continue
-        if any(n.split(".")[0] == "scipy" for n in names):
+        if any(n.split(".")[0] == package for n in names):
             lines.append(node.lineno)
     return lines
 
@@ -86,8 +87,16 @@ def scipy_imports(path: Path) -> list[int]:
 def test_no_scipy_import(name):
     # scipy is a test-only oracle: importing it costs every CLI process
     # about 0.15 s and 20 MiB before any work starts
-    lines = scipy_imports(PACKAGE / f"{name}.py")
+    lines = imports_of(PACKAGE / f"{name}.py", "scipy")
     assert not lines, f"catebounds.{name}: imports scipy on lines {lines}"
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "data"])
+def test_only_data_imports_csv(name):
+    # `data.write_tables` and `data.read_table` hold the one cell format, so
+    # no other module reads or writes CSV cells itself
+    lines = imports_of(PACKAGE / f"{name}.py", "csv")
+    assert not lines, f"catebounds.{name}: imports csv on lines {lines}"
 
 
 def test_cli_import_loads_no_scipy():
