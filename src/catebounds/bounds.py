@@ -161,10 +161,12 @@ def cate_bounds(
     for lo in range(0, n, CHUNK):
         hi = min(lo + CHUNK, n)
         p1, g = pi1_phi[lo:hi], gammas[:, lo:hi]
-        s1 = flow.sample(np.ones(hi - lo), phi[lo:hi], k)
-        s0 = flow.sample(np.zeros(hi - lo), phi[lo:hi], k)
-        mu1_lo, mu1_hi = cvar_mu_bounds(s1, g, p1)
-        mu0_lo, mu0_hi = cvar_mu_bounds(s0, g, 1.0 - p1)
+        # one arm's (chunk x k) nodes at a time: arm 1's are freed before
+        # arm 0's are drawn
+        mu1_lo, mu1_hi = cvar_mu_bounds(
+            flow.sample(np.ones(hi - lo), phi[lo:hi], k), g, p1)
+        mu0_lo, mu0_hi = cvar_mu_bounds(
+            flow.sample(np.zeros(hi - lo), phi[lo:hi], k), g, 1.0 - p1)
         lowers[:, lo:hi] = mu1_lo - mu0_hi
         uppers[:, lo:hi] = mu1_hi - mu0_lo
     return [CateBounds(point=point, lower=lower, upper=upper, gamma=gamma,

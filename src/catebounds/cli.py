@@ -14,8 +14,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .runner import (ExperimentConfig, config_from_dict, config_to_dict,
-                     emit_results, evaluate_seed, load_dataset, refute_seed,
+from .config import ExperimentConfig, config_from_dict, config_to_dict
+from .runner import (emit_results, evaluate_seed, load_dataset, refute_seed,
                      run_experiment, train_seed, tune_config)
 
 

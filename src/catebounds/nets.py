@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import base64
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Collection, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -347,6 +347,14 @@ class TrainRun:
             raise ValueError("prop_learning_rate must be positive")
         if self.prop_weight_decay is not None and not self.prop_weight_decay >= 0.0:
             raise ValueError("prop_weight_decay must be non-negative")
+
+    @classmethod
+    def from_params(cls, params) -> TrainRun:
+        """The training run a stage's params dataclass sets: every TrainRun
+        field it has (the flow's has no weight decay, so it keeps 0)."""
+        values = asdict(params)
+        return cls(**{f.name: values[f.name] for f in fields(cls)
+                      if f.name in values})
 
 
 class MinibatchSampler:

@@ -14,10 +14,14 @@ from fixture_files import idx_images_bytes, idx_labels_bytes, toy_mnist, write_i
 from hypothesis import given, settings, strategies as st
 from numeric_oracles import EDGE_FLOATS
 
-from catebounds import estimators, flow as flow_module, runner, sensitivity
+from catebounds import (config as config_module, estimators,
+                        flow as flow_module, runner, sensitivity)
 from catebounds.autodiff import NonFiniteError
 from catebounds.balancing import BalancingConfig
 from catebounds.bounds import cate_bounds
+from catebounds.config import (DatasetSpec, ExperimentConfig, FlowParams,
+                               PropensityParams, Stage0Params,
+                               config_from_dict, config_hash, config_to_dict)
 from catebounds.data import gen_synthetic, read_table, synthetic_tau
 from catebounds.estimators import (NEEDS_BALANCING, EstimatorConfig,
                                    EstimatorKind, Stage0Model, build_stage0,
@@ -29,15 +33,7 @@ from catebounds.nets import TrainRun
 from catebounds.sensitivity import (PropensityModel, build_gamma_field,
                                     train_propensity)
 from catebounds.runner import (
-    DatasetSpec,
-    ExperimentConfig,
-    FlowParams,
-    PropensityParams,
     RunRecord,
-    Stage0Params,
-    config_from_dict,
-    config_hash,
-    config_to_dict,
     emit_results,
     evaluate_seed,
     grid_search_cv,
@@ -840,8 +836,9 @@ class TestEmitResults:
         (section, f.name)
         for section, cls in [(None, ExperimentConfig),
                              *((s, type(getattr(ExperimentConfig(), s)))
-                               for s in runner._STAGES)]
-        for f in dataclasses.fields(cls) if runner._NUMERIC.get(f.type) is float]
+                               for s in config_module._STAGES)]
+        for f in dataclasses.fields(cls)
+        if config_module._NUMERIC.get(f.type) is float]
 
     @pytest.mark.parametrize("section, name", FLOAT_FIELDS + [(None, "deltas")])
     def test_float_setting_given_as_int_is_one_config(self, tmp_path, section,
