@@ -20,6 +20,7 @@ documents the identification of this convention.
 import json
 import multiprocessing
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -138,10 +139,12 @@ def refutation_runs(tmp_path_factory):
         for seed in range(5)]
     # each pipeline is seed-deterministic, so two workers give the records
     # that one process gives; spawned, since forking a threaded process is
-    # unsafe
+    # unsafe. A spawned worker starts with the default warning filters, so
+    # it turns every warning into an error, as the suite does
     with ProcessPoolExecutor(
             max_workers=2,
-            mp_context=multiprocessing.get_context("spawn")) as pool:
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=warnings.simplefilter, initargs=("error",)) as pool:
         results = list(pool.map(_timed_pipeline, configs))
     records = [record for record, _ in results]
     # the time budget holds for the pipelines run one after another
